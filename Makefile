@@ -10,15 +10,16 @@ test:
 props:
 	$(PY) -m pytest tests/test_properties.py tests/test_csi_exact.py -q
 
-# Backend benchmark (all seven executors over the workload library +
-# the 16K-PE scaling check); writes BENCH_9.json and fails if the
-# fused kernels are slower than the plan executor, if the native C
-# kernels are slower than the NumPy kernels (when a toolchain is
-# available), if kernels-mt / native-mt at 4 shards miss their
-# speedup gates (>= 4-CPU hosts; skip_reason recorded otherwise), or
-# if simulated cycles regressed against the latest prior
-# BENCH_*.json, or if the frontier verifier misses its wall-time gate
-# on an explosion workload.
+# Backend benchmark (all four executors on one shard, plus kernels and
+# native at 4 shards, over the workload library + the 16K-PE scaling
+# check); writes BENCH_9.json and fails if the fused kernels are
+# slower than the plan executor, if the native C kernels are slower
+# than the NumPy kernels (when a toolchain is available), if kernels /
+# native at 4 shards miss their speedup gates (>= 4-CPU hosts;
+# skip_reason recorded otherwise), if simulated cycles regressed
+# against the latest prior BENCH_*.json, if warm lazy execution is
+# over 1.10x eager, or if the frontier verifier or the absint
+# fixpoint misses its wall-time gate.
 bench:
 	$(PY) tools/bench.py --bench-id BENCH_9 --shards 4
 

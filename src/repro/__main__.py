@@ -26,6 +26,7 @@ Examples::
     python -m repro compile prog.mimdc -O2 --emit dot-opt
     python -m repro compile prog.mimdc --analyze --Werror
     python -m repro run prog.mimdc --npes 64 --check
+    python -m repro run prog.mimdc --npes 16384 --backend native --shards 4
     python -m repro compare prog.mimdc --npes 1024
     python -m repro lint prog.mimdc --format json --ignore MSC04
     python -m repro lint prog.mimdc --emit-witness witnesses/
@@ -129,6 +130,21 @@ def _add_lint_filters(p: argparse.ArgumentParser) -> None:
                    help="treat warning diagnostics as errors")
 
 
+def _add_backend_flags(p: argparse.ArgumentParser) -> None:
+    from repro.simd.machine import BACKENDS
+
+    p.add_argument("--backend", choices=BACKENDS, default="kernels",
+                   help="SIMD executor: cffi-compiled C kernels (falls "
+                        "back to kernels when no C toolchain is "
+                        "present), fused generated NumPy kernels "
+                        "(default), the precompiled plan tables, or the "
+                        "interpretive reference — identical results")
+    p.add_argument("--shards", type=int, default=None,
+                   help="PE-axis shard count for the native and kernels "
+                        "backends (default $REPRO_SHARDS, else 1: the "
+                        "serial path)")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("source", help="MIMDC source file ('-' for stdin)")
     _add_conversion_flags(p)
@@ -226,20 +242,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend(args: argparse.Namespace) -> str | None:
-    """Resolve the executor choice: ``--backend`` wins, the legacy
-    ``--no-plans`` spells ``interp``, default is the machine's
-    (kernels)."""
-    if args.backend:
-        return args.backend
-    return "interp" if args.no_plans else None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     result = _convert(args)
     simd = simulate_simd(result, npes=args.npes, active=args.active,
                          max_steps=args.max_steps,
-                         backend=_backend(args), shards=args.shards)
+                         backend=args.backend, shards=args.shards)
     print(f"returns: {simd.returns}")
     print(f"cycles: {simd.cycles} (body {simd.body_cycles}, "
           f"transitions {simd.transition_cycles})")
@@ -275,7 +282,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     result = _convert(args)
     row = compare_msc_vs_interpreter(args.source, result, npes=args.npes,
                                      active=args.active,
-                                     backend=_backend(args),
+                                     backend=args.backend,
                                      shards=args.shards)
     print(format_table([row]))
     _emit_report(args, result)
@@ -358,24 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--npes", type=int, default=16)
     p.add_argument("--active", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--backend",
-                   choices=["kernels", "kernels-mt", "native",
-                            "native-mt", "plan", "plan-mt", "interp"],
-                   default=None,
-                   help="SIMD executor: fused generated kernels "
-                        "(default), their sharded multi-core variant, "
-                        "cffi-compiled C kernels (serial or sharded "
-                        "with the GIL released; falls back to kernels "
-                        "when no C toolchain is present), the "
-                        "precompiled plan tables (serial or sharded), "
-                        "or the interpretive reference — identical "
-                        "results")
-    p.add_argument("--shards", type=int, default=None,
-                   help="PE-axis shard count for the -mt backends "
-                        "(default $REPRO_SHARDS or the CPU count; 1 "
-                        "runs the serial path)")
-    p.add_argument("--no-plans", action="store_true",
-                   help="alias for --backend interp (differential oracle)")
+    _add_backend_flags(p)
     p.add_argument("--check", action="store_true",
                    help="cross-check against the MIMD reference machine")
     p.set_defaults(func=cmd_run)
@@ -384,15 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p)
     p.add_argument("--npes", type=int, default=16)
     p.add_argument("--active", type=int, default=None)
-    p.add_argument("--backend",
-                   choices=["kernels", "kernels-mt", "native",
-                            "native-mt", "plan", "plan-mt", "interp"],
-                   default=None,
-                   help="SIMD executor backend (default kernels)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="PE-axis shard count for the -mt backends")
-    p.add_argument("--no-plans", action="store_true",
-                   help="alias for --backend interp")
+    _add_backend_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("lint", help="run the static analyzers only")

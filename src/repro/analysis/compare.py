@@ -58,18 +58,16 @@ class ComparisonRow:
 def compare_msc_vs_interpreter(name: str, result: ConversionResult,
                                npes: int, active: int | None = None,
                                max_steps: int = 1_000_000,
-                               use_plans: bool | None = None,
-                               backend: str | None = None,
+                               backend: str = "kernels",
                                shards: int | None = None) -> ComparisonRow:
     """Execute ``result`` under both schemes and compare against the
     MIMD oracle. Raises :class:`~repro.errors.MscError` if either
     scheme diverges from the oracle — a comparison of wrong answers is
-    worthless. ``backend`` picks the SIMD executor (kernels /
-    kernels-mt / plan / plan-mt / interp, ``shards`` sizing the -mt
-    worker pool); ``use_plans=False`` is the deprecated older interp
-    spelling."""
+    worthless. ``backend`` picks the SIMD executor (native / kernels /
+    plan / interp) and ``shards`` its PE-axis shard count, as in
+    :func:`~repro.pipeline.simulate_simd`."""
     simd = simulate_simd(result, npes=npes, active=active, max_steps=max_steps,
-                         use_plans=use_plans, backend=backend, shards=shards)
+                         backend=backend, shards=shards)
     mimd = simulate_mimd(result, nprocs=npes, active=active, max_steps=max_steps)
     flat = flatten_cfg(result.cfg)
     interp = InterpreterMachine(npes=npes, costs=result.options.costs).run(

@@ -37,7 +37,7 @@ runners exploit):
 
 Plans change *nothing* about the simulated cost model: the machine
 charges exactly the same cycles per entry and per terminator; only the
-host-side bookkeeping gets cheaper. ``SimdMachine(use_plans=False)``
+host-side bookkeeping gets cheaper. ``SimdMachine(backend="interp")``
 keeps the original interpretive executor as a differential oracle.
 """
 

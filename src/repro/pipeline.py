@@ -262,8 +262,7 @@ def convert_source(
 
 def simulate_simd(result: ConversionResult, npes: int, *,
                   active: int | None = None, max_steps: int = 1_000_000,
-                  use_plans: bool | None = None,
-                  backend: str | None = None, shards: int | None = None):
+                  backend: str = "kernels", shards: int | None = None):
     """Execute the converted program on the SIMD machine simulator.
 
     ``active`` limits how many PEs start in ``main`` (the rest sit in
@@ -271,23 +270,19 @@ def simulate_simd(result: ConversionResult, npes: int, *,
     picks the executor: ``"kernels"`` (fused generated code, the
     default), ``"native"`` (cffi-compiled C kernels, falling back to
     ``"kernels"`` with a warning when no toolchain is available),
-    ``"kernels-mt"`` / ``"native-mt"`` / ``"plan-mt"`` (the same
-    semantics with the PE axis sharded over ``shards`` workers),
     ``"plan"`` (dense-table executor), or ``"interp"`` (the
-    interpretive reference) — bit-identical results across all seven;
+    interpretive reference) — bit-identical results across all four;
     the returned result's ``backend_used`` records which one actually
-    ran (a downgrade also warns). ``use_plans=False`` is the deprecated
-    older spelling of ``backend="interp"``. The precompiled plan, the
+    ran (a downgrade also warns). ``shards`` splits the PE axis of a
+    ``kernels`` or ``native`` run over that many worker threads
+    (default ``$REPRO_SHARDS``, else 1). The precompiled plan, the
     generated kernel source, and the generated C source travel with
     the program artifact, so repeated (and warm-cache) runs never
     rebuild them (the native shared library is host-local, built once
     per content address under the same cache root).
     """
-    from repro.simd.machine import SimdMachine, resolve_backend
+    from repro.simd.machine import SimdMachine
 
-    # Resolve here (one DeprecationWarning, pointed at our caller)
-    # rather than letting the machine re-normalize use_plans.
-    backend = resolve_backend(backend, use_plans)
     machine = SimdMachine(npes=npes, costs=result.options.costs,
                           backend=backend, shards=shards)
     if getattr(result.options, "lazy", False):
@@ -297,7 +292,7 @@ def simulate_simd(result: ConversionResult, npes: int, *,
         _record_lazy_stats(result, mgr)
         return out
     prog = result.simd_program()
-    plan = result.exec_plan() if machine.use_plans else None
+    plan = result.exec_plan() if backend != "interp" else None
     return machine.run(prog, active=active, max_steps=max_steps, plan=plan)
 
 

@@ -51,11 +51,11 @@ class SimdResult:
 
     ``backend_used`` names the executor that actually ran: it equals
     the requested backend unless the machine had to fall back (trace
-    enabled, no compiled kernels, or a foreign cost model — each
-    downgrade also emits a :class:`RuntimeWarning`). ``shards`` is the
-    shard count the run used (always 1 for the serial backends; an
-    ``-mt`` request resolved to one shard keeps its name but reports
-    ``shards=1``).
+    enabled, no C toolchain, no compiled kernels, or a foreign cost
+    model — each downgrade also emits a :class:`RuntimeWarning`).
+    ``shards`` is the shard count the run used: always 1 for ``plan``
+    and ``interp``, and 1 when the small-node guard demoted a sharded
+    request (:func:`repro.simd.shards.inline_threshold`).
     """
 
     npes: int
@@ -87,40 +87,16 @@ class SimdResult:
         return self.transition_cycles / self.cycles
 
 
-#: The selectable node-body executors, fastest first — all seven
-#: produce bit-identical :class:`SimdResult`\s. The ``native`` pair
-#: runs cffi-compiled C kernels (:mod:`repro.codegen.native`); the
-#: ``-mt`` variants shard the PE axis across a worker pool
-#: (:mod:`repro.simd.shards`).
-BACKENDS = ("native", "native-mt", "kernels", "kernels-mt",
-            "plan", "plan-mt", "interp")
+#: The selectable node-body executors, fastest first — all four
+#: produce bit-identical :class:`SimdResult`\s. ``native`` runs
+#: cffi-compiled C kernels (:mod:`repro.codegen.native`); ``native``
+#: and ``kernels`` also shard the PE axis across a worker pool when
+#: given ``shards > 1`` (:mod:`repro.simd.shards`).
+BACKENDS = ("native", "kernels", "plan", "interp")
 
-
-def resolve_backend(backend: str | None = None,
-                    use_plans: bool | None = None) -> str:
-    """Normalize the executor choice — the one helper behind both
-    :meth:`SimdMachine.__init__` and
-    :func:`repro.pipeline.simulate_simd`.
-
-    ``backend`` wins when given; the legacy ``use_plans`` spelling
-    (``False`` = ``"interp"``, ``True`` = the default ``"kernels"``)
-    is deprecated and emits a :class:`DeprecationWarning`. ``None`` for
-    both means ``"kernels"``."""
-    if use_plans is not None:
-        warnings.warn(
-            "use_plans is deprecated; pass backend='interp' instead of "
-            "use_plans=False (the default backend is 'kernels')",
-            DeprecationWarning, stacklevel=3)
-        if backend is None:
-            backend = "kernels" if use_plans else "interp"
-    if backend is None:
-        backend = "kernels"
-    if backend not in BACKENDS:
-        raise MachineError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    return backend
+#: Where a backend falls back when it cannot run a program here (see
+#: :meth:`SimdMachine._unavailable`); ``plan`` and ``interp`` always run.
+FALLBACK = {"native": "kernels", "kernels": "plan"}
 
 
 class SimdMachine:
@@ -136,78 +112,69 @@ class SimdMachine:
         the transitions).
     stack_depth / rstack_depth:
         Operand and return-selector stack sizes per PE.
-    use_plans:
-        Deprecated back-compat switch: ``False`` is shorthand for
-        ``backend="interp"`` (:func:`resolve_backend` warns). Ignored
-        when ``backend`` is given.
     backend:
-        Which executor runs the node bodies — all seven produce
+        Which executor runs the node bodies — all four produce
         bit-identical :class:`SimdResult`\\ s:
 
         - ``"native"``: per-node C functions generated by
           :mod:`repro.codegen.native`, compiled once per program via
           cffi into a content-addressed shared library
           (:mod:`repro.simd.nativert`) — no Python dispatch inside a
-          node. Falls back to ``"kernels"`` with a
-          :class:`RuntimeWarning` when unavailable (no C compiler or
-          cffi, ``REPRO_NATIVE_DISABLE=1``, build failure, lazy
-          conversion, unresolvable static depths, or a foreign cost
-          model); the fallback cascades through the ``"kernels"``
-          checks below, and :attr:`SimdResult.backend_used` records
-          what actually ran.
-        - ``"native-mt"``: the C kernels, sharded. cffi releases the
-          GIL for the duration of each C call, so — unlike the NumPy
-          backends — shard workers genuinely overlap. Same fallbacks,
-          to ``"kernels-mt"``.
+          node, and the GIL is released for each call. Falls back to
+          ``"kernels"`` with a :class:`RuntimeWarning` when unavailable
+          (no C compiler or cffi, ``REPRO_NATIVE_DISABLE=1``, build
+          failure, lazy conversion, unresolvable static depths, or a
+          foreign cost model); the fallback cascades through the
+          ``"kernels"`` checks below.
         - ``"kernels"`` (default): fused per-node functions generated by
           :mod:`repro.codegen.kernels` — one compiled kernel executes a
           whole node. Falls back to ``"plan"`` with a
-          :class:`RuntimeWarning` when the kernels are unusable
-          (tracing on, cost model differs from the one the program was
-          emitted with, or unresolvable static depths); the run's
-          :attr:`SimdResult.backend_used` records what actually ran.
-        - ``"kernels-mt"``: the kernels, with every shardable node's
-          PE axis split into ``shards`` contiguous slices executed on
-          a worker pool (:mod:`repro.simd.shards`). Same fallbacks as
-          ``"kernels"``, to ``"plan-mt"``.
+          :class:`RuntimeWarning` when the kernels are unusable (cost
+          model differs from the one the program was emitted with, or
+          unresolvable static depths).
         - ``"plan"``: the table-driven executor of
-          :mod:`repro.codegen.plan` (the PR-1 fast path).
-        - ``"plan-mt"``: the table executor, sharded — the
-          differential oracle for ``"kernels-mt"``.
+          :mod:`repro.codegen.plan`.
         - ``"interp"``: the original interpretive executor — the
           differential oracle.
+
+        Tracing runs ``"native"`` and ``"kernels"`` requests on
+        ``"plan"`` (they record no per-PE trace), also with a warning;
+        :attr:`SimdResult.backend_used` records what actually ran.
     shards:
-        Shard count for the ``-mt`` backends. Default ``None`` means
-        ``$REPRO_SHARDS`` or the host CPU count; the count is clamped
-        to ``npes``, and one shard runs the serial twin executor
-        (results are identical either way). Ignored (with a
-        :class:`RuntimeWarning`) for serial backends.
+        PE-axis shard count for ``"kernels"`` and ``"native"``: every
+        shardable node runs on that many contiguous slices of the PE
+        axis on a worker pool (:mod:`repro.simd.shards`). Default
+        ``None`` means ``$REPRO_SHARDS``, else 1 (the serial path); the
+        count is clamped to ``npes``. ``"plan"`` and ``"interp"`` run
+        one shard (an explicit ``shards > 1`` warns).
     """
 
     BACKENDS = BACKENDS
 
     def __init__(self, npes: int, costs: CostModel = DEFAULT_COSTS,
                  stack_depth: int = 64, rstack_depth: int = 256,
-                 trace: bool = False, use_plans: bool | None = None,
-                 backend: str | None = None, shards: int | None = None):
+                 trace: bool = False, backend: str = "kernels",
+                 shards: int | None = None):
         if npes < 1:
             raise MachineError("need at least one PE")
-        backend = resolve_backend(backend, use_plans)
+        if backend not in BACKENDS:
+            raise MachineError(
+                f"unknown backend {backend!r}; expected one of "
+                f"{', '.join(BACKENDS)}"
+            )
         self.npes = npes
         self.costs = costs
         self.stack_depth = stack_depth
         self.rstack_depth = rstack_depth
         self.trace_enabled = trace
         self.backend = backend
-        self.use_plans = backend != "interp"
-        self._nfns = None  # loaded native kernels, set per run
-        if backend in shardsmod.MT_BACKENDS:
-            self.nshards = shardsmod.resolve_shard_count(shards, npes)
-        else:
-            if shards is not None:
+        self.nshards = shardsmod.resolve_shard_count(shards, npes)
+        if backend in ("plan", "interp"):
+            if shards is not None and shards > 1:
                 warnings.warn(
-                    f"shards={shards} has no effect with the serial "
-                    f"backend {backend!r}", RuntimeWarning, stacklevel=2)
+                    f"shards={shards} has no effect with the {backend!r} "
+                    f"backend, which runs one shard", RuntimeWarning,
+                    stacklevel=2)
             self.nshards = 1
 
     # ------------------------------------------------------------------
@@ -220,9 +187,9 @@ class SimdMachine:
 
         ``plan`` supplies a precompiled
         :class:`~repro.codegen.plan.ProgramPlan` for ``prog`` (e.g. the
-        one the stage pipeline produced and cached); when omitted and
-        ``use_plans`` is on, the program's own cached plan is used —
-        either way nothing is rebuilt per run.
+        one the stage pipeline produced and cached); when omitted the
+        program's own cached plan is used — either way nothing is
+        rebuilt per run. The ``interp`` backend ignores it.
 
         ``miss_handler`` enables lazy conversion: a
         :class:`~repro.codegen.lazy.LazyProgram` whose ``fetch(state,
@@ -236,139 +203,110 @@ class SimdMachine:
         if not (1 <= active <= self.npes):
             raise MachineError(f"active={active} out of range 1..{self.npes}")
 
-        backend_used = self._effective_backend(prog, miss_handler)
-        mt = backend_used in shardsmod.MT_BACKENDS
-        nshards = self.nshards if mt else 1
-        if mt and nshards > 1:
-            # Small-node guard: when each shard would hold fewer lanes
-            # than the pool handoff is worth, run the serial twin
-            # instead (the mt label stays; the result reports shards=1).
-            per_shard = -(-self.npes // nshards)
-            if per_shard < shardsmod.inline_threshold(backend_used):
-                nshards = 1
-        if backend_used in ("native", "native-mt"):
+        backend, fns = self._resolve(prog, miss_handler)
+        nshards = self.nshards if fns is not None else 1
+        if nshards > 1 and \
+                -(-self.npes // nshards) < shardsmod.inline_threshold():
+            # Small-node guard: each shard would hold fewer lanes than
+            # the pool handoff is worth, so run serially (the label
+            # stays; the result reports shards=1).
+            nshards = 1
+        replayed: tuple = (shardsmod.ShardError,)
+        if backend == "native":
             from repro.simd import nativert
 
-            try:
-                return self._dispatch(prog, active, max_steps, plan,
-                                      backend_used, nshards, miss_handler)
-            except nativert.NativeKernelError as err:
-                # A C kernel reported a failing lane by code; the exact
-                # MachineError (message, in-order position) comes from
-                # replaying on the NumPy kernels — same determinism/
-                # discarded-state argument as the ShardError replay in
-                # _dispatch.
-                self._run_serial(prog, active, max_steps, plan, "kernels",
-                                 backend_used, nshards, miss_handler)
-                raise MachineError(str(err))  # replay passed
-        return self._dispatch(prog, active, max_steps, plan, backend_used,
+            replayed += (nativert.NativeKernelError,)
+        try:
+            return self._loop(prog, active, max_steps, plan, backend, fns,
                               nshards, miss_handler)
+        except replayed as err:
+            # Exact in-order error reconstruction: a shard worker or a
+            # C kernel (which reports only an error code) failed. The
+            # run is deterministic and failing runs discard machine
+            # state, so replaying serially on the kernels surfaces
+            # exactly the serial MachineError — message and position
+            # across shard boundaries included.
+            self._loop(prog, active, max_steps, plan, "kernels",
+                       self._kernel_fns(prog, miss_handler), 1,
+                       miss_handler)
+            cause = (err.errors[0] if isinstance(err, shardsmod.ShardError)
+                     else err)
+            raise MachineError(str(cause)) from err  # replay passed
 
-    def _dispatch(self, prog: SimdProgram, active: int, max_steps: int,
-                  plan: "planmod.ProgramPlan | None", backend_used: str,
-                  nshards: int, miss_handler=None) -> SimdResult:
-        if nshards > 1:
-            try:
-                return self._run_mt(prog, active, max_steps, plan,
-                                    backend_used, nshards, miss_handler)
-            except shardsmod.ShardError as err:
-                # Exact in-order error reconstruction: the run is
-                # deterministic and failing runs discard machine state,
-                # so replaying on the serial twin surfaces exactly the
-                # error the serial backend would have raised —
-                # including its position across shard boundaries.
-                self._run_serial(prog, active, max_steps, plan,
-                                 shardsmod.SERIAL_TWIN[backend_used],
-                                 backend_used, nshards, miss_handler)
-                raise err.errors[0]  # replay passed: surface original
-        # One shard degrades to the serial twin executor (results are
-        # identical by contract); the mt label and shard count stay on
-        # the result so callers see what was asked and resolved.
-        exec_backend = shardsmod.SERIAL_TWIN.get(backend_used, backend_used)
-        return self._run_serial(prog, active, max_steps, plan, exec_backend,
-                                backend_used, nshards, miss_handler)
-
-    def _effective_backend(self, prog: SimdProgram,
-                           miss_handler=None) -> str:
-        """Resolve the backend that will actually run ``prog`` —
-        warning on every downgrade (the pre-PR-6 machine fell back
-        silently, so benchmarks could mislabel runs)."""
+    def _resolve(self, prog: SimdProgram, miss_handler=None):
+        """The backend that will actually run ``prog`` and its per-node
+        callables (``None`` for ``plan`` and ``interp``) — warning on
+        every downgrade along :data:`FALLBACK`, so a fallback can never
+        mislabel a run."""
         backend = self.backend
-        self._nfns = None
-        if self.trace_enabled and backend not in ("plan", "interp"):
+        if self.trace_enabled and backend in FALLBACK:
             warnings.warn(
                 f"backend {backend!r} records no per-PE trace; running "
                 f"'plan' instead", RuntimeWarning, stacklevel=3)
-            return "plan"
-        if backend in ("native", "native-mt"):
-            from repro.simd import nativert
+            return "plan", None
+        while backend in FALLBACK:
+            reason = self._unavailable(backend, prog, miss_handler)
+            if reason is None and backend == "kernels":
+                return backend, self._kernel_fns(prog, miss_handler)
+            if reason is None:
+                from repro.simd import nativert
 
-            fallback = "kernels" if backend == "native" else "kernels-mt"
-            reason = None
+                # Looked up on the module per run, so a caller can wrap
+                # the loader.
+                try:
+                    return backend, nativert.load_native(prog.native())
+                except nativert.NativeBuildError as err:
+                    reason = f"native kernel build failed: {err}"
+            warnings.warn(
+                f"{reason}; running {FALLBACK[backend]!r} instead",
+                RuntimeWarning, stacklevel=3)
+            backend = FALLBACK[backend]
+        return backend, None
+
+    def _unavailable(self, backend: str, prog: SimdProgram,
+                     miss_handler=None) -> str | None:
+        """Why ``backend`` (``"native"`` or ``"kernels"``) cannot run
+        ``prog`` on this machine, or ``None`` when it can."""
+        if backend == "native":
             if miss_handler is not None:
                 # Documented per-node fallback: lazy conversion
                 # discovers nodes mid-run, and invoking the C compiler
                 # per discovered node would cost far more than it
                 # saves, so lazy runs use the NumPy kernel JIT.
-                reason = ("lazy conversion compiles nodes as they are "
-                          "discovered, which the native backend does "
-                          "not support")
-            if reason is None:
-                reason = nativert.unavailable_reason()
-            nat = None
-            if reason is None:
-                nat = prog.native()
-                if nat is None:
-                    reason = ("program has no native kernels (static "
-                              "stack depths unresolvable)")
-                elif nat.costs != self.costs:
-                    reason = ("native kernels fold a different cost "
-                              "model into their constants than this "
-                              "machine's")
-            if reason is None:
-                try:
-                    self._nfns = nativert.load_native(nat)
-                except nativert.NativeBuildError as err:
-                    reason = f"native kernel build failed: {err}"
-            if reason is None:
-                return backend
-            warnings.warn(
-                f"{reason}; running {fallback!r} instead",
-                RuntimeWarning, stacklevel=3)
-            backend = fallback  # cascade through the kernels checks
-        if backend in ("kernels", "kernels-mt"):
-            fallback = "plan" if backend == "kernels" else "plan-mt"
-            if miss_handler is not None:
-                # Lazy mode: kernels are JIT-compiled per node by the
-                # handler; only global feasibility is checked up front.
-                if not miss_handler.supports_kernels:
-                    warnings.warn(
-                        f"program has no compiled kernels (static stack "
-                        f"depths unresolvable); running {fallback!r} "
-                        f"instead", RuntimeWarning, stacklevel=3)
-                    return fallback
-                if miss_handler.costs != self.costs:
-                    warnings.warn(
-                        f"kernels fold a different cost model into their "
-                        f"constants than this machine's; running "
-                        f"{fallback!r} instead", RuntimeWarning,
-                        stacklevel=3)
-                    return fallback
-                return backend
-            kern = prog.kernels()
-            if kern is None:
-                warnings.warn(
-                    f"program has no compiled kernels (static stack "
-                    f"depths unresolvable); running {fallback!r} instead",
-                    RuntimeWarning, stacklevel=3)
-                return fallback
-            if kern.costs != self.costs:
-                warnings.warn(
-                    f"kernels fold a different cost model into their "
-                    f"constants than this machine's; running "
-                    f"{fallback!r} instead", RuntimeWarning, stacklevel=3)
-                return fallback
-        return backend
+                return ("lazy conversion compiles nodes as they are "
+                        "discovered, which the native backend does not "
+                        "support")
+            from repro.simd import nativert
+
+            reason = nativert.unavailable_reason()
+            if reason is not None:
+                return reason
+            compiled, kind = prog.native(), "native"
+        elif miss_handler is not None:
+            # Lazy mode: kernels are JIT-compiled per node by the
+            # handler; only global feasibility is checked up front.
+            compiled = miss_handler if miss_handler.supports_kernels \
+                else None
+            kind = "compiled"
+        else:
+            compiled, kind = prog.kernels(), "compiled"
+        if compiled is None:
+            return (f"program has no {kind} kernels (static stack depths "
+                    f"unresolvable)")
+        if compiled.costs != self.costs:
+            what = "native kernels" if backend == "native" else "kernels"
+            return (f"{what} fold a different cost model into their "
+                    f"constants than this machine's")
+        return None
+
+    @staticmethod
+    def _kernel_fns(prog: SimdProgram, miss_handler=None) -> dict:
+        """The per-node kernel callables: the lazy handler's live dict
+        (``fetch`` fills it per discovered node) or the program's
+        compiled kernels."""
+        if miss_handler is not None:
+            return miss_handler.kfns
+        return prog.kernels().fns
 
     def _initial_state(self, prog: SimdProgram,
                        active: int) -> tuple[vecops.PeState, np.ndarray]:
@@ -381,11 +319,105 @@ class SimdMachine:
         pc[:active] = start_bid
         return st, pc
 
-    def _result(self, prog: SimdProgram, st: vecops.PeState,
-                pc: np.ndarray, cycles: int, body_cycles: int,
-                transition_cycles: int, enabled_pe_cycles: int,
-                transitions: int, visits: dict, trace: dict | None,
-                backend_used: str, nshards: int) -> SimdResult:
+    def _loop(self, prog: SimdProgram, active: int, max_steps: int,
+              plan: "planmod.ProgramPlan | None", backend: str,
+              fns: dict | None, nshards: int,
+              miss_handler=None) -> SimdResult:
+        """The meta-step loop. Each step runs the current node on one
+        of three executors — its kernel or native callable from ``fns``
+        on the full arrays; the same callable fanned out over
+        ``nshards`` PE shards (:class:`~repro.simd.shards.ShardFan`,
+        shardable nodes only); or the plan/interp segment walk
+        (:meth:`_exec_node`, also for nodes the C generator skipped) —
+        then charges the transition and dispatches on the ``globalor``
+        aggregate (sections 3.2.2-3.2.4)."""
+        st, pc = self._initial_state(prog, active)
+        if backend == "interp":
+            plan = None
+        elif plan is None:
+            plan = prog.plan()
+        fan = (shardsmod.ShardFan(st, pc, nshards, plan.bit_weights)
+               if nshards > 1 else None)
+        trace = ({p: [] for p in range(self.npes)}
+                 if self.trace_enabled else None)
+        barrier_mask = key_of_members(prog.barrier_ids)
+        costs = self.costs
+
+        cycles = 0
+        body_cycles = 0
+        transition_cycles = 0
+        enabled_pe_cycles = 0
+        transitions = 0
+        visits: dict = {}
+
+        current = prog.start
+        steps = 0
+        while True:
+            steps += 1
+            if steps > max_steps:
+                raise MachineError(f"SIMD run exceeded {max_steps} meta steps")
+            if miss_handler is not None:
+                miss_handler.fetch(current, want_kernel=fns is not None)
+            node = prog.nodes[current]
+            visits[node.entry_members] = visits.get(node.entry_members, 0) + 1
+
+            apc = None
+            fn = fns.get(current) if fns is not None else None
+            if fn is None:
+                b, t, e, exited = self._exec_node(
+                    node, plan.nodes[current] if plan is not None else None,
+                    pc, st, trace, steps)
+            elif fan is None or not plan.nodes[current].shardable:
+                # Full width: serial runs, and the cross-lane nodes
+                # (mono store, router, spawn) of sharded ones.
+                b, t, e, exited = fn(pc, st)
+            else:
+                b, t, e, exited, apc = fan(
+                    fn, node.barrier_target is not None
+                    or node.encoding is not None)
+            cycles += b + t
+            body_cycles += b
+            transition_cycles += t
+            enabled_pe_cycles += e
+            if exited:
+                break
+
+            transitions += 1
+            if node.barrier_target is not None:
+                # Compressed graphs: the all-at-barrier entry is a
+                # runtime check on the aggregate (section 3.2.4).
+                if apc is None:
+                    apc = self._globalor(pc, plan)
+                cycles += costs.globalor_cost
+                transition_cycles += costs.globalor_cost
+                if apc == 0:
+                    break
+                if apc & ~barrier_mask == 0:
+                    current = node.barrier_target
+                    continue
+            if node.encoding is not None:
+                if apc is None:
+                    apc = self._globalor(pc, plan)
+                cost = costs.globalor_cost + costs.dispatch_cost
+                cycles += cost
+                transition_cycles += cost
+                if apc == 0:
+                    break
+                # Section 3.2.4: unless everyone is at a barrier, the
+                # parked barrier bits are masked out of the aggregate.
+                if apc & ~barrier_mask:
+                    key = apc & ~barrier_mask
+                else:
+                    key = apc
+                current = node.encoding.lookup(key)
+            elif node.single_target is not None:
+                cycles += costs.branch_cost
+                transition_cycles += costs.branch_cost
+                current = node.single_target
+            else:
+                # Terminal node: everyone returned.
+                break
+
         returns = np.full(self.npes, np.nan)
         if prog.ret_slot is not None:
             done = pc == PC_DONE
@@ -402,286 +434,29 @@ class SimdMachine:
             enabled_pe_cycles=enabled_pe_cycles,
             meta_transitions=transitions,
             node_visits=visits,
-            backend_used=backend_used,
+            backend_used=backend,
             shards=nshards,
             trace=trace,
         )
 
-    def _run_serial(self, prog: SimdProgram, active: int, max_steps: int,
-                    plan: "planmod.ProgramPlan | None", exec_backend: str,
-                    backend_used: str, nshards: int,
-                    miss_handler=None) -> SimdResult:
-        st, pc = self._initial_state(prog, active)
-
-        cycles = 0
-        body_cycles = 0
-        transition_cycles = 0
-        enabled_pe_cycles = 0
-        transitions = 0
-        visits: dict = {}
-        trace: dict = {p: [] for p in range(self.npes)} if self.trace_enabled else None
-        barrier_mask = key_of_members(prog.barrier_ids)
-        if exec_backend == "interp":
-            plan = None
-        elif plan is None:
-            plan = prog.plan()
-
-        # Fused kernels: one generated function per node (availability
-        # and cost-model compatibility were resolved — with warnings —
-        # by _effective_backend). Lazy mode reads the handler's live
-        # kernel dict, which fetch() fills per discovered node. The
-        # native executor uses the same per-node callable contract, so
-        # it shares the kernel dispatch below; nodes the C generator
-        # skipped fall through to the plan executor lane-identically.
-        if exec_backend == "kernels":
-            kfns = (miss_handler.kfns if miss_handler is not None
-                    else prog.kernels().fns)
-        elif exec_backend == "native":
-            kfns = self._nfns
-        else:
-            kfns = None
-
-        current = prog.start
-        steps = 0
-        while True:
-            steps += 1
-            if steps > max_steps:
-                raise MachineError(f"SIMD run exceeded {max_steps} meta steps")
-            if miss_handler is not None:
-                miss_handler.fetch(current, want_kernel=kfns is not None)
-            node = prog.nodes[current]
-            visits[node.entry_members] = visits.get(node.entry_members, 0) + 1
-
-            kfn = kfns.get(current) if kfns is not None else None
-            if kfn is not None:
-                b, t, e, exited = kfn(pc, st)
-                cycles += b + t
-                body_cycles += b
-                transition_cycles += t
-                enabled_pe_cycles += e
-                if exited:
-                    break
-            else:
-                nplan = plan.nodes[current] if plan is not None else None
-                exited = False
-                for i, seg in enumerate(node.segments):
-                    if nplan is not None:
-                        c, e = self._exec_segment_plan(nplan.segments[i], pc,
-                                                       st, trace, steps)
-                    else:
-                        c, e = self._exec_segment(seg, pc, st, trace, steps)
-                    cycles += c
-                    body_cycles += c
-                    enabled_pe_cycles += e
-                    if seg.can_exit:
-                        cycles += self.costs.globalor_cost
-                        transition_cycles += self.costs.globalor_cost
-                        if not np.any(pc >= 0):
-                            exited = True
-                            break
-                if exited:
-                    break
-
-            transitions += 1
-            if node.barrier_target is not None:
-                # Compressed graphs: the all-at-barrier entry is a
-                # runtime check on the aggregate (section 3.2.4).
-                apc = self._globalor(pc, plan)
-                cycles += self.costs.globalor_cost
-                transition_cycles += self.costs.globalor_cost
-                if apc == 0:
-                    break
-                if apc & ~barrier_mask == 0:
-                    current = node.barrier_target
-                    continue
-            if node.encoding is not None:
-                apc = self._globalor(pc, plan)
-                cost = self.costs.globalor_cost + self.costs.dispatch_cost
-                cycles += cost
-                transition_cycles += cost
-                if apc == 0:
-                    break
-                # Section 3.2.4: unless everyone is at a barrier, the
-                # parked barrier bits are masked out of the aggregate.
-                if apc & ~barrier_mask:
-                    key = apc & ~barrier_mask
-                else:
-                    key = apc
-                current = node.encoding.lookup(key)
-            elif node.single_target is not None:
-                cycles += self.costs.branch_cost
-                transition_cycles += self.costs.branch_cost
-                current = node.single_target
-            else:
-                # Terminal node: everyone returned.
-                break
-
-        return self._result(prog, st, pc, cycles, body_cycles,
-                            transition_cycles, enabled_pe_cycles,
-                            transitions, visits, trace, backend_used,
-                            nshards)
-
-    def _run_mt(self, prog: SimdProgram, active: int, max_steps: int,
-                plan: "planmod.ProgramPlan | None", backend_used: str,
-                nshards: int, miss_handler=None) -> SimdResult:
-        """The sharded run loop: shardable nodes execute on ``nshards``
-        disjoint slices of the PE axis via the worker pool; cross-lane
-        nodes run serially on the full arrays. Per-shard aggregates
-        combine by tree-reduce, so dispatch — and every accounting
-        field — is bit-identical to the serial twin:
-
-        - per-segment control-unit cycles are lane-count independent,
-          and (absent spawn) a shard's live set within a node only
-          shrinks, so the shard that exits a node latest reproduces the
-          serial (body, transition) charge — combine is ``max``;
-        - enabled-PE cycles are per-lane — combine is ``sum``;
-        - the mid-node exit test is "no live PE anywhere" — combine is
-          ``all``; ``globalor`` is an OR — combine is :func:`~repro.
-          simd.shards.tree_or`.
-        """
-        st, pc = self._initial_state(prog, active)
-        if plan is None:
-            plan = prog.plan()
-        if backend_used == "kernels-mt":
-            kfns = (miss_handler.kfns if miss_handler is not None
-                    else prog.kernels().fns)
-        elif backend_used == "native-mt":
-            kfns = self._nfns
-        else:
-            kfns = None
-        weights = plan.bit_weights
-        bounds = shardsmod.shard_bounds(self.npes, nshards)
-        views = [shardsmod.ShardView(st, lo, hi) for lo, hi in bounds]
-        pcs = [pc[lo:hi] for lo, hi in bounds]
-        pool = shardsmod.get_pool(nshards)
-        barrier_mask = key_of_members(prog.barrier_ids)
-
-        cycles = 0
-        body_cycles = 0
-        transition_cycles = 0
-        enabled_pe_cycles = 0
-        transitions = 0
-        visits: dict = {}
-
-        current = prog.start
-        steps = 0
-        while True:
-            steps += 1
-            if steps > max_steps:
-                raise MachineError(f"SIMD run exceeded {max_steps} meta steps")
-            if miss_handler is not None:
-                miss_handler.fetch(current, want_kernel=kfns is not None)
-            node = prog.nodes[current]
-            nplan = plan.nodes[current]
-            visits[node.entry_members] = visits.get(node.entry_members, 0) + 1
-            need_agg = (node.barrier_target is not None
-                        or node.encoding is not None)
-            apc = None
-
-            kfn = kfns.get(current) if kfns is not None else None
-            if nplan.shardable:
-                def task(spc, view, kfn=kfn, node=node, nplan=nplan,
-                         need_agg=need_agg):
-                    if kfn is not None:
-                        out = kfn(spc, view)
-                    else:
-                        out = self._exec_node_plan_shard(node, nplan,
-                                                         spc, view)
-                    agg = (shardsmod.shard_globalor(spc, weights)
-                           if need_agg else 0)
-                    return out, agg
-
-                outs = pool.run([
-                    (lambda i=i: task(pcs[i], views[i]))
-                    for i in range(nshards)
-                ])
-                b = max(o[0][0] for o in outs)
-                t = max(o[0][1] for o in outs)
-                e = sum(o[0][2] for o in outs)
-                exited = all(o[0][3] for o in outs)
-                cycles += b + t
-                body_cycles += b
-                transition_cycles += t
-                enabled_pe_cycles += e
-                if exited:
-                    break
-                if need_agg:
-                    apc = shardsmod.tree_or(o[1] for o in outs)
-            else:
-                # Cross-lane node (mono store, router, spawn): full
-                # width, exactly the serial executor.
-                if kfn is not None:
-                    b, t, e, exited = kfn(pc, st)
-                    cycles += b + t
-                    body_cycles += b
-                    transition_cycles += t
-                    enabled_pe_cycles += e
-                else:
-                    exited = False
-                    for i, seg in enumerate(node.segments):
-                        c, e = self._exec_segment_plan(nplan.segments[i],
-                                                       pc, st, None, steps)
-                        cycles += c
-                        body_cycles += c
-                        enabled_pe_cycles += e
-                        if seg.can_exit:
-                            cycles += self.costs.globalor_cost
-                            transition_cycles += self.costs.globalor_cost
-                            if not np.any(pc >= 0):
-                                exited = True
-                                break
-                if exited:
-                    break
-                if need_agg:
-                    apc = self._globalor(pc, plan)
-
-            transitions += 1
-            if node.barrier_target is not None:
-                cycles += self.costs.globalor_cost
-                transition_cycles += self.costs.globalor_cost
-                if apc == 0:
-                    break
-                if apc & ~barrier_mask == 0:
-                    current = node.barrier_target
-                    continue
-            if node.encoding is not None:
-                cost = self.costs.globalor_cost + self.costs.dispatch_cost
-                cycles += cost
-                transition_cycles += cost
-                if apc == 0:
-                    break
-                if apc & ~barrier_mask:
-                    key = apc & ~barrier_mask
-                else:
-                    key = apc
-                current = node.encoding.lookup(key)
-            elif node.single_target is not None:
-                cycles += self.costs.branch_cost
-                transition_cycles += self.costs.branch_cost
-                current = node.single_target
-            else:
-                break
-
-        return self._result(prog, st, pc, cycles, body_cycles,
-                            transition_cycles, enabled_pe_cycles,
-                            transitions, visits, None, backend_used,
-                            nshards)
-
-    def _exec_node_plan_shard(self, node, nplan: planmod.NodePlan,
-                              pc: np.ndarray,
-                              st: "shardsmod.ShardView"
-                              ) -> tuple[int, int, int, bool]:
-        """One shard's slice of a whole (shardable) node on the plan
-        tables — the table-executor twin of a generated kernel, with
-        the kernel return convention ``(body, transition, enabled,
-        exited)``. The shard-local mid-node exit is sound because a
-        shard that empties early would only skip segments that are
-        no-ops on its (empty) slice."""
+    def _exec_node(self, node, nplan: "planmod.NodePlan | None",
+                   pc: np.ndarray, st: vecops.PeState,
+                   trace: dict | None = None,
+                   step: int = 0) -> tuple[int, int, int, bool]:
+        """The plan/interp segment walk over one whole node, with the
+        kernel return convention ``(body, transition, enabled,
+        exited)``: each segment runs on its plan tables, or
+        interpretively when ``nplan`` is ``None``, and a segment that
+        can exit pays one ``globalor`` to test for a live PE."""
         body = 0
         tcost = 0
         enabled = 0
         for i, seg in enumerate(node.segments):
-            c, e = self._exec_segment_plan(nplan.segments[i], pc, st)
+            if nplan is not None:
+                c, e = self._exec_segment_plan(nplan.segments[i], pc, st,
+                                               trace, step)
+            else:
+                c, e = self._exec_segment(seg, pc, st, trace, step)
             body += c
             enabled += e
             if seg.can_exit:

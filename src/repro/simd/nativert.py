@@ -14,9 +14,9 @@ program; this module turns that text into callable per-node functions:
   paths, only content.
 - **cffi ABI mode** — ``ffi.cdef`` + ``ffi.dlopen``; no ``Python.h``
   and no compile-against-CPython step. Crucially, cffi releases the
-  GIL for the duration of every C call, which is what lets
-  ``backend=native-mt`` run shard loops genuinely in parallel on one
-  interpreter (see :mod:`repro.simd.shards`).
+  GIL for the duration of every C call, which is what lets sharded
+  ``backend=native`` runs execute shard loops genuinely in parallel on
+  one interpreter (see :mod:`repro.simd.shards`).
 - **graceful degradation** — :func:`unavailable_reason` is the single
   availability seam (cffi importable, a C compiler on ``PATH``, not
   killed via ``REPRO_NATIVE_DISABLE=1``); the machine checks it before
@@ -203,7 +203,7 @@ def _make_wrapper(ffi, cfn):
 
     def call(pc, st):
         n = pc.shape[0]
-        # Per-call scratch: native-mt runs wrappers concurrently, so
+        # Per-call scratch: sharded runs call wrappers concurrently, so
         # nothing here may be shared across threads.
         scratch = np.empty(n, dtype=np.int64)
         out = np.empty(4, dtype=np.int64)

@@ -17,23 +17,25 @@ shard's slice of a meta-node step on a persistent worker pool:
 - **worker pool** — :class:`ShardPool` keeps ``nshards - 1`` daemon
   threads parked on a condition variable; each step the main thread
   publishes one task per shard, runs shard 0 itself, and waits for the
-  rest. NumPy releases the GIL in the vectorized hot loops, so shards
+  rest. NumPy and cffi release the GIL in the hot loops, so shards
   overlap on multi-core hosts;
-- **aggregate combine** — shard-local ``globalor`` values are combined
-  with :func:`tree_or` (pairwise OR rounds, the software twin of the
-  hardware reduction tree) before the shared dispatch on the
-  hash-encoded meta transition.
+- **fan-out and combine** — :class:`ShardFan` runs one node callable
+  on every shard and combines the shard results into the serial ones;
+  shard-local ``globalor`` values combine with :func:`tree_or`
+  (pairwise OR rounds, the software twin of the hardware reduction
+  tree) before the shared dispatch on the hash-encoded meta
+  transition.
 
 Only *lane-local* nodes are sharded: a node whose plan contains a
 cross-lane operation (mono store, router read/write) or a spawn
-terminator runs serially on the full arrays instead
+terminator runs on the full arrays instead
 (:attr:`~repro.codegen.plan.NodePlan.shardable` is precomputed by the
 plan compiler). That split is what keeps sharded results bit-identical
-to the serial backends — see docs/internals.md ("The sharded runtime")
-for the accounting argument.
+to serial ones — see docs/internals.md ("The sharded runtime") for the
+accounting argument.
 
 Errors raised inside a worker abort the step; the machine then replays
-the whole run on the serial twin backend so the surfaced
+the whole run serially on the ``kernels`` backend so the surfaced
 :class:`~repro.errors.MachineError` is exactly the serial one,
 including its in-order position across shard boundaries (execution is
 deterministic and failing runs discard machine state, so the replay is
@@ -49,54 +51,47 @@ import numpy as np
 
 from repro.errors import MachineError
 
-#: Backends that run the sharded executor and their serial twins.
-MT_BACKENDS = ("kernels-mt", "native-mt", "plan-mt")
-SERIAL_TWIN = {"kernels-mt": "kernels", "native-mt": "native",
-               "plan-mt": "plan"}
-
 #: Measured on the BENCH_9 16K-PE scaling workload: below roughly this
 #: many lanes per shard the pool's publish/wake/join handoff costs more
-#: than the lane work it parallelizes, and the ``-mt`` backends regress
-#: below their serial twins (BENCH_8 showed ``kernels-mt`` at 0.83x of
-#: ``kernels`` for exactly this reason). See :func:`inline_threshold`.
+#: than the lane work it parallelizes, and sharded runs regress below
+#: serial ones (BENCH_8 showed sharded ``kernels`` at 0.83x of serial
+#: for exactly this reason). See :func:`inline_threshold`; 1 shards
+#: every run, even on a single-CPU host (the test suite sets it so tiny
+#: fixtures exercise genuine sharding).
 MIN_SHARD_LANES = 2048
 
 
-def inline_threshold(backend: str) -> int:
-    """Minimum per-shard lane count below which an ``-mt`` backend
-    skips the :class:`ShardPool` and runs on its serial twin instead
-    (the machine demotes the shard count to 1; the reported backend
-    label is unchanged and ``SimdResult.shards`` records 1).
+def inline_threshold() -> int:
+    """Minimum per-shard lane count below which a sharded run skips
+    the :class:`ShardPool` (the machine demotes the shard count to 1;
+    the reported backend label is unchanged and ``SimdResult.shards``
+    records 1).
 
-    ``REPRO_MT_MIN_LANES`` overrides the threshold absolutely (the test
-    suite sets it to 1 so small fixtures still exercise genuine
-    sharding). On a single-CPU host the pool can never win, so the
-    threshold is effectively infinite. ``backend`` is accepted for
-    future per-backend tuning; all mt backends currently share
-    :data:`MIN_SHARD_LANES`.
+    :data:`MIN_SHARD_LANES` on a multi-CPU host. On a single-CPU host
+    the pool can never win, so the threshold is effectively infinite
+    unless :data:`MIN_SHARD_LANES` is 1.
     """
-    env = os.environ.get("REPRO_MT_MIN_LANES")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    if (os.cpu_count() or 1) < 2:
+    if MIN_SHARD_LANES > 1 and (os.cpu_count() or 1) < 2:
         return 1 << 62
     return MIN_SHARD_LANES
 
 
 def default_shard_count() -> int:
     """The shard count used when none is given: ``REPRO_SHARDS`` if
-    set (CI runs a ``REPRO_SHARDS=4`` leg this way), else the host's
-    CPU count."""
+    set (CI runs a ``REPRO_SHARDS=4`` leg this way), else 1. An empty
+    value counts as unset; any other value that is not an integer
+    >= 1 raises :class:`MachineError`."""
+    env = os.environ.get("REPRO_SHARDS", "")
+    if not env:
+        return 1
     try:
-        env = int(os.environ.get("REPRO_SHARDS", "0"))
+        count = int(env)
     except ValueError:
-        env = 0
-    if env >= 1:
-        return env
-    return os.cpu_count() or 1
+        count = 0
+    if count < 1:
+        raise MachineError(
+            f"REPRO_SHARDS={env!r} is not an integer >= 1")
+    return count
 
 
 def resolve_shard_count(shards: int | None, npes: int) -> int:
@@ -184,13 +179,60 @@ def tree_or(values) -> int:
 
 
 class ShardError(Exception):
-    """Carrier for :class:`MachineError`\\ s raised inside shard
-    workers. The machine catches it and replays the run on the serial
-    twin backend, which raises the exact serial error in order."""
+    """Carrier for the exceptions raised inside shard workers. The
+    machine catches it and replays the run serially on the ``kernels``
+    backend, which raises the exact serial error in order."""
 
     def __init__(self, errors):
         super().__init__(f"{len(errors)} shard worker(s) failed")
         self.errors = errors
+
+
+class ShardFan:
+    """One run's fan-out of node callables over the PE shards.
+
+    Built once per run over the shared state: per-shard
+    :class:`ShardView`\\ s and ``pc`` slices, plus the persistent pool
+    for the shard count. Calling it runs a node callable with the
+    kernel convention ``fn(pc, st) -> (body, transition, enabled,
+    exited)`` on every shard and combines the shard results into
+    exactly the serial ones:
+
+    - per-segment control-unit cycles are lane-count independent, and
+      (absent spawn) a shard's live set within a node only shrinks, so
+      the shard that exits the node latest reproduces the serial
+      (body, transition) charge — combine is ``max``;
+    - enabled-PE cycles are per lane — combine is ``sum``;
+    - the mid-node exit test is "no live PE anywhere" — combine is
+      ``all``;
+    - ``globalor`` is an OR — combine is :func:`tree_or`.
+    """
+
+    def __init__(self, st, pc: np.ndarray, nshards: int,
+                 bit_weights: np.ndarray):
+        bounds = shard_bounds(st.npes, nshards)
+        self.shards = [(pc[lo:hi], ShardView(st, lo, hi))
+                       for lo, hi in bounds]
+        self.pool = get_pool(nshards)
+        self.bit_weights = bit_weights
+
+    def __call__(self, fn, need_agg: bool):
+        """Run ``fn`` on every shard: ``(body, transition, enabled,
+        exited, aggregate)``, where the ``globalor`` aggregate is
+        ``None`` unless ``need_agg``."""
+        weights = self.bit_weights
+
+        def task(spc, view):
+            out = fn(spc, view)
+            return out, (shard_globalor(spc, weights) if need_agg else 0)
+
+        outs = self.pool.run([(lambda spc=spc, view=view: task(spc, view))
+                              for spc, view in self.shards])
+        return (max(o[0][0] for o in outs),
+                max(o[0][1] for o in outs),
+                sum(o[0][2] for o in outs),
+                all(o[0][3] for o in outs),
+                tree_or(o[1] for o in outs) if need_agg else None)
 
 
 class ShardPool:

@@ -4,13 +4,15 @@ The CLI enables the on-disk compile cache by default; pointing
 ``REPRO_MSC_CACHE`` at a per-test temporary directory keeps test runs
 from reading or writing the developer's real ``~/.cache/repro-msc``.
 
-``REPRO_MT_MIN_LANES=1`` disables the small-node inline threshold
-(:func:`repro.simd.shards.inline_threshold`): test fixtures are tiny,
-and without this every ``-mt`` run would demote to one shard and the
-sharded executor paths would go untested.
+Setting :data:`repro.simd.shards.MIN_SHARD_LANES` to 1 disables the
+small-node inline threshold (:func:`repro.simd.shards.inline_threshold`):
+test fixtures are tiny, and without this every sharded run would demote
+to one shard and the sharded executor paths would go untested.
 """
 
 import pytest
+
+from repro.simd import shards as shardsmod
 
 
 @pytest.fixture(autouse=True)
@@ -20,4 +22,4 @@ def _hermetic_compile_cache(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _genuine_sharding(monkeypatch):
-    monkeypatch.setenv("REPRO_MT_MIN_LANES", "1")
+    monkeypatch.setattr(shardsmod, "MIN_SHARD_LANES", 1)

@@ -153,14 +153,16 @@ class TestOptionPlumbing:
         conv = [s for s in rep["stages"] if s["name"] == "convert"][0]
         assert conv["counters"]["restarts"] == 0
 
-    def test_no_plans_flag(self, source_file, capsys):
+    def test_interp_backend_flag(self, source_file, capsys):
         assert main(["run", source_file, "--npes", "8", "--check",
-                     "--no-plans"]) == 0
-        assert "SIMD == MIMD reference" in capsys.readouterr().out
+                     "--backend", "interp"]) == 0
+        out = capsys.readouterr().out
+        assert "SIMD == MIMD reference" in out
+        assert "backend: interp (shards 1)" in out
 
-    def test_no_plans_compare(self, source_file, capsys):
+    def test_interp_backend_compare(self, source_file, capsys):
         assert main(["compare", source_file, "--npes", "8",
-                     "--no-plans"]) == 0
+                     "--backend", "interp"]) == 0
         assert "speedup" in capsys.readouterr().out
 
 

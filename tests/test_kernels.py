@@ -6,8 +6,9 @@ function per automaton node (:mod:`repro.codegen.kernels`); the
 backends stay available as differential oracles. The kernels are a
 host-side optimization: every accounting field of
 :class:`~repro.simd.machine.SimdResult` must be bit-identical across
-all three backends, and the generated source must travel with the
-program artifact through pickling and the compile cache.
+the backends (``native`` too, where a C toolchain is available), and
+the generated source must travel with the program artifact through
+pickling and the compile cache.
 """
 
 import pickle
@@ -17,6 +18,7 @@ import pytest
 
 from repro.codegen.kernels import KernelProgram, compile_kernels
 from repro.pipeline import ConversionOptions, convert_source
+from repro.simd import nativert
 from repro.simd.machine import BACKENDS, SimdMachine
 from repro.workloads import STANDARD
 
@@ -30,7 +32,12 @@ EXACT_FIELDS = (
 ARRAY_FIELDS = ("pc", "poly", "mono")
 
 
-def run_backends(result, npes, active=None, backends=BACKENDS):
+#: Every backend this host can run without a fallback warning.
+HOST_BACKENDS = tuple(be for be in BACKENDS if be != "native"
+                      or nativert.unavailable_reason() is None)
+
+
+def run_backends(result, npes, active=None, backends=HOST_BACKENDS):
     runs = {}
     for backend in backends:
         machine = SimdMachine(npes=npes, costs=result.options.costs,
@@ -73,8 +80,9 @@ class TestDifferential:
         # must run the plan path and still produce the oracle's trace.
         result = convert_source(STANDARD["divergent_loops"]())
         prog = result.simd_program()
-        a = SimdMachine(npes=8, costs=result.options.costs, trace=True,
-                        backend="kernels").run(prog)
+        with pytest.warns(RuntimeWarning, match="no per-PE trace"):
+            a = SimdMachine(npes=8, costs=result.options.costs, trace=True,
+                            backend="kernels").run(prog)
         b = SimdMachine(npes=8, costs=result.options.costs, trace=True,
                         backend="interp").run(prog)
         assert a.trace is not None
@@ -93,7 +101,8 @@ class TestDifferential:
         costs = replace(DEFAULT_COSTS,
                         globalor_cost=DEFAULT_COSTS.globalor_cost + 3)
         prog = result.simd_program()
-        a = SimdMachine(npes=8, costs=costs, backend="kernels").run(prog)
+        with pytest.warns(RuntimeWarning, match="cost model"):
+            a = SimdMachine(npes=8, costs=costs, backend="kernels").run(prog)
         b = SimdMachine(npes=8, costs=costs, backend="interp").run(prog)
         assert_identical(a, b, "foreign_costs")
         # The folded-cost kernels would have produced different cycles.

@@ -14,8 +14,6 @@ The contract has two tiers (docs/internals.md section 14):
   partial automaton is constrained to.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -84,15 +82,15 @@ class TestWarmDifferential:
         # Warm the manager: one run reaches the parked fixpoint over
         # the visited region, after which accounting is exact.
         simulate_simd(lazy, NPES, active=active, backend="interp")
-        for backend in ("kernels", "kernels-mt"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                machine = SimdMachine(NPES, costs=opts.costs,
-                                      backend=backend, shards=2)
-                ref = machine.run(twin, active=active)
-                got = simulate_simd(lazy, NPES, active=active,
-                                    backend=backend, shards=2)
+        for shards in (1, 2):
+            machine = SimdMachine(NPES, costs=opts.costs,
+                                  backend="kernels", shards=shards)
+            ref = machine.run(twin, active=active)
+            got = simulate_simd(lazy, NPES, active=active,
+                                backend="kernels", shards=shards)
             _bit_identical(ref, got)
+            assert got.backend_used == "kernels"
+            assert got.shards == shards
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The native C backend: differential identity, graceful fallback,
 artifact caching, and the ``--emit c`` CLI surface.
 
-The contract under test (docs/internals.md §17): ``backend=native``
-and ``backend=native-mt`` produce bit-identical :class:`SimdResult`\\ s
+The contract under test (docs/internals.md §17): ``backend=native``,
+serial or sharded, produces bit-identical :class:`SimdResult`\\ s
 to every other backend; when the toolchain is missing or the build
 fails the machine falls back to the NumPy kernels with a
 :class:`RuntimeWarning` and records what actually ran; and the shared
@@ -12,6 +12,8 @@ compiler.
 
 import pickle
 import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ def run_native(result, npes, backend="native", active=None, shards=None):
 @requires_toolchain
 class TestDifferential:
     """Acceptance: native bit-identical to kernels on all library
-    workloads × compress on/off (and sharded native-mt likewise)."""
+    workloads × compress on/off, serial and sharded."""
 
     @pytest.mark.parametrize("name", sorted(STANDARD))
     @pytest.mark.parametrize("compress", (False, True))
@@ -50,17 +52,17 @@ class TestDifferential:
             active = npes // 2 if "spawn" in src else None
             ref = run_backends(result, npes, active=active,
                                backends=("kernels",))["kernels"]
-            for backend in ("native", "native-mt"):
-                shards = 4 if backend.endswith("-mt") else None
-                res = run_native(result, npes, backend=backend,
-                                 active=active, shards=shards)
-                assert res.backend_used == backend
-                assert_identical(res, ref, (name, compress, npes, backend))
+            for shards in (1, 4):
+                res = run_native(result, npes, active=active,
+                                 shards=shards)
+                assert res.backend_used == "native"
+                assert res.shards == shards
+                assert_identical(res, ref, (name, compress, npes, shards))
 
     def test_native_mt_genuinely_sharded(self):
         result = convert_source(STANDARD["divergent_loops"]())
-        res = run_native(result, 33, backend="native-mt", shards=4)
-        assert res.backend_used == "native-mt"
+        res = run_native(result, 33, shards=4)
+        assert res.backend_used == "native"
         assert res.shards == 4
 
     def test_single_pe(self):
@@ -78,7 +80,7 @@ class TestErrorReconstruction:
         msgs = {}
         for backend in ("kernels", "native"):
             with pytest.raises(MachineError) as exc:
-                run_native(result, 4, backend=backend)
+                run_native(result, 4, backend=backend, shards=1)
             msgs[backend] = str(exc.value)
         assert msgs["native"] == msgs["kernels"]
         assert "zero" in msgs["native"]
@@ -87,23 +89,77 @@ class TestErrorReconstruction:
         src = "main() { poly int x; x = 1 / (procnum - procnum); return (x); }"
         result = convert_source(src)
         with pytest.raises(MachineError) as serial:
-            run_native(result, 8, backend="native")
+            run_native(result, 8, shards=1)
         with pytest.raises(MachineError) as sharded:
-            run_native(result, 8, backend="native-mt", shards=4)
+            run_native(result, 8, shards=4)
         assert str(sharded.value) == str(serial.value)
+
+
+@requires_toolchain
+class TestConcurrentRuns:
+    def test_threads_sharing_a_machine_keep_their_executor(
+            self, monkeypatch):
+        # Each run() resolves its own callables, so a second thread
+        # resolving on the same machine cannot swap a running loop's
+        # native kernels for the plan executor under the native label.
+        result = convert_source(STANDARD["divergent_loops"]())
+        prog = result.simd_program()
+        lock = threading.Lock()
+        calls: dict = {}
+        load_native = nativert.load_native
+
+        def counting_load(nat):
+            def counted(fn):
+                def call(pc, st):
+                    me = threading.get_ident()
+                    with lock:
+                        calls[me] = calls.get(me, 0) + 1
+                    return fn(pc, st)
+                return call
+            return {key: counted(fn) for key, fn in load_native(nat).items()}
+
+        monkeypatch.setattr(nativert, "load_native", counting_load)
+        machine = SimdMachine(npes=2, costs=result.options.costs,
+                              backend="native", shards=1)
+        runs: list = []
+
+        def worker():
+            for _ in range(60):
+                res = machine.run(prog)
+                with lock:
+                    runs.append((threading.get_ident(), res.backend_used,
+                                 sum(res.node_visits.values())))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(runs) == 8 * 60
+        assert {used for _, used, _ in runs} == {"native"}
+        # One native call per meta step: no step ran on another executor.
+        steps: dict = {}
+        for me, _, n in runs:
+            steps[me] = steps.get(me, 0) + n
+        assert calls == steps
 
 
 class TestFallbacks:
     """Satellite: compiler-missing and compile-failure paths must warn,
     record ``backend_used == "kernels"``, and stay bit-identical."""
 
-    def _expect_fallback(self, result, match, backend="native",
-                         expect_used="kernels"):
+    def _expect_fallback(self, result, match, shards=1):
         ref = run_backends(result, 8, backends=("kernels",))["kernels"]
         with pytest.warns(RuntimeWarning, match=match):
-            res = run_native(result, 8, backend=backend,
-                             shards=4 if backend.endswith("-mt") else None)
-        assert res.backend_used == expect_used
+            res = run_native(result, 8, shards=shards)
+        assert res.backend_used == "kernels"
+        assert res.shards == shards
         assert_identical(res, ref, ("fallback", match))
         return res
 
@@ -113,6 +169,7 @@ class TestFallbacks:
         self._expect_fallback(result, "REPRO_NATIVE_DISABLE")
 
     def test_no_compiler_on_path(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
         monkeypatch.setattr(nativert, "_find_cc", lambda: None)
         result = convert_source(STANDARD["divergent_loops"]())
         self._expect_fallback(result, "no C compiler")
@@ -127,15 +184,21 @@ class TestFallbacks:
                 raise ImportError("No module named 'cffi'")
             return real_import(name, *args, **kwargs)
 
+        monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
         monkeypatch.setattr(builtins, "__import__", fake_import)
         result = convert_source(STANDARD["divergent_loops"]())
         self._expect_fallback(result, "cffi is not importable")
 
     def test_compile_failure(self, monkeypatch):
+        pytest.importorskip("cffi")
+
         def failing_run(cmd, **kwargs):
             return subprocess.CompletedProcess(
                 cmd, returncode=1, stdout="", stderr="synthetic ICE")
 
+        monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
+        # A fake compiler path: the build never depends on a host cc.
+        monkeypatch.setattr(nativert, "_find_cc", lambda: "/fake/bin/cc")
         monkeypatch.setattr(nativert.subprocess, "run", failing_run)
         monkeypatch.setattr(nativert, "compiler_id", lambda: "fake-cc 0")
         # A unique program: nothing in the in-process dlopen cache or
@@ -147,8 +210,7 @@ class TestFallbacks:
     def test_native_mt_falls_back_to_kernels_mt(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
         result = convert_source(STANDARD["divergent_loops"]())
-        self._expect_fallback(result, "REPRO_NATIVE_DISABLE",
-                              backend="native-mt", expect_used="kernels-mt")
+        self._expect_fallback(result, "REPRO_NATIVE_DISABLE", shards=4)
 
     @requires_toolchain
     def test_lazy_mode_documented_fallback(self):
@@ -169,10 +231,16 @@ class TestFallbacks:
         prog = result.simd_program()
         other = replace(DEFAULT_COSTS, globalor_cost=99)
         machine = SimdMachine(npes=8, costs=other, backend="native")
-        with pytest.warns(RuntimeWarning, match="cost model"):
+        with pytest.warns(RuntimeWarning) as caught:
             res = machine.run(prog)
-        # native refuses (foreign costs), then kernels refuses for the
-        # same reason: the plan executor runs under the machine's model.
+        # native refuses (foreign costs — or no toolchain here), then
+        # kernels refuses the foreign costs: the plan executor runs
+        # under the machine's model. Each step warns.
+        msgs = [str(w.message) for w in caught]
+        assert len(msgs) == 2
+        assert msgs[0].endswith("running 'kernels' instead")
+        assert "cost model" in msgs[1]
+        assert msgs[1].endswith("running 'plan' instead")
         assert res.backend_used == "plan"
 
 

@@ -1,7 +1,7 @@
 """Differential tests for the plan-compiled SIMD executor.
 
-`SimdMachine(use_plans=True)` runs the precompiled tables of
-:mod:`repro.codegen.plan`; `use_plans=False` is the original
+`SimdMachine(backend="plan")` runs the precompiled tables of
+:mod:`repro.codegen.plan`; `backend="interp"` is the original
 interpretive executor kept as the oracle. Every accounting field of
 :class:`~repro.simd.machine.SimdResult` must be bit-identical between
 the two — the plan layer is a host-side optimization and must not
@@ -28,9 +28,9 @@ ARRAY_FIELDS = ("pc", "poly", "mono")
 
 def run_both(result, npes, active=None, trace=False):
     runs = []
-    for use_plans in (True, False):
+    for backend in ("plan", "interp"):
         machine = SimdMachine(npes=npes, costs=result.options.costs,
-                              trace=trace, use_plans=use_plans)
+                              trace=trace, backend=backend)
         runs.append(machine.run(result.simd_program(), active=active))
     return runs
 

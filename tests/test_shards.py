@@ -1,28 +1,32 @@
-"""Sharded execution (`kernels-mt` / `plan-mt`) and backend-fallback
-reporting.
+"""Sharded execution (``shards=`` on the ``kernels`` and ``native``
+backends) and backend-fallback reporting.
 
 The PE axis shards into contiguous slices executed on a worker pool
 (:mod:`repro.simd.shards`); every accounting field of ``SimdResult``
-must stay bit-identical to the serial backends for any shard count.
-PR 6 also turned the machine's silent backend downgrades (trace on,
-missing kernels, foreign cost model) into warnings recorded on
-``SimdResult.backend_used`` — covered here too.
+must stay bit-identical to the serial run for any shard count. The
+machine's backend downgrades (trace on, missing kernels, foreign cost
+model) warn and are recorded on ``SimdResult.backend_used`` — covered
+here too.
 """
 
 import warnings
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.errors import MachineError
 from repro.ir.instr import DEFAULT_COSTS
 from repro.pipeline import ConversionOptions, convert_source, simulate_simd
+from repro.simd import nativert
 from repro.simd import shards as shardsmod
-from repro.simd.machine import SimdMachine, resolve_backend
+from repro.simd.machine import SimdMachine
 from repro.workloads import STANDARD
 
 from tests.test_kernels import assert_identical
+
+#: The backends that honour ``shards=`` and can run on this host.
+SHARDED = ("kernels",) + (("native",) if nativert.native_available()
+                          else ())
 
 #: The hypothesis-found PR 5 regression: a guarded group that reduces
 #: to nothing (constant-false branch) — re-run here multi-threaded.
@@ -75,7 +79,17 @@ class TestShardLayout:
         assert shardsmod.default_shard_count() == 3
         assert shardsmod.resolve_shard_count(None, npes=8) == 3
         monkeypatch.setenv("REPRO_SHARDS", "")  # CI's unset-via-matrix
-        assert shardsmod.default_shard_count() >= 1
+        assert shardsmod.default_shard_count() == 1
+        monkeypatch.delenv("REPRO_SHARDS")
+        assert shardsmod.default_shard_count() == 1
+
+    @pytest.mark.parametrize("value", ("abc", "-3", "0", "1.5"))
+    def test_invalid_repro_shards_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_SHARDS", value)
+        with pytest.raises(MachineError, match="REPRO_SHARDS"):
+            shardsmod.default_shard_count()
+        with pytest.raises(MachineError, match="REPRO_SHARDS"):
+            SimdMachine(npes=8)
 
     def test_tree_or_matches_serial_or(self):
         vals = [1 << i for i in range(11)]
@@ -98,45 +112,45 @@ class TestShardLayout:
 
 
 class TestInlineThreshold:
-    """The small-node mt regression fix: below a per-shard lane
+    """The small-node sharding regression fix: below a per-shard lane
     threshold the pool handoff costs more than it parallelizes, so the
-    machine demotes the run to the serial twin (shards=1)."""
+    machine demotes the run to one shard. The suite's conftest sets
+    ``MIN_SHARD_LANES`` to 1; these tests restore the measured value."""
 
-    def test_env_override_is_absolute(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MT_MIN_LANES", "123")
-        assert shardsmod.inline_threshold("kernels-mt") == 123
-        monkeypatch.setenv("REPRO_MT_MIN_LANES", "garbage")
-        assert shardsmod.inline_threshold("kernels-mt") in (
-            shardsmod.MIN_SHARD_LANES, 1 << 62)
+    def test_threshold_one_shards_on_single_cpu(self, monkeypatch):
+        monkeypatch.setattr(shardsmod.os, "cpu_count", lambda: 1)
+        assert shardsmod.MIN_SHARD_LANES == 1
+        assert shardsmod.inline_threshold() == 1
 
     def test_single_cpu_never_shards(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MT_MIN_LANES", raising=False)
+        monkeypatch.setattr(shardsmod, "MIN_SHARD_LANES", 2048)
         monkeypatch.setattr(shardsmod.os, "cpu_count", lambda: 1)
-        assert shardsmod.inline_threshold("kernels-mt") > 10 ** 9
+        assert shardsmod.inline_threshold() > 10 ** 9
 
     def test_multi_cpu_uses_measured_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MT_MIN_LANES", raising=False)
+        monkeypatch.setattr(shardsmod, "MIN_SHARD_LANES", 2048)
         monkeypatch.setattr(shardsmod.os, "cpu_count", lambda: 8)
-        assert shardsmod.inline_threshold("kernels-mt") == \
-            shardsmod.MIN_SHARD_LANES
+        assert shardsmod.inline_threshold() == 2048
 
     def test_small_run_demotes_to_serial_twin(self, monkeypatch):
         # 8 PEs over 4 shards = 2 lanes/shard, far below the threshold:
         # the run must keep its label but execute (and report) serially.
-        monkeypatch.setenv("REPRO_MT_MIN_LANES", "2048")
+        monkeypatch.setattr(shardsmod, "MIN_SHARD_LANES", 2048)
+        monkeypatch.setattr(shardsmod.os, "cpu_count", lambda: 8)
         result = convert_source(STANDARD["divergent_loops"]())
-        ref = run(result, "kernels", 8)
-        res = run(result, "kernels-mt", 8, shards=4)
-        assert res.backend_used == "kernels-mt"
+        ref = run(result, "kernels", 8, shards=1)
+        res = run(result, "kernels", 8, shards=4)
+        assert res.backend_used == "kernels"
         assert res.shards == 1
         assert_identical(res, ref, "inline_demotion")
 
     def test_large_run_keeps_sharding(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MT_MIN_LANES", "2048")
+        monkeypatch.setattr(shardsmod, "MIN_SHARD_LANES", 2048)
+        monkeypatch.setattr(shardsmod.os, "cpu_count", lambda: 8)
         result = convert_source(STANDARD["divergent_loops"]())
-        res = run(result, "kernels-mt", 16384, shards=4)
+        res = run(result, "kernels", 16384, shards=4)
         assert res.shards == 4
-        ref = run(result, "kernels", 16384)
+        ref = run(result, "kernels", 16384, shards=1)
         assert_identical(res, ref, "above_threshold")
 
 
@@ -151,8 +165,8 @@ class TestShardedDifferential:
         result = convert_source(src, ConversionOptions(compress=compress))
         npes = 33
         active = npes // 2 if "spawn" in src else None
-        ref = run(result, "kernels", npes, active=active)
-        for backend in ("kernels-mt", "plan-mt"):
+        ref = run(result, "kernels", npes, shards=1, active=active)
+        for backend in SHARDED:
             res = run(result, backend, npes, shards=4, active=active)
             assert_identical(res, ref, (name, compress, backend))
             assert res.backend_used == backend
@@ -160,20 +174,20 @@ class TestShardedDifferential:
 
     @pytest.mark.parametrize("shards", (1, 8, 9, 5))
     def test_shard_count_edges(self, shards):
-        # 1 (serial degrade), npes, npes + 1 (clamped), prime.
+        # 1 (the serial path), npes, npes + 1 (clamped), prime.
         result = convert_source(STANDARD["divergent_loops"]())
         npes = 8
-        ref = run(result, "kernels", npes)
-        res = run(result, "kernels-mt", npes, shards=shards)
+        ref = run(result, "interp", npes)
+        res = run(result, "kernels", npes, shards=shards)
         assert_identical(res, ref, ("edge", shards))
-        assert res.backend_used == "kernels-mt"
+        assert res.backend_used == "kernels"
         assert res.shards == min(shards, npes)
 
     def test_prime_shards_at_maspar_width(self):
         # 16K PEs over a prime shard count: ragged bounds, real slices.
         result = convert_source(STANDARD["divergent_loops"]())
-        ref = run(result, "kernels", 16384)
-        res = run(result, "kernels-mt", 16384, shards=7)
+        ref = run(result, "kernels", 16384, shards=1)
+        res = run(result, "kernels", 16384, shards=7)
         assert_identical(res, ref, "16k_prime")
         assert res.shards == 7
 
@@ -183,7 +197,7 @@ class TestShardedDifferential:
         result = convert_source(EMPTY_GROUP_SRC)
         assert result.simd_program().kernels() is not None
         ref = run(result, "interp", 8)
-        for backend in ("kernels-mt", "plan-mt"):
+        for backend in SHARDED:
             res = run(result, backend, 8, shards=4)
             assert_identical(res, ref, ("empty_group", backend))
 
@@ -200,28 +214,26 @@ class TestShardedDifferential:
         }
         """
         result = convert_source(src)
-        errs = {}
-        for backend in ("kernels", "kernels-mt", "plan", "plan-mt"):
-            shards = 4 if backend.endswith("-mt") else None
-            with pytest.raises(MachineError) as exc:
-                run(result, backend, 16, shards=shards)
-            errs[backend] = str(exc.value)
-        assert errs["kernels-mt"] == errs["kernels"]
-        assert errs["plan-mt"] == errs["plan"]
+        with pytest.raises(MachineError) as serial:
+            run(result, "kernels", 16, shards=1)
+        for backend in SHARDED:
+            with pytest.raises(MachineError) as sharded:
+                run(result, backend, 16, shards=4)
+            assert str(sharded.value) == str(serial.value), backend
 
     def test_max_steps_error_matches_serial(self):
         result = convert_source(STANDARD["divergent_loops"]())
         machine = SimdMachine(npes=8, costs=result.options.costs,
-                              backend="kernels-mt", shards=4)
+                              backend="kernels", shards=4)
         with pytest.raises(MachineError, match="exceeded 3 meta steps"):
             machine.run(result.simd_program(), max_steps=3)
 
     def test_simulate_simd_shards_passthrough(self):
         result = convert_source(STANDARD["mandelbrot"]())
-        ref = simulate_simd(result, npes=12, backend="kernels")
-        res = simulate_simd(result, npes=12, backend="kernels-mt", shards=3)
-        assert_identical(res, ref, "pipeline_mt")
-        assert res.backend_used == "kernels-mt" and res.shards == 3
+        ref = simulate_simd(result, npes=12, backend="kernels", shards=1)
+        res = simulate_simd(result, npes=12, backend="kernels", shards=3)
+        assert_identical(res, ref, "pipeline_sharded")
+        assert res.backend_used == "kernels" and res.shards == 3
 
 
 # ----------------------------------------------------------------------
@@ -237,14 +249,15 @@ class TestBackendFallbacks:
         assert res.backend_used == "plan"
         assert res.trace is not None
 
-    @pytest.mark.parametrize("backend", ("kernels-mt", "plan-mt"))
-    def test_mt_trace_falls_back_to_serial_plan(self, backend):
+    @pytest.mark.parametrize("backend", ("kernels", "native"))
+    def test_sharded_trace_falls_back_to_plan(self, backend):
         result = convert_source(STANDARD["divergent_loops"]())
         machine = SimdMachine(npes=8, costs=result.options.costs,
                               backend=backend, shards=4, trace=True)
         with pytest.warns(RuntimeWarning, match="no per-PE trace"):
             res = machine.run(result.simd_program())
         assert res.backend_used == "plan"
+        assert res.shards == 1
         oracle = SimdMachine(npes=8, costs=result.options.costs,
                              backend="interp", trace=True) \
             .run(result.simd_program())
@@ -252,72 +265,58 @@ class TestBackendFallbacks:
 
     @pytest.mark.parametrize("backend,fallback",
                              (("kernels", "plan"),
-                              ("kernels-mt", "plan-mt")))
+                              ("native", "plan")))
     def test_foreign_cost_model_warns(self, backend, fallback):
         result = convert_source(STANDARD["divergent_loops"]())
         costs = replace(DEFAULT_COSTS,
                         globalor_cost=DEFAULT_COSTS.globalor_cost + 3)
-        machine = SimdMachine(npes=8, costs=costs, backend=backend,
-                              shards=4 if backend.endswith("-mt") else None)
-        with pytest.warns(RuntimeWarning, match="cost model"):
-            res = machine.run(result.simd_program())
-        assert res.backend_used == fallback
+        for shards in (1, 4):
+            machine = SimdMachine(npes=8, costs=costs, backend=backend,
+                                  shards=shards)
+            # native warns first (foreign costs, or no toolchain here),
+            # then kernels refuses the foreign cost model.
+            with pytest.warns(RuntimeWarning) as caught:
+                res = machine.run(result.simd_program())
+            assert "cost model" in str(caught[-1].message)
+            assert res.backend_used == fallback
+            assert res.shards == 1
 
     def test_serial_backends_report_themselves(self):
         result = convert_source(STANDARD["divergent_loops"]())
         for backend in ("kernels", "plan", "interp"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                res = run(result, backend, 8)
+                res = run(result, backend, 8, shards=1)
             assert res.backend_used == backend
             assert res.shards == 1
 
     def test_shards_ignored_on_serial_backend_warns(self):
         result = convert_source(STANDARD["divergent_loops"]())
-        with pytest.warns(RuntimeWarning, match="no effect"):
-            res = run(result, "plan", 8, shards=4)
-        assert res.shards == 1
+        for backend in ("plan", "interp"):
+            with pytest.warns(RuntimeWarning, match="no effect"):
+                res = run(result, backend, 8, shards=4)
+            assert res.backend_used == backend
+            assert res.shards == 1
 
     def test_repro_shards_env_drives_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "4")
         result = convert_source(STANDARD["divergent_loops"]())
-        res = run(result, "kernels-mt", 8)
+        res = run(result, "kernels", 8)
         assert res.shards == 4
-        ref = run(result, "kernels", 8)
+        ref = run(result, "kernels", 8, shards=1)
         assert_identical(res, ref, "env_shards")
+        # Not an explicit request: plan runs one shard without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(result, "plan", 8).shards == 1
+        monkeypatch.delenv("REPRO_SHARDS")
+        assert run(result, "kernels", 8).shards == 1
 
-
-# ----------------------------------------------------------------------
-# use_plans deprecation (one shared normalization helper)
-# ----------------------------------------------------------------------
-class TestUsePlansDeprecation:
-    def test_machine_warns(self):
-        with pytest.warns(DeprecationWarning, match="use_plans"):
-            machine = SimdMachine(npes=4, use_plans=False)
-        assert machine.backend == "interp"
-        with pytest.warns(DeprecationWarning, match="use_plans"):
-            machine = SimdMachine(npes=4, use_plans=True)
-        assert machine.backend == "kernels"
-
-    def test_simulate_simd_warns_once(self):
-        result = convert_source(STANDARD["divergent_loops"]())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = simulate_simd(result, npes=8, use_plans=False)
-        dep = [w for w in caught
-               if issubclass(w.category, DeprecationWarning)
-               and "use_plans" in str(w.message)]
-        assert len(dep) == 1  # resolved once, not re-warned by the machine
-        assert res.backend_used == "interp"
-
-    def test_explicit_backend_wins(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_backend("plan", use_plans=False) == "plan"
-
-    def test_resolver_is_shared(self):
-        assert resolve_backend(None, None) == "kernels"
-        with pytest.raises(MachineError, match="unknown backend"):
-            resolve_backend("jit", None)
+    @pytest.mark.parametrize("name", ("kernels-mt", "native-mt", "plan-mt"))
+    def test_retired_mt_names_rejected(self, name):
+        with pytest.raises(MachineError, match="unknown backend") as exc:
+            SimdMachine(npes=4, backend=name)
+        assert "native, kernels, plan, interp" in str(exc.value)
 
 
 class TestResultFields:
@@ -346,6 +345,6 @@ class TestCli:
         path = tmp_path / "prog.mimdc"
         path.write_text(STANDARD["divergent_loops"]())
         assert main(["run", str(path), "--npes", "8",
-                     "--backend", "kernels-mt", "--shards", "2"]) == 0
+                     "--backend", "kernels", "--shards", "2"]) == 0
         out = capsys.readouterr().out
-        assert "backend: kernels-mt (shards 2)" in out
+        assert "backend: kernels (shards 2)" in out

@@ -168,11 +168,10 @@ child:
 }
 """
         r = convert_source(src)
-        for use_plans in (False, True):
+        for backend in ("interp", "plan"):
             from repro.simd.machine import SimdMachine
 
-            m = SimdMachine(npes=8, costs=r.options.costs,
-                            use_plans=use_plans)
+            m = SimdMachine(npes=8, costs=r.options.costs, backend=backend)
             res = m.run(r.simd_program(), active=4)
             seen_slot = next(s.index for s in r.cfg.poly_slots
                              if s.name.endswith("seen"))

@@ -21,7 +21,8 @@ from tests.helpers import CORPUS, LISTING1_RUNNABLE
 def traced_run(src: str, npes: int = 6, active=None,
                options=ConversionOptions()):
     result = convert_source(src, options)
-    simd = SimdMachine(npes=npes, costs=options.costs, trace=True).run(
+    simd = SimdMachine(npes=npes, costs=options.costs, trace=True,
+                       backend="plan").run(
         result.simd_program(), active=active, max_steps=500_000
     )
     mimd = MimdMachine(nprocs=npes, costs=options.costs, trace=True).run(

@@ -2,11 +2,12 @@
 """Backend benchmark: every library workload under every SIMD executor.
 
 Writes ``<bench-id>.json`` (``--bench-id``, default ``BENCH_9``) — per
-workload x backend (``native`` / ``native-mt`` / ``kernels`` /
-``kernels-mt`` / ``plan`` / ``plan-mt`` / ``interp``; the native rows
-are skipped, with a recorded ``skip_reason``, when no C toolchain is
-available): simulated cycles, best wall time, PE utilization, and meta
-transitions — plus a ``scaling`` section timing
+workload x row (the four backends ``native`` / ``kernels`` / ``plan``
+/ ``interp`` on one shard, plus ``native@N`` / ``kernels@N`` at
+``--shards N``; the native rows are skipped, with a recorded
+``skip_reason``, when no C toolchain is available): simulated cycles,
+best wall time, PE utilization, and meta transitions — plus a
+``scaling`` section timing
 the simulator-scaling workload at MasPar width (16K PEs), a ``lazy``
 section: warm lazy-vs-eager steady state on the scaling workload
 (gated at <= 10% overhead) and cold/warm rows for the explosion
@@ -22,7 +23,9 @@ blocks, so each row is gated at well under a second no matter how
 large the concrete state space is.
 
 Every row asserts ``SimdResult.backend_used`` matches the backend it
-claims to measure, so a silent fallback can never mislabel a run.
+claims to measure, so a silent fallback can never mislabel a run. The
+one-shard rows pass ``shards=1`` explicitly, so ``REPRO_SHARDS`` cannot
+leak into them.
 
 Every gate that is *not* enforced records an explicit ``skip_reason``
 (and the host ``cpu_count``), so a passing bench on a 1-CPU host can
@@ -36,14 +39,14 @@ Exit status is nonzero if
 - ``native`` is slower than ``kernels`` on the scaling workload —
   enforced whenever the toolchain is available (the whole point of the
   C emission is beating the NumPy kernels' per-node dispatch),
-- ``native-mt`` (at ``--shards``) fails the >= 1.5x speedup over
-  serial ``native`` on the scaling workload — enforced when native is
+- ``native`` at ``--shards`` fails the >= 1.5x speedup over serial
+  ``native`` on the scaling workload — enforced when native is
   available and the host has >= 4 CPUs (or ``--require-mt-speedup``);
   recorded with a ``skip_reason`` otherwise, or
-- ``kernels-mt`` (at ``--shards``, default 4) fails the >= 1.5x
-  speedup over serial ``kernels`` on the scaling workload — enforced
-  when the host has >= 4 CPUs (or ``--require-mt-speedup``); recorded
-  with a ``skip_reason`` otherwise, or
+- ``kernels`` at ``--shards`` (default 4) fails the >= 1.5x speedup
+  over serial ``kernels`` on the scaling workload — enforced when the
+  host has >= 4 CPUs (or ``--require-mt-speedup``); recorded with a
+  ``skip_reason`` otherwise, or
 - simulated cycles regressed against the latest prior ``BENCH_*.json``
   (cycles are machine-independent, so they are comparable across
   hosts; wall times are not), or
@@ -117,9 +120,8 @@ ABSINT_WALL_LIMIT_S = 1.0
 def _bench_one(result, backend: str, npes: int, active: int | None,
                reps: int, shards: int) -> dict:
     prog = result.simd_program()
-    machine = SimdMachine(
-        npes=npes, costs=result.options.costs, backend=backend,
-        shards=shards if backend.endswith("-mt") else None)
+    machine = SimdMachine(npes=npes, costs=result.options.costs,
+                          backend=backend, shards=shards)
     res = machine.run(prog, active=active, max_steps=MAX_STEPS)  # warm
     if res.backend_used != backend:
         raise SystemExit(
@@ -140,13 +142,17 @@ def _bench_one(result, backend: str, npes: int, active: int | None,
     }
 
 
-def _backends_here() -> tuple[str, ...]:
-    """The backends this host can measure: the native pair drops out
-    (recorded via the gates' ``skip_reason``) when no toolchain/cffi is
-    available — a skipped row beats a mislabeled one."""
+def _rows_here(shards: int) -> list[tuple[str, str, int]]:
+    """``(label, backend, shards)`` for every row this host can
+    measure: each backend on one shard, plus ``native`` and ``kernels``
+    at ``shards``. The native rows drop out (recorded via the gates'
+    ``skip_reason``) when no toolchain/cffi is available — a skipped row
+    beats a mislabeled one."""
+    rows = [(be, be, 1) for be in BACKENDS]
+    rows += [(f"{be}@{shards}", be, shards) for be in ("native", "kernels")]
     if nativert.native_available():
-        return BACKENDS
-    return tuple(be for be in BACKENDS if not be.startswith("native"))
+        return rows
+    return [row for row in rows if row[1] != "native"]
 
 
 def _bench_workload(name: str, source: str, npes: int, reps: int,
@@ -156,14 +162,14 @@ def _bench_workload(name: str, source: str, npes: int, reps: int,
     result.simd_program().kernels()
     result.simd_program().native()
     active = npes // 2 if "spawn" in source else None
-    rows = {be: _bench_one(result, be, npes, active, reps, shards)
-            for be in _backends_here()}
+    rows = {label: _bench_one(result, be, npes, active, reps, n)
+            for label, be, n in _rows_here(shards)}
     ref = rows["interp"]
     for be, row in rows.items():
         for field in ("cycles", "utilization", "meta_transitions"):
             if row[field] != ref[field]:
                 raise SystemExit(
-                    f"{name}: backend {be} diverges from interp on "
+                    f"{name}: row {be} diverges from interp on "
                     f"{field}: {row[field]} != {ref[field]}")
     return rows
 
@@ -172,7 +178,7 @@ def _lazy_run(result, npes: int, active: int | None) -> tuple[float, object]:
     """One timed lazy ``kernels`` run through the miss-handler."""
     mgr = result.lazy_program()
     machine = SimdMachine(npes=npes, costs=result.options.costs,
-                          backend="kernels")
+                          backend="kernels", shards=1)
     t0 = time.perf_counter()
     res = machine.run(mgr.program, active=active, max_steps=MAX_STEPS,
                       plan=mgr.plan, miss_handler=mgr)
@@ -186,7 +192,7 @@ def _bench_lazy(npes: int, reps: int) -> dict:
                            ConversionOptions(lazy=False), cache=None)
     prog = eager.simd_program()
     machine = SimdMachine(npes=npes, costs=eager.options.costs,
-                          backend="kernels")
+                          backend="kernels", shards=1)
     machine.run(prog, max_steps=MAX_STEPS)  # warm
     eager_best = float("inf")
     for _ in range(reps):
@@ -370,11 +376,13 @@ def main(argv: list[str] | None = None) -> int:
                     help="machine width for the scaling check")
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--shards", type=int, default=4,
-                    help="shard count for the -mt backends")
+                    help="shard count for the sharded kernels and "
+                         "native rows")
     ap.add_argument("--require-mt-speedup", action="store_true",
-                    help="fail if kernels-mt misses the scaling-speedup "
-                         "threshold even on a host with < 4 CPUs "
-                         "(default: enforced only when >= 4 CPUs)")
+                    help="fail if a sharded row misses the "
+                         "scaling-speedup threshold even on a host with "
+                         "< 4 CPUs (default: enforced only when >= 4 "
+                         "CPUs)")
     args = ap.parse_args(argv)
     out = Path(args.out if args.out else f"{args.bench_id}.json")
 
@@ -391,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     scaling = _bench_workload("scaling", SCALING_WORKLOAD,
                               args.scaling_npes, args.reps, args.shards)
     kern_ms = scaling["kernels"]["wall_ms"]
-    kern_mt_ms = scaling["kernels-mt"]["wall_ms"]
+    kern_mt_ms = scaling[f"kernels@{args.shards}"]["wall_ms"]
     plan_ms = scaling["plan"]["wall_ms"]
     interp_ms = scaling["interp"]["wall_ms"]
     speedup_plan = plan_ms / kern_ms
@@ -400,25 +408,25 @@ def main(argv: list[str] | None = None) -> int:
     cpus = os.cpu_count() or 1
     mt_enforced = args.require_mt_speedup or cpus >= 4
     mt_skip_reason = (None if mt_enforced else
-                      f"host has {cpus} CPU(s) (< 4); wall-clock mt "
-                      f"speedup is not measurable here")
+                      f"host has {cpus} CPU(s) (< 4); wall-clock "
+                      f"sharding speedup is not measurable here")
     print(f"{'scaling':24s} kernels={kern_ms:.2f}ms "
-          f"kernels-mt={kern_mt_ms:.2f}ms plan={plan_ms:.2f}ms "
+          f"kernels@{args.shards}={kern_mt_ms:.2f}ms plan={plan_ms:.2f}ms "
           f"interp={interp_ms:.2f}ms -> kernels {speedup_plan:.2f}x vs "
-          f"plan, {speedup_interp:.2f}x vs interp; kernels-mt "
-          f"{speedup_mt:.2f}x vs kernels at {args.shards} shards "
+          f"plan, {speedup_interp:.2f}x vs interp; sharded kernels "
+          f"{speedup_mt:.2f}x vs serial at {args.shards} shards "
           f"({args.scaling_npes} PEs, {cpus} CPUs)")
 
     native_reason = nativert.unavailable_reason()
     if native_reason is None:
         native_ms = scaling["native"]["wall_ms"]
-        native_mt_ms = scaling["native-mt"]["wall_ms"]
+        native_mt_ms = scaling[f"native@{args.shards}"]["wall_ms"]
         speedup_native = kern_ms / native_ms
         speedup_native_mt = native_ms / native_mt_ms
         print(f"{'scaling (native)':24s} native={native_ms:.2f}ms "
-              f"native-mt={native_mt_ms:.2f}ms -> native "
-              f"{speedup_native:.2f}x vs kernels; native-mt "
-              f"{speedup_native_mt:.2f}x vs native")
+              f"native@{args.shards}={native_mt_ms:.2f}ms -> native "
+              f"{speedup_native:.2f}x vs kernels; sharded native "
+              f"{speedup_native_mt:.2f}x vs serial")
     else:
         native_ms = native_mt_ms = None
         speedup_native = speedup_native_mt = None
@@ -532,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
               f"workload ({speedup_plan:.2f}x)", file=sys.stderr)
         status = 1
     if speedup_mt < MT_SPEEDUP_THRESHOLD:
-        msg = (f"kernels-mt at {args.shards} shards is only "
+        msg = (f"kernels at {args.shards} shards is only "
                f"{speedup_mt:.2f}x vs serial kernels on the scaling "
                f"workload (threshold {MT_SPEEDUP_THRESHOLD}x)")
         if mt_enforced:
@@ -547,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         status = 1
     if (speedup_native_mt is not None
             and speedup_native_mt < MT_SPEEDUP_THRESHOLD):
-        msg = (f"native-mt at {args.shards} shards is only "
+        msg = (f"native at {args.shards} shards is only "
                f"{speedup_native_mt:.2f}x vs serial native on the "
                f"scaling workload (threshold {MT_SPEEDUP_THRESHOLD}x)")
         if native_mt_enforced:
