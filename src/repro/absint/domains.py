@@ -300,7 +300,9 @@ def compile_code(code: list[Instr]) -> list[MicroOp]:
     out: list[MicroOp] = []
     for ins in code:
         op = ins.op
-        arg = int(ins.arg or 0)
+        # Push carries a float constant (possibly inf or NaN); every
+        # other immediate is a slot, pop count or selector.
+        arg = 0 if op is Op.PUSH else int(ins.arg or 0)
         if op is Op.PUSH:
             out.append((_U_PUSH, const(float(ins.arg or 0)), 0))
         elif op is Op.PROCNUM:

@@ -105,6 +105,9 @@ class SimdProgram:
     #: shared library is built separately, content-addressed by source
     #: and compiler) or ``None`` when generation is unsupported.
     _native: object = field(default="unbuilt", repr=False, compare=False)
+    #: The kernel IR (see :meth:`lowering`) while only one of the two
+    #: printers has run; never pickled.
+    _kir: object = field(default=None, repr=False, compare=False)
 
     def plan(self):
         """The precompiled :class:`~repro.codegen.plan.ProgramPlan` for
@@ -145,6 +148,25 @@ class SimdProgram:
 
             self._native = compile_native(self)
         return self._native
+
+    def lowering(self):
+        """The kernel IR (:func:`repro.codegen.kir.lower_program`) for
+        the printer about to run. Both the NumPy and the C printer read
+        it, so the first of :meth:`kernels` / :meth:`native` to build
+        keeps it for the other, which releases it."""
+        lowered, self._kir = self._kir, None
+        if lowered is None:
+            from repro.codegen.kir import lower_program
+
+            lowered = lower_program(self)
+            if self._kernels == "unbuilt" and self._native == "unbuilt":
+                self._kir = lowered
+        return lowered
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_kir"] = None
+        return state
 
     def node_count(self) -> int:
         return len(self.nodes)

@@ -1,10 +1,10 @@
 """Native C emission of the fused per-node kernels.
 
-This is the second emission target of the kernel layer: where
-:mod:`repro.codegen.kernels` generates one *Python* function per
-automaton node (NumPy whole-lane-set operations), this module generates
+This is the second printer of the kernel IR (:mod:`repro.codegen.kir`):
+where :mod:`repro.codegen.kernels` prints one *Python* function per
+automaton node (NumPy whole-lane-set operations), this module prints
 one *C* function per node — fixed-width ``int64`` lane loops over the
-same state arrays, with the same structural tricks:
+same state arrays, with the same lowered structure:
 
 - **stack rows are compile-time constants** — the static depth dataflow
   of :mod:`repro.codegen.plan` makes every operand-stack row a literal
@@ -13,7 +13,11 @@ same state arrays, with the same structural tricks:
 - **deferred materialization** — a serializable member's whole schedule
   chain runs per lane in C locals; only the rows still live at the
   member's final depth are stored back, and a branch condition flows
-  straight into the fused terminator without touching the stack;
+  straight into the fused terminator without touching the stack. A
+  chain becomes one lane loop only in serializable segments: a grouped
+  segment may hold a cross-lane op (mono store, router access), which
+  must see every lane's preceding work, so there each entry is a
+  one-entry chain with a loop of its own;
 - **checks are hoisted** — operand-stack overflow collapses to one
   static ``if (MAX_ROWS > s_rows)`` guard per segment, replaying the
   per-entry checklist (the exact raise predicate of
@@ -60,17 +64,17 @@ cache — on any host.
 from __future__ import annotations
 
 import hashlib
+import math
+import struct
 from dataclasses import dataclass
 
 from repro.codegen import plan as planmod
-from repro.codegen.kernels import _PUSHING_OPS, KernelUnsupported
-from repro.ir.instr import BINARY_OPS, UNARY_OPS, Instr, Op
+from repro.codegen.kir import CONST, NPES
+from repro.ir.instr import BINARY_OPS, UNARY_OPS, Op
 
 #: Bump when the generated-code / runtime ABI contract changes; part of
 #: the shared-library cache key (see :mod:`repro.simd.nativert`).
 NATIVE_VERSION = 1
-
-_CROSSLANE_OPS = planmod.CROSSLANE_OPS
 
 # ----------------------------------------------------------------------
 # error codes — returned by the generated functions; the machine replays
@@ -137,6 +141,14 @@ _C_HEADER = """\
 
 typedef int64_t i64;
 typedef uint64_t u64;
+
+/* The double with bit pattern b: how non-finite literals are spelled. */
+static inline double f64(u64 b)
+{{
+    double d;
+    memcpy(&d, &b, sizeof d);
+    return d;
+}}
 """
 
 _C_BIN = {
@@ -168,11 +180,11 @@ _C_UN = {
 
 
 def _cf(v: float) -> str:
-    """An exact C99 hex-float literal for ``v``."""
-    f = float(v)
-    if f != f or f in (float("inf"), float("-inf")):
-        raise KernelUnsupported(f"non-finite literal {f!r}")
-    return f.hex()
+    """The one spelling of a C literal, bit-exact for every double: a
+    hex float when finite, else the bit pattern through ``f64``."""
+    if math.isfinite(v):
+        return v.hex()
+    return f"f64(0x{struct.unpack('<Q', struct.pack('<d', v))[0]:016x}ULL)"
 
 
 @dataclass
@@ -212,19 +224,27 @@ class NativeProgram:
 
 
 def compile_native(prog) -> NativeProgram | None:
-    """Generate the native kernel module for ``prog`` (a
-    :class:`~repro.codegen.emit.SimdProgram`), or ``None`` when the
+    """Print the native kernel module of ``prog`` (a
+    :class:`~repro.codegen.emit.SimdProgram`) from its kernel IR, like
+    :func:`repro.codegen.kernels.compile_kernels`; or ``None`` when the
     program's static stack depths are unresolvable — the machine then
-    falls back to the Python backends, exactly like
-    :func:`repro.codegen.kernels.compile_kernels`."""
-    plan = prog.plan()
-    if plan.static_depths is None:
+    falls back to the Python backends."""
+    lowered = prog.lowering()
+    if lowered is None:
         return None
-    return _CGenerator(prog, plan).build()
+    chunks = [_C_HEADER.format(version=NATIVE_VERSION)]
+    entry_names: dict = {}
+    for i, key, node in lowered:
+        entry_names[key] = f"node_{i}"
+        chunks.append(_Printer(prog.n_poly).node(i, f"node_{i}", node))
+    return NativeProgram(c_source="\n".join(chunks),
+                         entry_names=entry_names,
+                         costs=prog.costs,
+                         n_poly=prog.n_poly)
 
 
 # ----------------------------------------------------------------------
-# the generator
+# the printer
 # ----------------------------------------------------------------------
 class _CWriter:
     """Tiny indented C-source accumulator."""
@@ -251,97 +271,34 @@ class _CWriter:
         return "\n".join(self.lines)
 
 
-def _can_serialize(sp) -> bool:
-    """Same predicate as the NumPy generator: every entry has a static
-    scalar depth, cannot underflow, and is lane-private."""
-    return all(
-        sp.depth_scalars[e] is not None
-        and sp.depth_scalars[e] >= sp.instrs[e].pops()
-        and sp.instrs[e].op not in _CROSSLANE_OPS
-        for e in range(len(sp.instrs)))
+def _row(r) -> str:
+    """A stack row: a literal, or an offset from the per-lane depth
+    ``dd`` of a mixed-depth entry."""
+    if isinstance(r, int):
+        return str(r)
+    return f"(dd - {-r.off})" if r.off else "dd"
 
 
-def _entry_is_noop(sp, e) -> bool:
-    """``Pop`` only moves the statically-tracked depth."""
-    instr = sp.instrs[e]
-    if instr.op is not Op.POP:
-        return False
-    gm = sp.guard_members[e]
-    rel = sp.rel_depths[e]
-    return all(sp.entry_depths[j] + rel[k] >= instr.pops()
-               for k, j in enumerate(gm))
+def _fail(code: int) -> str:
+    return f"{{ rc = {code}; goto finish; }}"
 
 
-class _CSym:
-    """Per-lane symbolic state of one member's serialized chain: stack
-    rows live in C locals (or literal expressions) inside the lane
-    loop; only rows still live at the member's final depth are stored
-    back (deferred materialization)."""
-
-    def __init__(self, gen, w):
-        self.gen = gen
-        self.w = w
-        self.rows: dict[int, str] = {}
-        self.written: set[int] = set()
-        self.poly: dict[int, str] = {}
-        self.mono: dict[int, str] = {}
-        self.pids: str | None = None
-
-    def newt(self, expr: str, ctype: str = "double") -> str:
-        name = self.gen._tmp()
-        self.w.put(f"{ctype} {name} = {expr};")
-        return name
-
-    def val(self, row: int) -> str:
-        v = self.rows.get(row)
-        if v is None:
-            v = self.newt(f"stack[{row} * s_str + i]")
-            self.rows[row] = v
-        return v
-
-    def set(self, row: int, v: str) -> None:
-        self.rows[row] = v
-        self.written.add(row)
+def _v(v: tuple) -> str:
+    kind, x = v
+    if kind is CONST:
+        return _cf(x)
+    return "(double)npes" if kind is NPES else f"t{x}"
 
 
-class _CGenerator:
-    def __init__(self, prog, plan):
-        self.prog = prog
-        self.plan = plan
-        self.costs = prog.costs
+class _Printer:
+    """Prints lowered nodes (:class:`repro.codegen.kir.Node`) as C
+    functions of per-lane loops over a ``pc0`` snapshot."""
 
-    def build(self) -> NativeProgram:
-        chunks = [_C_HEADER.format(version=NATIVE_VERSION)]
-        entry_names: dict = {}
-        keys = sorted(self.prog.nodes, key=lambda k: tuple(sorted(k)))
-        for i, key in enumerate(keys):
-            name = f"node_{i}"
-            try:
-                chunks.append(self._emit_node(i, name, key))
-            except KernelUnsupported:
-                continue
-            entry_names[key] = name
-        return NativeProgram(c_source="\n".join(chunks),
-                             entry_names=entry_names,
-                             costs=self.costs,
-                             n_poly=self.prog.n_poly)
+    def __init__(self, n_poly: int):
+        self.n_poly = n_poly
 
-    # ------------------------------------------------------------------
-    def _tmp(self) -> str:
-        self.tmpn += 1
-        return f"t{self.tmpn}"
-
-    def _const_table(self, s: int, e: int, table) -> str:
-        name = f"_K{self.node_idx}_D{s}_{e}"
-        vals = ", ".join(str(int(v)) for v in table)
-        self.consts.append(
-            f"static const i64 {name}[{len(table)}] = {{{vals}}};")
-        return name
-
-    def _emit_node(self, idx: int, name: str, key) -> str:
-        node = self.prog.nodes[key]
-        nplan = self.plan.nodes[key]
-        self.node_idx = idx
+    def node(self, idx: int, name: str, node) -> str:
+        self.idx = idx
         self.consts: list[str] = []
         w = _CWriter()
         w.put(f"/* node {idx}: {node.name} */")
@@ -351,77 +308,75 @@ class _CGenerator:
         w.put("(void)stack; (void)s_str; (void)s_rows; (void)sp;")
         w.put("(void)rstack; (void)r_str; (void)r_rows; (void)rsp;")
         w.put("(void)poly; (void)p_str; (void)mono; (void)pids; (void)npes;")
-        for s in range(len(nplan.segments)):
-            self._emit_segment(w, s, nplan.segments[s], node.segments[s])
+        for s, seg in enumerate(node.segments):
+            self._segment(w, s, seg)
         w.put("finish:")
         w.put("out[0] = body; out[1] = tcost; out[2] = enabled; "
               "out[3] = exited;")
         w.put("return rc;")
         w.close("}")
-        parts = self.consts + [w.text(), ""]
-        return "\n".join(parts)
+        return "\n".join(self.consts + [w.text(), ""])
 
-    # ------------------------------------------------------------------
-    def _emit_segment(self, w, s, sp, seg) -> None:
-        members = sp.member_bids
-        counts = [f"c{s}_{j}" for j in range(len(members))]
-        w.put(f"/* -- segment {s}: members {members} -- */")
+    def _segment(self, w, s: int, seg) -> None:
+        self.s = s
+        bids = seg.members
+        counts = [f"c{s}_{j}" for j in range(len(bids))]
+        w.put(f"/* -- segment {s}: members {bids} -- */")
         w.put("memcpy(pc0, pc, (size_t)n * sizeof(i64));")
         w.put("i64 " + " = 0, ".join(counts) + " = 0;")
         w.open("for (i64 i = 0; i < n; i++) {")
-        for j, bid in enumerate(members):
+        for j, bid in enumerate(bids):
             kw = "if" if j == 0 else "else if"
             w.put(f"{kw} (pc0[i] == {bid}) {counts[j]}++;")
         w.close()
-
-        # closed-form accounting, exactly as the NumPy kernels
-        body_const = (sum(self.costs.cost(i) for i in sp.instrs)
-                      + self.costs.branch_cost * len(members))
-        if body_const:
-            w.put(f"body += {body_const};")
-        coeffs = [self.costs.branch_cost] * len(members)
-        for e, instr in enumerate(sp.instrs):
-            c = self.costs.cost(instr)
-            for j in sp.guard_members[e]:
-                coeffs[j] += c
-        terms = [f"{coeffs[j]} * {counts[j]}"
-                 for j in range(len(members)) if coeffs[j]]
+        if seg.body_cycles:
+            w.put(f"body += {seg.body_cycles};")
+        terms = [f"{c} * {counts[j]}" for j, c in enumerate(seg.coeffs) if c]
         if terms:
             w.put(f"enabled += {' + '.join(terms)};")
 
-        self._emit_overflow_guard(w, s, sp, counts)
+        # One static overflow guard; the raise predicate replays
+        # repro.simd.kernelrt.overflow_scan: fail iff some pushing entry
+        # has a live guard member needing more rows than the stack holds.
+        need: dict = {}
+        for _, reqs in seg.checklist:
+            for j, rows in reqs:
+                need[j] = max(need.get(j, 0), rows)
+        if need:
+            cond = " || ".join(f"({counts[j]} && {r} > s_rows)"
+                               for j, r in sorted(need.items()))
+            w.open(f"if ({seg.max_rows} > s_rows) {{")
+            w.put(f"if ({cond}) {_fail(E_STACK_OVERFLOW)}")
+            w.close()
 
-        # body (+ fused terminators on the serialized path)
-        fused: set[int] = set()
-        if _can_serialize(sp):
-            for j in range(len(members)):
-                chain = [e for e in range(len(sp.instrs))
-                         if j in sp.guard_members[e]]
-                live = [e for e in chain if not _entry_is_noop(sp, e)]
-                if not live:
-                    continue
-                self._emit_member_fused(w, s, sp, j, live, counts)
+        # A serializable segment fuses each member's chain with its
+        # terminator (and forwarded condition) in one lane loop.
+        fused: set = set()
+        chains = seg.chains if seg.entry_chains is None else seg.entry_chains
+        for chain in chains:
+            self._loop(w, bids, chain.members)
+            for stmt in chain.code:
+                self._stmt(w, stmt, bids)
+            if seg.serial:
+                j = chain.members[0]
+                self._term(w, seg.terms[j], seg.terms[j].cond)
                 fused.add(j)
-        else:
-            for e in range(len(sp.instrs)):
-                if _entry_is_noop(sp, e):
-                    continue
-                self._emit_entry_loop(w, s, sp, e, counts)
-
-        # standalone terminators for everything not fused above
-        for j in range(len(members)):
+            w.close()
+        for j, term in enumerate(seg.terms):
             if j not in fused:
-                self._emit_term_loop(w, s, sp, j, counts)
+                w.put(f"/* terminator of block {bids[j]} */")
+                self._loop(w, bids, (j,))
+                self._term(w, term, None)
+                w.close()
 
         # spawn fills claim idle PEs only after every pc update above
-        for j in range(len(members)):
-            if sp.kinds[j] == planmod.K_SPAWN:
-                self._emit_spawn_fill(w, s, sp, j, counts)
+        for j, term in enumerate(seg.terms):
+            if term.kind == planmod.K_SPAWN:
+                self._spawn_fill(w, bids, j, term, counts[j])
 
-        if seg.can_exit:
-            goc = self.costs.globalor_cost
-            if goc:
-                w.put(f"tcost += {goc};")
+        if seg.exit_cost is not None:
+            if seg.exit_cost:
+                w.put(f"tcost += {seg.exit_cost};")
             w.open("{")
             w.put("i64 live = 0;")
             w.put("for (i64 i = 0; i < n; i++) "
@@ -429,387 +384,148 @@ class _CGenerator:
             w.put("if (!live) { exited = 1; goto finish; }")
             w.close()
 
-    def _emit_overflow_guard(self, w, s, sp, counts) -> None:
-        """One static guard per segment; the raise predicate replays
-        :func:`repro.simd.kernelrt.overflow_scan`: fail iff some pushing
-        entry has a live guard member needing more rows than the stack
-        holds."""
-        need: dict[int, int] = {}
-        max_rows = 0
-        for e, instr in enumerate(sp.instrs):
-            if instr.op not in _PUSHING_OPS:
-                continue
-            for k, j in enumerate(sp.guard_members[e]):
-                rows = sp.entry_depths[j] + sp.rel_depths[e][k] + 1
-                need[j] = max(need.get(j, 0), rows)
-                max_rows = max(max_rows, rows)
-        if not need:
-            return
-        cond = " || ".join(f"({counts[j]} && {r} > s_rows)"
-                           for j, r in sorted(need.items()))
-        w.open(f"if ({max_rows} > s_rows) {{")
-        w.put(f"if ({cond}) {{ rc = {E_STACK_OVERFLOW}; goto finish; }}")
-        w.close()
-
-    # ------------------------------------------------------------------
-    # serialized member chains (fused body + terminator per lane)
-    # ------------------------------------------------------------------
-    def _emit_member_fused(self, w, s, sp, j, live, counts) -> None:
-        bid = sp.member_bids[j]
-        kind = sp.kinds[j]
-        fin = sp.entry_depths[j] + sp.total_delta[j]
-        w.put(f"/* member {bid}: fused chain */")
-        if kind == planmod.K_COND and fin < 1:
-            w.put(f"if ({counts[j]}) "
-                  f"{{ rc = {E_BRANCH_EMPTY}; goto finish; }}")
-            return
-        self.tmpn = -1
+    @staticmethod
+    def _loop(w, bids, members) -> None:
         w.open("for (i64 i = 0; i < n; i++) {")
-        w.put(f"if (pc0[i] != {bid}) continue;")
-        sym = _CSym(self, w)
-        for e in live:
-            d = sp.depth_scalars[e]
-            w.put(f"/* {sp.instrs[e]} @{d} */")
-            self._sym_op(w, sym, sp.instrs[e], d)
-        skip_row = fin - 1 if kind == planmod.K_COND else None
-        for r in sorted(sym.written):
-            if r >= fin or r == skip_row:
-                continue
-            w.put(f"stack[{r} * s_str + i] = {sym.rows[r]};")
-        cond = None
-        if kind == planmod.K_COND:
-            cond = sym.rows.get(fin - 1,
-                                f"stack[{fin - 1} * s_str + i]")
-        self._emit_term_body(w, sp, j, fin, cond)
-        w.close()
+        w.put("if (" + " && ".join(f"pc0[i] != {bids[j]}" for j in members)
+              + ") continue;")
 
-    def _sym_op(self, w, sym, instr: Instr, d: int) -> None:
-        """One instruction against the per-lane symbolic stack —
-        same semantics as :func:`repro.simd.vecops.exec_instr_at`,
-        element for element."""
-        op = instr.op
-        val, newt = sym.val, sym.newt
-
-        if op in BINARY_OPS:
-            b = val(d - 1)
-            if op is Op.DIV:
-                w.put(f"if ({b} == 0.0) "
-                      f"{{ rc = {E_DIV_ZERO}; goto finish; }}")
-                a = val(d - 2)
-                sym.set(d - 2, newt(f"{a} / {b}"))
-            elif op in (Op.IDIV, Op.MOD):
-                a = val(d - 2)
-                ib = newt(f"(i64)({b})", "i64")
-                w.put(f"if ({ib} == 0) "
-                      f"{{ rc = {E_IDIV_ZERO}; goto finish; }}")
-                ia = newt(f"(i64)({a})", "i64")
-                q = newt(f"(i64)((({ia} < 0) ? -(u64){ia} : (u64){ia}) / "
-                         f"(({ib} < 0) ? -(u64){ib} : (u64){ib}))", "i64")
-                sq = newt(f"(({ia} < 0) != ({ib} < 0)) ? -{q} : {q}", "i64")
-                src = sq if op is Op.IDIV else f"({ia} - {sq} * {ib})"
-                sym.set(d - 2, newt(f"(double){src}"))
-            else:
-                a = val(d - 2)
-                sym.set(d - 2, newt(_C_BIN[op].format(a=a, b=b)))
-            return
-        if op in UNARY_OPS:
-            x = val(d - 1)
-            sym.set(d - 1, newt(_C_UN[op].format(x=x)))
-            return
-        if op is Op.PUSH:
-            sym.set(d, _cf(instr.arg))
-            return
-        if op is Op.POP:
-            return
-        if op is Op.SWAP:
-            b, a = val(d - 1), val(d - 2)
-            sym.set(d - 1, a)
-            sym.set(d - 2, b)
-            return
-        if op is Op.DUP:
-            sym.set(d, val(d - 1))
-            return
-        if op is Op.LD:
-            slot = int(instr.arg)
-            v = sym.poly.get(slot)
-            if v is None:
-                v = newt(f"poly[{slot} * p_str + i]")
-                sym.poly[slot] = v
-            sym.set(d, v)
-            return
-        if op is Op.ST:
-            slot = int(instr.arg)
-            v = val(d - 1)
-            w.put(f"poly[{slot} * p_str + i] = {v};")
-            sym.poly[slot] = v
-            return
-        if op is Op.LDM:
-            slot = int(instr.arg)
-            v = sym.mono.get(slot)
-            if v is None:
-                v = newt(f"mono[{slot}]")
-                sym.mono[slot] = v
-            sym.set(d, v)
-            return
-        if op in (Op.LDI, Op.LDMI):
-            ei = self._sym_index_check(w, sym, instr, d)
-            base = int(instr.arg)
-            if op is Op.LDI:
-                sym.set(d - 1, newt(f"poly[({base} + {ei}) * p_str + i]"))
-                # indexed slot unknown statically; keep caches valid
-                # (reads don't invalidate anything)
-            else:
-                sym.set(d - 1, newt(f"mono[{base} + {ei}]"))
-            return
-        if op is Op.STI:
-            ei = self._sym_index_check(w, sym, instr, d)
-            v = val(d - 2)
-            w.put(f"poly[({int(instr.arg)} + {ei}) * p_str + i] = {v};")
-            sym.poly.clear()
-            return
-        if op is Op.PROCNUM:
-            if sym.pids is None:
-                sym.pids = newt("pids[i]")
-            sym.set(d, sym.pids)
-            return
-        if op is Op.NPROC:
-            sym.set(d, "(double)npes")
-            return
-        if op is Op.SEL:
-            b, a, c = val(d - 1), val(d - 2), val(d - 3)
-            sym.set(d - 3, newt(f"(({c}) != 0.0) ? ({a}) : ({b})"))
-            return
-        if op is Op.RPUSH:
-            w.put(f"if (rsp[i] >= r_rows) "
-                  f"{{ rc = {E_RSTACK_OVERFLOW}; goto finish; }}")
-            w.put(f"rstack[rsp[i] * r_str + i] = {_cf(instr.arg)};")
-            w.put("rsp[i] = rsp[i] + 1;")
-            return
-        if op is Op.RPOP:
-            r = newt("rsp[i] - 1", "i64")
-            w.put(f"if ({r} < 0) "
-                  f"{{ rc = {E_RSTACK_UNDERFLOW}; goto finish; }}")
-            w.put(f"rsp[i] = {r};")
-            sym.set(d, newt(f"rstack[{r} * r_str + i]"))
-            return
-        raise KernelUnsupported(f"unhandled opcode {op}")
-
-    def _sym_index_check(self, w, sym, instr: Instr, d: int) -> str:
-        size = int(instr.arg2)
-        ei = sym.newt(f"(i64)({sym.val(d - 1)})", "i64")
-        w.put(f"if ({ei} < 0 || {ei} >= {size}) "
-              f"{{ rc = {E_INDEX}; goto finish; }}")
-        return ei
-
-    # ------------------------------------------------------------------
-    # grouped path: one guarded lane loop per schedule entry
-    # ------------------------------------------------------------------
-    def _emit_entry_loop(self, w, s, sp, e, counts) -> None:
-        instr = sp.instrs[e]
-        gm = sp.guard_members[e]
-        rel = sp.rel_depths[e]
-        depths = [sp.entry_depths[j] + rel[k] for k, j in enumerate(gm)]
-        shallow = [j for j, d in zip(gm, depths) if d < instr.pops()]
-        if shallow:
-            cond = " || ".join(counts[j] for j in shallow)
-            w.put(f"if ({cond}) {{ rc = {E_UNDERFLOW}; goto finish; }}")
-            if len(shallow) == len(gm):
-                return  # unreachable past the error
-        guard = " || ".join(f"pc0[i] == {sp.member_bids[j]}" for j in gm)
-        dstr = "/".join(str(d) for d in depths)
-        w.put(f"/* {instr} @{dstr} */")
-        self.tmpn = -1
-        w.open("for (i64 i = 0; i < n; i++) {")
-        w.put(f"if (!({guard})) continue;")
-        if sp.depth_scalars[e] is not None:
-            de = sp.depth_scalars[e]
-            row = lambda off: str(de + off)  # noqa: E731
-        else:
-            tname = self._const_table(s, e, sp.depth_tables[e])
-            w.put(f"i64 dd = {tname}[pc0[i]];")
-            row = lambda off: f"(dd - {-off})" if off else "dd"  # noqa: E731
-        self._emit_op_direct(w, instr, row)
-        w.close()
-
-    def _emit_op_direct(self, w, instr: Instr, row) -> None:
-        """Inline one instruction against stack memory at static rows —
-        the C twin of the NumPy generator's ``_emit_op``."""
-        op = instr.op
-        ld = lambda r: f"stack[{r} * s_str + i]"  # noqa: E731
-
-        if op in BINARY_OPS:
-            w.put(f"double b = {ld(row(-1))};")
-            if op is Op.DIV:
-                w.put(f"if (b == 0.0) {{ rc = {E_DIV_ZERO}; goto finish; }}")
-                w.put(f"double a = {ld(row(-2))};")
-                w.put(f"{ld(row(-2))} = a / b;")
-            elif op in (Op.IDIV, Op.MOD):
-                w.put("i64 ib = (i64)b;")
-                w.put(f"if (ib == 0) {{ rc = {E_IDIV_ZERO}; goto finish; }}")
-                w.put(f"double a = {ld(row(-2))};")
-                w.put("i64 ia = (i64)a;")
-                w.put("i64 q = (i64)(((ia < 0) ? -(u64)ia : (u64)ia) / "
-                      "((ib < 0) ? -(u64)ib : (u64)ib));")
-                w.put("if ((ia < 0) != (ib < 0)) q = -q;")
-                if op is Op.IDIV:
-                    w.put(f"{ld(row(-2))} = (double)q;")
-                else:
-                    w.put(f"{ld(row(-2))} = (double)(ia - q * ib);")
-            else:
-                w.put(f"double a = {ld(row(-2))};")
-                w.put(f"{ld(row(-2))} = {_C_BIN[op].format(a='a', b='b')};")
-            return
-        if op in UNARY_OPS:
-            w.put(f"double x = {ld(row(-1))};")
-            w.put(f"{ld(row(-1))} = {_C_UN[op].format(x='x')};")
-            return
-        if op is Op.PUSH:
-            w.put(f"{ld(row(0))} = {_cf(instr.arg)};")
-            return
-        if op is Op.POP:
-            return  # depth change is static; underflow checked above
-        if op is Op.SWAP:
-            w.put(f"double a = {ld(row(-1))};")
-            w.put(f"{ld(row(-1))} = {ld(row(-2))};")
-            w.put(f"{ld(row(-2))} = a;")
-            return
-        if op is Op.DUP:
-            w.put(f"{ld(row(0))} = {ld(row(-1))};")
-            return
-        if op is Op.LD:
-            w.put(f"{ld(row(0))} = poly[{int(instr.arg)} * p_str + i];")
-            return
-        if op is Op.ST:
-            w.put(f"poly[{int(instr.arg)} * p_str + i] = {ld(row(-1))};")
-            return
-        if op is Op.LDM:
-            w.put(f"{ld(row(0))} = mono[{int(instr.arg)}];")
-            return
-        if op is Op.STM:
+    def _stmt(self, w, stmt, bids) -> None:
+        tag, n, args, instr = stmt
+        t = f"t{n}"
+        if tag == "#":
+            w.put(f"/* {args} */")
+        elif tag == "stack":
+            w.put(f"double {t} = stack[{_row(args[0])} * s_str + i];")
+        elif tag == "poly":
+            w.put(f"double {t} = poly[{args[0]} * p_str + i];")
+        elif tag == "mono":
+            w.put(f"double {t} = mono[{args[0]}];")
+        elif tag == "pids":
+            w.put(f"double {t} = pids[i];")
+        elif tag == "flush":
+            w.put(f"stack[{_row(args[0])} * s_str + i] = {_v(args[1])};")
+        elif tag == "dv":
+            e, table = args
+            name = f"_K{self.idx}_D{self.s}_{e}"
+            vals = ", ".join(str(int(d)) for d in table)
+            self.consts.append(
+                f"static const i64 {name}[{len(table)}] = {{{vals}}};")
+            w.put(f"i64 dd = {name}[pc0[i]];")
+        elif tag == "underflow":
+            w.put("if (" + " || ".join(f"pc0[i] == {bids[j]}" for j in args)
+                  + f") {_fail(E_UNDERFLOW)}")
+        elif tag is Op.DIV:
+            a, b = args
+            w.put(f"if ({_v(b)} == 0.0) {_fail(E_DIV_ZERO)}")
+            w.put(f"double {t} = {_v(a)} / {_v(b)};")
+        elif tag is Op.IDIV or tag is Op.MOD:
+            a, b = args
+            ia, ib, q = f"ia{n}", f"ib{n}", f"q{n}"
+            w.put(f"i64 {ib} = (i64)({_v(b)});")
+            w.put(f"if ({ib} == 0) {_fail(E_IDIV_ZERO)}")
+            w.put(f"i64 {ia} = (i64)({_v(a)});")
+            w.put(f"i64 {q} = (i64)((({ia} < 0) ? -(u64){ia} : (u64){ia}) / "
+                  f"(({ib} < 0) ? -(u64){ib} : (u64){ib}));")
+            w.put(f"if (({ia} < 0) != ({ib} < 0)) {q} = -{q};")
+            src = q if tag is Op.IDIV else f"({ia} - {q} * {ib})"
+            w.put(f"double {t} = (double){src};")
+        elif tag in BINARY_OPS:
+            expr = _C_BIN[tag].format(a=_v(args[0]), b=_v(args[1]))
+            w.put(f"double {t} = {expr};")
+        elif tag in UNARY_OPS:
+            w.put(f"double {t} = {_C_UN[tag].format(x=_v(args[0]))};")
+        elif tag is Op.SEL:
+            c, a, b = args
+            w.put(f"double {t} = (({_v(c)}) != 0.0) ? ({_v(a)}) : ({_v(b)});")
+        elif tag is Op.ST:
+            w.put(f"poly[{int(instr.arg)} * p_str + i] = {_v(args[0])};")
+        elif tag is Op.STM:
             # ascending lane order: the highest-indexed writer wins
-            w.put(f"mono[{int(instr.arg)}] = {ld(row(-1))};")
-            return
+            w.put(f"mono[{int(instr.arg)}] = {_v(args[0])};")
+        elif tag is Op.RPUSH:
+            w.put(f"if (rsp[i] >= r_rows) {_fail(E_RSTACK_OVERFLOW)}")
+            w.put(f"rstack[rsp[i] * r_str + i] = {_cf(float(instr.arg))};")
+            w.put("rsp[i] = rsp[i] + 1;")
+        elif tag is Op.RPOP:
+            w.put(f"i64 r{n} = rsp[i] - 1;")
+            w.put(f"if (r{n} < 0) {_fail(E_RSTACK_UNDERFLOW)}")
+            w.put(f"rsp[i] = r{n};")
+            w.put(f"double {t} = rstack[r{n} * r_str + i];")
+        else:
+            self._lane_op(w, tag, n, args, instr)
+
+    @staticmethod
+    def _lane_op(w, op, n: int, args, instr) -> None:
+        """Router and array ops: an index check, then the access."""
+        e, base, v = f"e{n}", int(instr.arg), _v(args[0])
+        w.put(f"i64 {e} = (i64)({_v(args[-1])});")
+        if op is Op.LDR or op is Op.STR:
+            code = E_PE_READ if op is Op.LDR else E_PE_WRITE
+            w.put(f"if ({e} < 0 || {e} >= npes) {_fail(code)}")
+        else:
+            w.put(f"if ({e} < 0 || {e} >= {int(instr.arg2)}) "
+                  f"{_fail(E_INDEX)}")
         if op is Op.LDR:
-            w.put(f"i64 t = (i64){ld(row(-1))};")
-            w.put(f"if (t < 0 || t >= npes) "
-                  f"{{ rc = {E_PE_READ}; goto finish; }}")
-            w.put(f"{ld(row(-1))} = poly[{int(instr.arg)} * p_str + t];")
-            return
-        if op is Op.STR:
-            w.put(f"i64 t = (i64){ld(row(-1))};")
-            w.put(f"if (t < 0 || t >= npes) "
-                  f"{{ rc = {E_PE_WRITE}; goto finish; }}")
+            w.put(f"double t{n} = poly[{base} * p_str + {e}];")
+        elif op is Op.STR:
             # ascending lane order: conflicts resolve to the
             # highest-indexed writer, like numpy fancy assignment
-            w.put(f"poly[{int(instr.arg)} * p_str + t] = {ld(row(-2))};")
-            return
-        if op in (Op.LDI, Op.LDMI, Op.STI, Op.STMI):
-            size = int(instr.arg2)
-            base = int(instr.arg)
-            w.put(f"i64 ei = (i64){ld(row(-1))};")
-            w.put(f"if (ei < 0 || ei >= {size}) "
-                  f"{{ rc = {E_INDEX}; goto finish; }}")
-            if op is Op.LDI:
-                w.put(f"{ld(row(-1))} = poly[({base} + ei) * p_str + i];")
-            elif op is Op.LDMI:
-                w.put(f"{ld(row(-1))} = mono[{base} + ei];")
-            elif op is Op.STI:
-                w.put(f"poly[({base} + ei) * p_str + i] = {ld(row(-2))};")
-            else:  # STMI: highest-indexed writer wins per element
-                w.put(f"mono[{base} + ei] = {ld(row(-2))};")
-            return
-        if op is Op.PROCNUM:
-            w.put(f"{ld(row(0))} = pids[i];")
-            return
-        if op is Op.NPROC:
-            w.put(f"{ld(row(0))} = (double)npes;")
-            return
-        if op is Op.SEL:
-            w.put(f"double b = {ld(row(-1))};")
-            w.put(f"double a = {ld(row(-2))};")
-            w.put(f"double c = {ld(row(-3))};")
-            w.put(f"{ld(row(-3))} = (c != 0.0) ? a : b;")
-            return
-        if op is Op.RPUSH:
-            w.put(f"if (rsp[i] >= r_rows) "
-                  f"{{ rc = {E_RSTACK_OVERFLOW}; goto finish; }}")
-            w.put(f"rstack[rsp[i] * r_str + i] = {_cf(instr.arg)};")
-            w.put("rsp[i] = rsp[i] + 1;")
-            return
-        if op is Op.RPOP:
-            w.put("i64 r = rsp[i] - 1;")
-            w.put(f"if (r < 0) "
-                  f"{{ rc = {E_RSTACK_UNDERFLOW}; goto finish; }}")
-            w.put("rsp[i] = r;")
-            w.put(f"{ld(row(0))} = rstack[r * r_str + i];")
-            return
-        raise KernelUnsupported(f"unhandled opcode {op}")
+            w.put(f"poly[{base} * p_str + {e}] = {v};")
+        elif op is Op.LDI:
+            w.put(f"double t{n} = poly[({base} + {e}) * p_str + i];")
+        elif op is Op.LDMI:
+            w.put(f"double t{n} = mono[{base} + {e}];")
+        elif op is Op.STI:
+            w.put(f"poly[({base} + {e}) * p_str + i] = {v};")
+        else:  # STMI: highest-indexed writer wins per element
+            w.put(f"mono[{base} + {e}] = {v};")
 
-    # ------------------------------------------------------------------
-    # terminators
-    # ------------------------------------------------------------------
-    def _emit_term_loop(self, w, s, sp, j, counts) -> None:
-        bid = sp.member_bids[j]
-        kind = sp.kinds[j]
-        fin = sp.entry_depths[j] + sp.total_delta[j]
-        w.put(f"/* terminator of block {bid} */")
-        if kind == planmod.K_COND and fin < 1:
-            w.put(f"if ({counts[j]}) "
-                  f"{{ rc = {E_BRANCH_EMPTY}; goto finish; }}")
-            return
-        w.open("for (i64 i = 0; i < n; i++) {")
-        w.put(f"if (pc0[i] != {bid}) continue;")
-        cond = None
-        if kind == planmod.K_COND:
-            cond = f"stack[{fin - 1} * s_str + i]"
-        self._emit_term_body(w, sp, j, fin, cond)
-        w.close()
-
-    def _emit_term_body(self, w, sp, j, fin, cond) -> None:
-        kind = sp.kinds[j]
-        if kind == planmod.K_FALL:
-            w.put(f"pc[i] = {sp.on_true[j]};")
-            if sp.total_delta[j]:
-                w.put(f"sp[i] = {fin};")
+    @staticmethod
+    def _term(w, term, cond) -> None:
+        """One lane's terminator; ``cond`` is the forwarded branch
+        condition, or ``None`` to read it from the stack."""
+        kind = term.kind
+        if kind == planmod.K_FALL or kind == planmod.K_SPAWN:
+            target = term.on_true if kind == planmod.K_FALL else term.on_false
+            w.put(f"pc[i] = {target};")
+            if term.set_sp:
+                w.put(f"sp[i] = {term.fin};")
         elif kind == planmod.K_COND:
-            w.put(f"sp[i] = {fin - 1};")
-            if sp.on_true[j] == sp.on_false[j]:
-                w.put(f"pc[i] = {sp.on_true[j]};")
-            else:
-                w.put(f"pc[i] = (({cond}) != 0.0) "
-                      f"? {sp.on_true[j]} : {sp.on_false[j]};")
+            if term.fin < 1:
+                w.put(_fail(E_BRANCH_EMPTY))
+                return
+            w.put(f"sp[i] = {term.fin - 1};")
+            if term.on_true == term.on_false:
+                w.put(f"pc[i] = {term.on_true};")
+                return
+            cond = (_v(cond) if cond is not None
+                    else f"stack[{term.fin - 1} * s_str + i]")
+            w.put(f"pc[i] = (({cond}) != 0.0) "
+                  f"? {term.on_true} : {term.on_false};")
         elif kind == planmod.K_RET:
             w.put("pc[i] = -2;")
-        elif kind == planmod.K_HALT:
+        else:  # K_HALT
             w.put("pc[i] = -1;")
             w.put("sp[i] = 0;")
             w.put("rsp[i] = 0;")
-        elif kind == planmod.K_SPAWN:
-            w.put(f"pc[i] = {sp.on_false[j]};")
-            if sp.total_delta[j]:
-                w.put(f"sp[i] = {fin};")
-        else:
-            raise KernelUnsupported(f"unknown terminator kind {kind}")
 
-    def _emit_spawn_fill(self, w, s, sp, j, counts) -> None:
-        bid = sp.member_bids[j]
-        w.put(f"/* spawn fill for block {bid} */")
-        w.open(f"if ({counts[j]}) {{")
+    def _spawn_fill(self, w, bids, j: int, term, count: str) -> None:
+        w.put(f"/* spawn fill for block {bids[j]} */")
+        w.open(f"if ({count}) {{")
         w.put("i64 nfree = 0;")
         w.put("for (i64 i = 0; i < n; i++) if (pc[i] == -1) nfree++;")
-        w.put(f"if (nfree < {counts[j]}) "
-              f"{{ rc = {E_SPAWN_FREE}; goto finish; }}")
+        w.put(f"if (nfree < {count}) {_fail(E_SPAWN_FREE)}")
         w.put("i64 f = 0;")
-        w.open("for (i64 i = 0; i < n; i++) {")
-        w.put(f"if (pc0[i] != {bid}) continue;")
+        self._loop(w, bids, (j,))
         # ascending parents claim ascending free slots, matching the
         # NumPy kernels' free[:n] pairing
         w.put("while (pc[f] != -1) f++;")
-        if self.prog.n_poly:
-            w.put(f"for (i64 r = 0; r < {self.prog.n_poly}; r++) "
+        if self.n_poly:
+            w.put(f"for (i64 r = 0; r < {self.n_poly}; r++) "
                   "poly[r * p_str + f] = poly[r * p_str + i];")
         w.put("sp[f] = 0; rsp[f] = 0;")
-        w.put(f"pc[f] = {sp.on_true[j]};")
+        w.put(f"pc[f] = {term.on_true};")
         w.put("f++;")
         w.close()
         w.close()

@@ -16,6 +16,8 @@ contract of kernel v2 — see :mod:`repro.codegen.kernels`).
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.errors import MachineError
@@ -27,6 +29,12 @@ from repro.errors import MachineError
 EMPTY = np.empty(0, dtype=np.int64)
 
 EMPTY.setflags(write=False)
+
+
+def f64(bits: int) -> float:
+    """The double whose IEEE 754 bit pattern is ``bits``: how generated
+    kernels spell non-finite literals, whose NaN sign ``repr`` drops."""
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
 def union(n: int, *lanes: np.ndarray) -> np.ndarray:

@@ -195,6 +195,26 @@ class TestKernelProgram:
         assert clone.digest() == kern.digest()
         assert set(clone.fns) == set(kern.fns)
 
+    def test_module_compiled_once(self, monkeypatch):
+        # Generation compiles the module to check it; the first run must
+        # exec that code object rather than compile the text again.
+        from repro.codegen import kernels
+
+        compiled = []
+
+        def counting_compile(source, filename, *args, **kwargs):
+            compiled.append(filename)
+            return compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "compile", counting_compile,
+                            raising=False)
+        result = convert_source(STANDARD["divergent_loops"]())
+        prog = result.simd_program()
+        SimdMachine(npes=8, costs=result.options.costs,
+                    backend="kernels").run(prog)
+        assert len(compiled) == 1
+        assert prog.kernels()._code is None  # consumed by the first run
+
     def test_program_pickle_carries_kernels(self):
         result = convert_source(STANDARD["mandelbrot"]())
         prog = result.simd_program()

@@ -1,7 +1,7 @@
 """The native C backend: differential identity, graceful fallback,
 artifact caching, and the ``--emit c`` CLI surface.
 
-The contract under test (docs/internals.md §17): ``backend=native``,
+The contract under test (docs/internals.md §12): ``backend=native``,
 serial or sharded, produces bit-identical :class:`SimdResult`\\ s
 to every other backend; when the toolchain is missing or the build
 fails the machine falls back to the NumPy kernels with a
@@ -11,6 +11,7 @@ compiler.
 """
 
 import pickle
+import shutil
 import subprocess
 import sys
 import threading
@@ -328,6 +329,23 @@ class TestNativeProgram:
         rec = r.report.stage("native")
         assert rec.counters["native_nodes"] == r.simd_program().node_count()
         assert rec.counters["native_bytes"] > 0
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+class TestWarningFreeC:
+    @pytest.mark.parametrize("compress", (False, True))
+    def test_library_compiles_without_warnings(self, compress, tmp_path):
+        # Unused temporaries or sign-compare slips in the printer would
+        # show up here first.
+        for name in sorted(STANDARD):
+            nat = convert_source(STANDARD[name](), ConversionOptions(
+                compress=compress)).simd_program().native()
+            path = tmp_path / f"{name}.c"
+            path.write_text(nat.c_source)
+            proc = subprocess.run(
+                ["cc", "-std=c99", "-fsyntax-only", "-Wall", "-Wextra",
+                 "-Werror", str(path)], capture_output=True, text=True)
+            assert proc.returncode == 0, (name, proc.stderr[:2000])
 
 
 class TestEmitC:

@@ -132,6 +132,62 @@ def programs(draw) -> str:
     return f"main() {{\n{decls}\n{body}\n    return ({ret});\n}}\n"
 
 
+MONO_VARS = ["m0", "m1"]
+
+
+@st.composite
+def shared_statements(draw, depth: int, loops_used: list) -> str:
+    """:func:`statements` plus the cross-lane operations it never
+    emits: mono stores and loads, and router reads and writes whose
+    index is folded into ``0 .. nproc - 1``."""
+    kinds = ["plain", "mono", "load", "read", "write"]
+    if depth < 2:
+        kinds.append("if")
+    kind = draw(st.sampled_from(kinds))
+    pad = "    " * (depth + 1)
+    if kind == "plain":
+        return draw(statements(depth, loops_used, barrier_ok=depth == 0))
+    if kind == "mono":
+        var = draw(st.sampled_from(MONO_VARS))
+        src = draw(st.sampled_from(MONO_VARS + ["nproc"]))
+        k = draw(st.integers(min_value=1, max_value=9))
+        return f"{pad}{var} = ({src} * {k} + {var}) % 97;"
+    if kind == "load":
+        var = draw(st.sampled_from(VARS))
+        mono = draw(st.sampled_from(MONO_VARS))
+        return f"{pad}{var} = {draw(expressions(depth=1))} + {mono};"
+    if kind == "if":
+        cond = draw(expressions(depth=1))
+        body = draw(shared_blocks(depth + 1, loops_used))
+        return f"{pad}if ({cond}) {{\n{body}\n{pad}}}"
+    index = f"(({draw(expressions(depth=1))}) % nproc + nproc) % nproc"
+    var = draw(st.sampled_from(VARS))
+    if kind == "read":
+        src = draw(st.sampled_from(VARS))
+        return f"{pad}{var} = {src}[[{index}]];"
+    return f"{pad}{var}[[{index}]] = {draw(expressions(depth=1))};"
+
+
+@st.composite
+def shared_blocks(draw, depth: int, loops_used: list) -> str:
+    n = draw(st.integers(min_value=1, max_value=3 if depth else 5))
+    return "\n".join(
+        draw(shared_statements(depth, loops_used)) for _ in range(n)
+    )
+
+
+@st.composite
+def shared_programs(draw) -> str:
+    """:func:`programs` with mono variables and router traffic."""
+    decls = "    poly int a; poly int b; poly int c;\n" \
+            "    poly int i0; poly int i1;\n" \
+            "    a = procnum; b = procnum % 3; c = 1;"
+    body = draw(shared_blocks(0, []))
+    ret = draw(expressions(depth=1))
+    return (f"mono int m0 = 1; mono int m1 = 2;\nmain() {{\n{decls}\n"
+            f"{body}\n    return ({ret} + m0);\n}}\n")
+
+
 COMMON_SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
@@ -248,3 +304,47 @@ class TestRandomDeterminism:
         assert a.graph.states == b.graph.states
         assert a.graph.table == b.graph.table
         assert a.mpl_text() == b.mpl_text()
+
+
+class TestRandomProgramsBothPrinters:
+    """Generated programs through both kernel printers: NumPy at one and
+    three shards, and C where a toolchain exists, each bit-identical to
+    the interpretive executor. Only SIMD backends are compared: a racy
+    mono store or router write may legitimately resolve differently on
+    the MIMD oracle. ``cc -O2`` needs seconds per few dozen nodes, so
+    programs above :attr:`NATIVE_MAX_NODES` run on NumPy only."""
+
+    NATIVE_MAX_NODES = 24
+
+    def check(self, src):
+        from repro.simd import nativert
+        from repro.simd.machine import SimdMachine
+
+        from tests.test_kernels import assert_identical
+
+        try:
+            result = convert_source(src, SMALL)
+        except ConversionError:
+            assume(False)
+        prog = result.simd_program()
+        runs = [("kernels", 1), ("kernels", 3)]
+        if nativert.unavailable_reason() is None \
+                and prog.node_count() <= self.NATIVE_MAX_NODES:
+            runs += [("native", 1), ("native", 3)]
+        ref = SimdMachine(npes=5, costs=result.options.costs,
+                          backend="interp").run(prog)
+        for backend, shards in runs:
+            res = SimdMachine(npes=5, costs=result.options.costs,
+                              backend=backend, shards=shards).run(prog)
+            assert res.backend_used == backend
+            assert_identical(res, ref, (backend, shards))
+
+    @given(src=programs())
+    @settings(max_examples=8, **COMMON_SETTINGS)
+    def test_programs(self, src):
+        self.check(src)
+
+    @given(src=shared_programs())
+    @settings(max_examples=12, **COMMON_SETTINGS)
+    def test_mono_and_router_programs(self, src):
+        self.check(src)
