@@ -10,13 +10,13 @@ test:
 props:
 	$(PY) -m pytest tests/test_properties.py tests/test_csi_exact.py -q
 
-# Backend benchmark (all four executors on one shard, plus kernels and
+# Backend benchmark (all three executors on one shard, plus kernels and
 # native at 4 shards, over the workload library + the 16K-PE scaling
-# check); writes BENCH_9.json and fails if the fused kernels are
-# slower than the plan executor, if the native C kernels are slower
-# than the NumPy kernels (when a toolchain is available), if kernels /
-# native at 4 shards miss their speedup gates (>= 4-CPU hosts;
-# skip_reason recorded otherwise), if simulated cycles regressed
+# check); writes BENCH_9.json and fails if the fused kernels are under
+# 2.5x faster than the interpretive oracle, if the native C kernels
+# are slower than the NumPy kernels (when a toolchain is available),
+# if kernels / native at 4 shards miss their speedup gates (>= 4-CPU
+# hosts; skip_reason recorded otherwise), if simulated cycles regressed
 # against the latest prior BENCH_*.json, if warm lazy execution is
 # over 1.10x eager, or if the frontier verifier or the absint
 # fixpoint misses its wall-time gate.

@@ -137,8 +137,8 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
                    help="SIMD executor: cffi-compiled C kernels (falls "
                         "back to kernels when no C toolchain is "
                         "present), fused generated NumPy kernels "
-                        "(default), the precompiled plan tables, or the "
-                        "interpretive reference — identical results")
+                        "(default), or the interpretive reference — "
+                        "identical results")
     p.add_argument("--shards", type=int, default=None,
                    help="PE-axis shard count for the native and kernels "
                         "backends (default $REPRO_SHARDS, else 1: the "

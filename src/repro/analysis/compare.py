@@ -64,7 +64,7 @@ def compare_msc_vs_interpreter(name: str, result: ConversionResult,
     MIMD oracle. Raises :class:`~repro.errors.MscError` if either
     scheme diverges from the oracle — a comparison of wrong answers is
     worthless. ``backend`` picks the SIMD executor (native / kernels /
-    plan / interp) and ``shards`` its PE-axis shard count, as in
+    interp) and ``shards`` its PE-axis shard count, as in
     :func:`~repro.pipeline.simulate_simd`."""
     simd = simulate_simd(result, npes=npes, active=active, max_steps=max_steps,
                          backend=backend, shards=shards)

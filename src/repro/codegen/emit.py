@@ -93,7 +93,7 @@ class SimdProgram:
     ret_slot: int | None
     compressed: bool
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
-    #: Compiled execution plan (see :mod:`repro.codegen.plan`), built
+    #: Compiled plan tables (see :mod:`repro.codegen.plan`), built
     #: once per program and cached; pure derived data.
     _plan: object = field(default=None, repr=False, compare=False)
     #: Fused per-node kernels (see :mod:`repro.codegen.kernels`):
@@ -111,8 +111,9 @@ class SimdProgram:
 
     def plan(self):
         """The precompiled :class:`~repro.codegen.plan.ProgramPlan` for
-        this program — dense guard/terminator/bit-weight tables that
-        the SIMD machine's hot path executes. Compiled on first use and
+        this program — the dense guard, depth and terminator tables the
+        kernel lowering reads, and the bit weights and shardable flags
+        the SIMD machine's step loop reads. Compiled on first use and
         cached (the program is immutable once emitted)."""
         if self._plan is None:
             from repro.codegen.plan import compile_plan

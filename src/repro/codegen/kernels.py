@@ -4,11 +4,11 @@ NumPy code for each meta-state automaton node.
 The paper's argument against interpretation — "only the SIMD control
 unit needs to have a copy of the meta-state automaton; PEs merely hold
 data" (section 1.3) — applies to the *host* simulator too: the
-table-driven executor of :mod:`repro.codegen.plan` still walks an
-instruction list through the ~30-way opcode dispatch of
-:func:`repro.simd.vecops.exec_instr_at`, re-enters an ``np.errstate``
-context per instruction, and looks costs up per entry. This module
-removes that last layer of interpretation: for every
+interpretive executor walks an instruction list through the ~30-way
+opcode dispatch of :func:`repro.simd.vecops.exec_instr`, gathers lanes
+and stack pointers per entry, re-enters an ``np.errstate`` context per
+instruction, and looks costs up per entry. This module removes that
+layer of interpretation: for every
 :class:`~repro.codegen.plan.NodePlan` it prints one Python function that
 executes the whole node, then ``compile()``\\ s the module once per
 program. The structure comes from the node's kernel IR
@@ -18,7 +18,7 @@ lane sets and ``rt.union``, ``raise``, literal spelling and
 constant-divisor folding. In the generated code
 
 - **stack rows are literals** — the program-level depth dataflow of
-  :func:`repro.codegen.plan._entry_depth_dataflow` makes every
+  :func:`repro.codegen.plan._program_entry_depths` makes every
   operand-stack depth a compile-time constant, so ``stack[3, lanes]``
   replaces depth arithmetic (mixed-depth CSI entries gather through a
   precomputed per-bid table);
@@ -49,7 +49,7 @@ constant-divisor folding. In the generated code
 
 The kernels change *nothing* about results or the simulated cost
 model: ``SimdMachine`` produces bit-identical :class:`SimdResult`\\ s
-across the ``kernels`` / ``plan`` / ``interp`` backends. One documented
+across the ``native`` / ``kernels`` / ``interp`` backends. One documented
 divergence exists on *failing* runs only: which of several possible
 :class:`~repro.errors.MachineError`\\ s surfaces first. Overflow checks
 are hoisted to the segment top (a segment that would raise both a
@@ -211,8 +211,8 @@ def compile_kernels(prog) -> KernelProgram | None:
     :class:`~repro.codegen.emit.SimdProgram`) from its kernel IR
     (:meth:`~repro.codegen.emit.SimdProgram.lowering`), or ``None`` when
     the program's static stack depths are unresolvable (hand-built
-    graphs with inconsistent paths) — the machine then stays on the
-    table-driven plan path."""
+    graphs with inconsistent paths) — the machine then falls back to
+    the ``interp`` backend."""
     lowered = prog.lowering()
     if lowered is None:
         return None
@@ -242,7 +242,7 @@ def compile_node_kernel(prog, plan, key, idx: int):
     self-contained module compiling to exactly ``fn`` (what a resumed
     or cache-loaded manager re-execs instead of regenerating), or
     ``None`` when this node cannot be kernelized — the machine then
-    runs it on the table-driven plan path, exactly like an eager
+    runs it on the interpretive segment walk, exactly like an eager
     program whose :class:`KernelProgram` skipped the node."""
     if plan.static_depths is None:
         return None

@@ -58,7 +58,7 @@ from repro.codegen import plan as planmod
 from repro.ir.instr import BINARY_OPS, UNARY_OPS, Op
 
 #: Ops that push one value and therefore carry an overflow check in
-#: :func:`repro.simd.vecops.exec_instr_at` (``_over(1)``).
+#: :func:`repro.simd.vecops.exec_instr` (``_over(1)``).
 PUSHING_OPS = frozenset({Op.PUSH, Op.DUP, Op.LD, Op.LDM, Op.PROCNUM,
                          Op.NPROC, Op.RPOP})
 
@@ -74,7 +74,7 @@ _TERM_KINDS = (planmod.K_FALL, planmod.K_COND, planmod.K_RET,
 
 class KernelUnsupported(Exception):
     """Raised when one node cannot be kernelized; the node simply stays
-    on the table-driven path."""
+    on the interpretive segment walk."""
 
 
 @dataclass(frozen=True, order=True)
@@ -440,7 +440,7 @@ class _Exec:
 
     def step(self, instr, d) -> None:
         """One instruction at depth ``d`` — the semantics and check
-        order of :func:`repro.simd.vecops.exec_instr_at`, minus the
+        order of :func:`repro.simd.vecops.exec_instr`, minus the
         stack traffic."""
         op = instr.op
         if op is Op.PUSH:

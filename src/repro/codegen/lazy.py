@@ -88,8 +88,8 @@ class LazyProgram:
             compressed=self.graph.compressed,
             costs=self.costs,
         )
-        # The machine resolves prog.plan() on its plan paths; point it
-        # at the incremental plan (never compile_plan on a partial
+        # The step loop resolves prog.plan() when no plan is passed;
+        # point it at the incremental plan (never compile_plan on a partial
         # program — its n_bids would be wrong for nodes still to come).
         self.program._plan = self.plan
         self.program._kernels = None
@@ -103,8 +103,8 @@ class LazyProgram:
         self.kernel_sources: dict = {}
         self._kernel_names: dict = {}
         # Nodes whose kernel generation raised KernelUnsupported: they
-        # stay on the table-driven path for good, exactly like an eager
-        # KernelProgram that skipped them.
+        # stay on the interpretive segment walk for good, exactly like
+        # an eager KernelProgram that skipped them.
         self._kernel_failed: set = set()
         self._encoders: dict = {}
         self._lru: OrderedDict = OrderedDict()

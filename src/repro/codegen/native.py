@@ -43,7 +43,7 @@ reconstruct the exact :class:`~repro.errors.MachineError`; simulation
 is deterministic, so the predicate — *whether* a run fails — matches
 the NumPy kernels exactly, only which of several errors surfaces first
 may differ (the same documented divergence the NumPy kernels have
-against the plan executor).
+against the interpretive executor).
 
 Generated functions are **shard-sliceable** under the same contract as
 kernel v2: lane indices are always relative to the ``pc`` pointer the

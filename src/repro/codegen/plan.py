@@ -1,44 +1,38 @@
-"""Precompiled execution plans for the SIMD machine hot path.
+"""Precompiled node tables for the kernel lowering and the step loop.
 
 A :class:`~repro.codegen.emit.SimdProgram` is fixed once emitted — the
 guard of every schedule entry, the terminator of every member, the
 operand-stack depth at every point of every block body, and the bit
 weight of every ``pc`` value are all compile-time constants. The plan
-layer lowers that structure into dense tables once per program so the
-per-meta-step work of the simulator becomes array gathers instead of
-per-entry ``np.isin`` calls and per-member ``isinstance`` chains (the
+layer lowers that structure into dense tables once per program (the
 same fixed-transition-structure observation data-parallel automata
-runners exploit):
+runners exploit). Two consumers read them: the kernel lowering of
+:mod:`repro.codegen.kir`, which turns each node's tables into the
+NumPy and C kernels, and the meta-step loop of
+:class:`~repro.simd.machine.SimdMachine`:
 
-- **entry sources** — each schedule entry is classified as
-  single-member, all-members, or a guard row (a ``pc``-indexed uint8
-  mask); at run time the enabled index set is reused from the
-  per-member lane lists for the first two (the overwhelmingly common
-  cases) and is one small-table gather for the third;
-- **static depths** — the operand-stack depth of every guard member at
-  every entry is precompiled relative to the segment entry, so body
-  execution never reads or scatters the per-PE stack pointers;
-  they are written back once per member at the segment boundary
-  (:func:`repro.simd.vecops.exec_instr_at` is the sp-free twin of
-  ``exec_instr``);
+- **guard members and relative depths** — per schedule entry, the
+  members in its guard and each one's operand-stack depth relative to
+  its segment-entry depth;
 - **terminator tables** — per-member (kind code, on_true, on_false)
-  triples replacing the ``isinstance`` dispatch;
+  triples and the net body stack delta;
+- **absolute entry depths** — one worklist over the per-block
+  ``(delta, kind, on_true, on_false)`` facts resolves every member's
+  operand-stack depth at segment entry to a compile-time constant (the
+  CFG verifier guarantees consistency; spawn children restart at depth
+  0). Each entry's stack row is then a precomputed scalar — or, when a
+  CSI entry is shared by members at different depths, a precomputed
+  per-bid table — so the kernels never read ``st.sp`` during a body;
 - **bit weights** — the ``bid -> 1 << bid`` table (object dtype once
-  ids exceed an int64 word) making ``globalor`` one
+  ids exceed an int64 word) making the step loop's ``globalor`` one
   ``bitwise_or.reduce`` over the live lanes;
-- **absolute entry depths** — a whole-program dataflow over the plan
-  resolves every member's operand-stack depth at segment entry to a
-  compile-time constant (the CFG verifier guarantees consistency; spawn
-  children restart at depth 0). Each entry's stack row is then a
-  precomputed scalar — or, when a CSI entry is shared by members at
-  different depths, a precomputed per-bid table — so neither the plan
-  executor nor the fused kernels (:mod:`repro.codegen.kernels`) ever
-  reads ``st.sp`` during a body.
+- **shardability** — whether a node's work is lane-private, so the
+  step loop may fan it out over PE shards (:mod:`repro.simd.shards`).
 
-Plans change *nothing* about the simulated cost model: the machine
-charges exactly the same cycles per entry and per terminator; only the
-host-side bookkeeping gets cheaper. ``SimdMachine(backend="interp")``
-keeps the original interpretive executor as a differential oracle.
+Plans change *nothing* about the simulated cost model. A node with no
+kernel runs on the interpretive segment walk, and
+``SimdMachine(backend="interp")`` keeps that walk over
+:func:`repro.simd.vecops.exec_instr` as the differential oracle.
 """
 
 from __future__ import annotations
@@ -58,12 +52,6 @@ K_COND = 2
 K_RET = 3
 K_HALT = 4
 K_SPAWN = 5
-
-#: Entry-source codes: where the enabled lane set of a schedule entry
-#: comes from.
-SRC_SINGLE = 0   # one member: reuse its lane list
-SRC_ALL = 1      # every member: reuse the segment's live-lane list
-SRC_SUBSET = 2   # a strict subset: gather the guard row by pc
 
 #: Ops whose effect is visible across lanes: mono writes (broadcast,
 #: highest-indexed writer wins over the whole enabled set) and router
@@ -85,8 +73,6 @@ class SegmentPlan:
 
     member_bids: tuple          # sorted member block ids
     instrs: tuple               # schedule entries' instructions, in order
-    src_modes: tuple            # per entry: SRC_SINGLE / SRC_ALL / SRC_SUBSET
-    src_args: tuple             # per entry: member index | None | uint8 guard row
     guard_members: tuple        # per entry: member indices in its guard
     rel_depths: tuple           # per entry: depth before it, per guard member,
                                 # relative to the member's segment-entry depth
@@ -96,7 +82,7 @@ class SegmentPlan:
     on_false: tuple             # per member: CondBr on_false / spawn cont
     #: Static absolute operand-stack depth of each member at segment
     #: entry (aligned with ``member_bids``), or ``None`` when the
-    #: program-level dataflow could not resolve them (hand-built
+    #: program-level depth walk could not resolve them (hand-built
     #: programs with inconsistent paths).
     entry_depths: tuple | None = None
     #: Per entry: the absolute stack depth before it as a scalar when
@@ -128,7 +114,7 @@ class ProgramPlan:
     bit_weights: np.ndarray         # (n_bids,) 1 << bid; object dtype when wide
     nodes: dict = field(default_factory=dict)  # entry meta state -> NodePlan
     #: ``bid -> absolute stack depth at block entry`` resolved by
-    #: :func:`_entry_depth_dataflow`, or ``None`` when unresolvable.
+    #: :func:`_program_entry_depths`, or ``None`` when unresolvable.
     static_depths: dict | None = None
 
     def stats(self) -> dict:
@@ -138,9 +124,6 @@ class ProgramPlan:
             "plan_nodes": len(self.nodes),
             "plan_segments": len(segments),
             "plan_entries": sum(len(sp.instrs) for sp in segments),
-            "plan_guard_rows": sum(
-                1 for sp in segments for m in sp.src_modes if m == SRC_SUBSET
-            ),
             "plan_static_depths": int(self.static_depths is not None),
             "plan_depth_tables": sum(
                 1 for sp in segments for t in (sp.depth_tables or ())
@@ -156,24 +139,14 @@ def compile_plan(prog) -> ProgramPlan:
     """Compile ``prog`` (a :class:`~repro.codegen.emit.SimdProgram`)
     into a :class:`ProgramPlan`. Pure structure lowering — no cost
     model involved."""
-    n_bids = _max_bid(prog) + 1
-    if n_bids <= 63:
-        weights = np.array([1 << b for b in range(n_bids)], dtype=np.int64)
-    else:
-        # Aggregates wider than a machine word: keep exact Python ints.
-        weights = np.array([1 << b for b in range(n_bids)], dtype=object)
-    plan = ProgramPlan(n_bids=n_bids, bit_weights=weights)
+    plan = _empty_plan(_max_bid(prog) + 1)
     for key, node in prog.nodes.items():
-        segments = [_compile_segment(seg, n_bids) for seg in node.segments]
-        plan.nodes[key] = NodePlan(
-            segments=segments,
-            shardable=_node_shardable(segments),
-        )
-    plan.static_depths = _entry_depth_dataflow(prog, plan)
+        plan.nodes[key] = compile_node_plan(node, plan.n_bids)
+    plan.static_depths = _program_entry_depths(prog, plan)
     if plan.static_depths is not None:
         for nplan in plan.nodes.values():
             for sp in nplan.segments:
-                _attach_static_depths(sp, plan.static_depths, n_bids)
+                _attach_static_depths(sp, plan.static_depths, plan.n_bids)
     return plan
 
 
@@ -183,30 +156,34 @@ def incremental_plan(cfg) -> ProgramPlan:
 
     Eager compiles derive ``n_bids`` from the finished program
     (:func:`_max_bid`); a partial program grows, so the lazy manager
-    sizes the bit-weight and guard tables from the CFG's largest block
+    sizes the bit-weight and depth tables from the CFG's largest block
     id up front (every meta-state member is a CFG block, so the bound
     holds for every node that can ever appear). ``static_depths``
     comes from :func:`cfg_entry_depths`, the whole-CFG twin of
-    :func:`_entry_depth_dataflow`."""
-    n_bids = max(cfg.blocks) + 1
+    :func:`_program_entry_depths`."""
+    plan = _empty_plan(max(cfg.blocks) + 1)
+    plan.static_depths = cfg_entry_depths(cfg)
+    return plan
+
+
+def _empty_plan(n_bids: int) -> ProgramPlan:
     if n_bids <= 63:
         weights = np.array([1 << b for b in range(n_bids)], dtype=np.int64)
     else:
+        # Aggregates wider than a machine word: keep exact Python ints.
         weights = np.array([1 << b for b in range(n_bids)], dtype=object)
-    plan = ProgramPlan(n_bids=n_bids, bit_weights=weights)
-    plan.static_depths = cfg_entry_depths(cfg)
-    return plan
+    return ProgramPlan(n_bids=n_bids, bit_weights=weights)
 
 
 def compile_node_plan(node, n_bids: int,
                       static_depths: dict | None = None) -> NodePlan:
     """Compile the :class:`NodePlan` of a single emitted node — the
-    per-node twin of :func:`compile_plan` that lazy compilation calls
+    per-node step of :func:`compile_plan`, which lazy compilation calls
     as the runtime discovers nodes. ``static_depths`` is the
     program-wide (or CFG-wide, see :func:`cfg_entry_depths`) entry
     depth map; when given, the per-entry depth scalars/tables are
     attached exactly as the eager path does."""
-    segments = [_compile_segment(seg, n_bids) for seg in node.segments]
+    segments = [_compile_segment(seg) for seg in node.segments]
     nplan = NodePlan(segments=segments, shardable=_node_shardable(segments))
     if static_depths is not None:
         for sp in segments:
@@ -216,43 +193,76 @@ def compile_node_plan(node, n_bids: int,
 
 def cfg_entry_depths(cfg) -> dict | None:
     """Resolve ``bid -> absolute operand-stack depth at block entry``
-    from the CFG alone, before any meta state exists.
+    from the CFG alone, before any meta state exists — the lazy-mode
+    twin of :func:`_program_entry_depths`.
 
-    This is the lazy-mode twin of :func:`_entry_depth_dataflow`: the
-    plan segments mirror the CFG blocks instruction for instruction
+    The plan segments mirror the CFG blocks instruction for instruction
     (each member's schedule entries are exactly its block's code), so
-    propagating each block's net stack delta through the terminators
-    (Fall keeps the final depth, CondBr pops the condition, spawn
-    children restart at 0) yields the same fixpoint the eager dataflow
-    reaches over the finished plan. Returns ``None`` when any block is
-    reachable at two different depths or a depth goes negative."""
-    deltas = {
-        bid: sum(instr.stack_delta() for instr in blk.code)
+    walking each block's net stack delta through its terminator reaches
+    the same fixpoint as the walk over the finished plan. Returns
+    ``None`` when any block is reachable at two different depths or a
+    depth goes negative."""
+    facts = {
+        bid: ((sum(instr.stack_delta() for instr in blk.code),
+               *_term_fact(blk.terminator)),)
         for bid, blk in cfg.blocks.items()
     }
-    depths: dict[int, int] = {cfg.entry: 0}
-    work = [cfg.entry]
+    return _walk_entry_depths((cfg.entry,), facts)
+
+
+def _program_entry_depths(prog, plan: ProgramPlan) -> dict | None:
+    """Resolve the absolute operand-stack depth at entry of every member
+    block of ``prog`` from the facts of its segment plans.
+
+    Returns ``bid -> depth`` covering every member of every segment, or
+    ``None`` when :func:`_walk_entry_depths` fails or some member is
+    never reached (only possible for hand-built programs — CFG-verified
+    compiles are always consistent)."""
+    facts: dict[int, set] = {}
+    for nplan in plan.nodes.values():
+        for sp in nplan.segments:
+            for j, bid in enumerate(sp.member_bids):
+                facts.setdefault(bid, set()).add(
+                    (sp.total_delta[j], sp.kinds[j], sp.on_true[j],
+                     sp.on_false[j]))
+    depths = _walk_entry_depths(prog.start, facts)
+    if depths is None or not facts.keys() <= depths.keys():
+        return None
+    return depths
+
+
+def _walk_entry_depths(start, facts: dict) -> dict | None:
+    """The entry-depth worklist shared by both resolvers: from depth 0
+    at every ``start`` block, follow each reached block's ``(delta,
+    kind, on_true, on_false)`` facts (a block of a hand-built program
+    may carry several distinct ones) — Fall keeps the body's final depth,
+    CondBr pops the condition, spawn children restart at 0 (they are
+    fresh PEs), and Return / Halt have no live successor. Returns
+    ``bid -> depth`` for every reached block, or ``None`` when a block
+    is reached at two different depths or a depth goes negative."""
+    depths = dict.fromkeys(start, 0)
+    work = list(depths)
     while work:
         bid = work.pop()
-        fin = depths[bid] + deltas[bid]
-        term = cfg.blocks[bid].terminator
-        if isinstance(term, Fall):
-            targets = ((term.target, fin),)
-        elif isinstance(term, CondBr):
-            targets = ((term.on_true, fin - 1), (term.on_false, fin - 1))
-        elif isinstance(term, SpawnT):
-            targets = ((term.child, 0), (term.cont, fin))
-        else:  # Return / Halt: no live successor
-            targets = ()
-        for t, td in targets:
-            if td < 0:
-                return None
-            prev = depths.get(t)
-            if prev is None:
-                depths[t] = td
-                work.append(t)
-            elif prev != td:
-                return None
+        for delta, kind, on_true, on_false in facts.get(bid, ()):
+            fin = depths[bid] + delta
+            if kind == K_FALL:
+                targets = ((on_true, fin),)
+            elif kind == K_COND:
+                targets = ((on_true, fin - 1), (on_false, fin - 1))
+            elif kind == K_SPAWN:
+                targets = ((on_true, 0), (on_false, fin))
+            else:
+                targets = ()
+            for t, td in targets:
+                if td < 0:
+                    return None
+                prev = depths.get(t)
+                if prev is None:
+                    depths[t] = td
+                    work.append(t)
+                elif prev != td:
+                    return None
     return depths
 
 
@@ -266,56 +276,6 @@ def _node_shardable(segments: list[SegmentPlan]) -> bool:
         if K_SPAWN in sp.kinds:
             return False
     return True
-
-
-def _entry_depth_dataflow(prog, plan: ProgramPlan) -> dict | None:
-    """Resolve the absolute operand-stack depth at entry of every member
-    block by propagating from the start state through the terminator
-    tables (Fall keeps the body's final depth, CondBr pops the
-    condition, spawn children restart at 0 — they are fresh PEs).
-
-    Returns ``bid -> depth`` covering every member of every segment, or
-    ``None`` when any block is reached at two different depths, a depth
-    goes negative, or some member is never reached (only possible for
-    hand-built programs — CFG-verified compiles are always consistent).
-    """
-    depths: dict[int, int] = {bid: 0 for bid in prog.start}
-    changed = True
-    while changed:
-        changed = False
-        for nplan in plan.nodes.values():
-            for sp in nplan.segments:
-                for j, bid in enumerate(sp.member_bids):
-                    d = depths.get(bid)
-                    if d is None:
-                        continue
-                    fin = d + sp.total_delta[j]
-                    kind = sp.kinds[j]
-                    if kind == K_FALL:
-                        targets = ((sp.on_true[j], fin),)
-                    elif kind == K_COND:
-                        targets = ((sp.on_true[j], fin - 1),
-                                   (sp.on_false[j], fin - 1))
-                    elif kind == K_SPAWN:
-                        targets = ((sp.on_true[j], 0),
-                                   (sp.on_false[j], fin))
-                    else:  # K_RET / K_HALT: no live successor
-                        targets = ()
-                    for t, td in targets:
-                        if td < 0:
-                            return None
-                        prev = depths.get(t)
-                        if prev is None:
-                            depths[t] = td
-                            changed = True
-                        elif prev != td:
-                            return None
-    for nplan in plan.nodes.values():
-        for sp in nplan.segments:
-            for bid in sp.member_bids:
-                if bid not in depths:
-                    return None
-    return depths
 
 
 def _attach_static_depths(sp: SegmentPlan, depths: dict,
@@ -344,81 +304,54 @@ def _attach_static_depths(sp: SegmentPlan, depths: dict,
     sp.depth_tables = tuple(tables)
 
 
-def _compile_segment(seg, n_bids: int) -> SegmentPlan:
+def _term_fact(term) -> tuple[int, int, int]:
+    """``(kind code, on_true, on_false)`` of a block terminator."""
+    if isinstance(term, Fall):
+        return K_FALL, term.target, 0
+    if isinstance(term, CondBr):
+        return K_COND, term.on_true, term.on_false
+    if isinstance(term, Return):
+        return K_RET, 0, 0
+    if isinstance(term, Halt):
+        return K_HALT, 0, 0
+    if isinstance(term, SpawnT):
+        return K_SPAWN, term.child, term.cont
+    raise AssertionError(f"unknown terminator {term!r}")
+
+
+def _compile_segment(seg) -> SegmentPlan:
     members = tuple(sorted(seg.members))
     index_of = {bid: j for j, bid in enumerate(members)}
-    all_set = frozenset(members)
 
-    src_modes = []
-    src_args = []
     guard_members = []
     rel_depths = []
     depth = {bid: 0 for bid in members}
     for entry in seg.schedule.entries:
         guards = sorted(entry.guards)
-        if len(guards) == 1:
-            src_modes.append(SRC_SINGLE)
-            src_args.append(index_of[guards[0]])
-        elif entry.guards == all_set:
-            src_modes.append(SRC_ALL)
-            src_args.append(None)
-        else:
-            row = np.zeros(n_bids + 1, dtype=np.uint8)
-            row[list(guards)] = 1
-            src_modes.append(SRC_SUBSET)
-            src_args.append(row)
         guard_members.append(tuple(index_of[b] for b in guards))
         rel_depths.append(tuple(depth[b] for b in guards))
         delta = entry.instr.stack_delta()
         for b in guards:
             depth[b] += delta
 
-    kinds = []
-    on_true = []
-    on_false = []
+    terms = []
     for bid in members:
         term, is_barrier = seg.terminators[bid]
-        if is_barrier:
-            # Executing the barrier state itself = everyone arrived;
-            # proceed through its single exit.
-            assert isinstance(term, Fall)
-            kinds.append(K_FALL)
-            on_true.append(term.target)
-            on_false.append(0)
-        elif isinstance(term, Fall):
-            kinds.append(K_FALL)
-            on_true.append(term.target)
-            on_false.append(0)
-        elif isinstance(term, CondBr):
-            kinds.append(K_COND)
-            on_true.append(term.on_true)
-            on_false.append(term.on_false)
-        elif isinstance(term, Return):
-            kinds.append(K_RET)
-            on_true.append(0)
-            on_false.append(0)
-        elif isinstance(term, Halt):
-            kinds.append(K_HALT)
-            on_true.append(0)
-            on_false.append(0)
-        elif isinstance(term, SpawnT):
-            kinds.append(K_SPAWN)
-            on_true.append(term.child)
-            on_false.append(term.cont)
-        else:
-            raise AssertionError(f"unknown terminator {term!r}")
+        # Executing the barrier state itself = everyone arrived;
+        # proceed through its single exit.
+        assert not is_barrier or isinstance(term, Fall)
+        terms.append(_term_fact(term))
+    kinds, on_true, on_false = zip(*terms)
 
     return SegmentPlan(
         member_bids=members,
         instrs=tuple(e.instr for e in seg.schedule.entries),
-        src_modes=tuple(src_modes),
-        src_args=tuple(src_args),
         guard_members=tuple(guard_members),
         rel_depths=tuple(rel_depths),
         total_delta=tuple(depth[bid] for bid in members),
-        kinds=tuple(kinds),
-        on_true=tuple(on_true),
-        on_false=tuple(on_false),
+        kinds=kinds,
+        on_true=on_true,
+        on_false=on_false,
     )
 
 

@@ -269,13 +269,13 @@ def simulate_simd(result: ConversionResult, npes: int, *,
     the free pool for ``spawn`` to claim); default all. ``backend``
     picks the executor: ``"kernels"`` (fused generated code, the
     default), ``"native"`` (cffi-compiled C kernels, falling back to
-    ``"kernels"`` with a warning when no toolchain is available),
-    ``"plan"`` (dense-table executor), or ``"interp"`` (the
-    interpretive reference) — bit-identical results across all four;
-    the returned result's ``backend_used`` records which one actually
-    ran (a downgrade also warns). ``shards`` splits the PE axis of a
-    ``kernels`` or ``native`` run over that many worker threads
-    (default ``$REPRO_SHARDS``, else 1). The precompiled plan, the
+    ``"kernels"`` with a warning when no toolchain is available), or
+    ``"interp"`` (the interpretive reference) — bit-identical results
+    across all three; the returned result's ``backend_used`` records
+    which one actually ran (a downgrade also warns). ``shards`` splits
+    the PE axis of a ``kernels`` or ``native`` run over that many
+    worker threads (default ``$REPRO_SHARDS``, else 1). The
+    precompiled plan, the
     generated kernel source, and the generated C source travel with
     the program artifact, so repeated (and warm-cache) runs never
     rebuild them (the native shared library is host-local, built once

@@ -3,7 +3,7 @@
 The generated modules of :mod:`repro.codegen.kernels` import this as
 ``rt``. Everything here is deliberately tiny: the kernels inline the
 instruction semantics themselves (mirroring
-:func:`repro.simd.vecops.exec_instr_at` expression for expression), and
+:func:`repro.simd.vecops.exec_instr` expression for expression), and
 only the few helpers that would bloat every generated function live
 here.
 
@@ -39,7 +39,7 @@ def f64(bits: int) -> float:
 
 def union(n: int, *lanes: np.ndarray) -> np.ndarray:
     """Ascending union of disjoint, sorted lane index arrays over ``n``
-    PEs (the fused twin of ``SimdMachine._live_member_lanes``).
+    PEs.
 
     The ascending order is load-bearing: router write conflicts resolve
     to the highest-indexed writer (see :mod:`repro.simd.vecops`)."""
@@ -65,7 +65,7 @@ def overflow_scan(depth: int, entries: tuple, sizes: tuple) -> None:
     for every pushing entry; ``sizes`` is the per-member live lane
     count. The first entry with live lanes needing more rows than
     ``depth`` raises — the same error, for the same instruction, the
-    table-driven executor would have raised mid-body."""
+    interpretive executor would have raised mid-body."""
     for name, reqs in entries:
         rows = 0
         for m, r in reqs:

@@ -53,8 +53,8 @@ class SimdResult:
     the requested backend unless the machine had to fall back (trace
     enabled, no C toolchain, no compiled kernels, or a foreign cost
     model — each downgrade also emits a :class:`RuntimeWarning`).
-    ``shards`` is the shard count the run used: always 1 for ``plan``
-    and ``interp``, and 1 when the small-node guard demoted a sharded
+    ``shards`` is the shard count the run used: always 1 for
+    ``interp``, and 1 when the small-node guard demoted a sharded
     request (:func:`repro.simd.shards.inline_threshold`).
     """
 
@@ -87,16 +87,17 @@ class SimdResult:
         return self.transition_cycles / self.cycles
 
 
-#: The selectable node-body executors, fastest first — all four
+#: The selectable node-body executors, fastest first — all three
 #: produce bit-identical :class:`SimdResult`\s. ``native`` runs
 #: cffi-compiled C kernels (:mod:`repro.codegen.native`); ``native``
 #: and ``kernels`` also shard the PE axis across a worker pool when
 #: given ``shards > 1`` (:mod:`repro.simd.shards`).
-BACKENDS = ("native", "kernels", "plan", "interp")
+BACKENDS = ("native", "kernels", "interp")
 
 #: Where a backend falls back when it cannot run a program here (see
-#: :meth:`SimdMachine._unavailable`); ``plan`` and ``interp`` always run.
-FALLBACK = {"native": "kernels", "kernels": "plan"}
+#: :meth:`SimdMachine._unavailable`); ``interp``, the oracle, always
+#: runs.
+FALLBACK = {"native": "kernels", "kernels": "interp"}
 
 
 class SimdMachine:
@@ -113,7 +114,7 @@ class SimdMachine:
     stack_depth / rstack_depth:
         Operand and return-selector stack sizes per PE.
     backend:
-        Which executor runs the node bodies — all four produce
+        Which executor runs the node bodies — all three produce
         bit-identical :class:`SimdResult`\\ s:
 
         - ``"native"``: per-node C functions generated by
@@ -128,25 +129,25 @@ class SimdMachine:
           ``"kernels"`` checks below.
         - ``"kernels"`` (default): fused per-node functions generated by
           :mod:`repro.codegen.kernels` — one compiled kernel executes a
-          whole node. Falls back to ``"plan"`` with a
+          whole node. Falls back to ``"interp"`` with a
           :class:`RuntimeWarning` when the kernels are unusable (cost
           model differs from the one the program was emitted with, or
           unresolvable static depths).
-        - ``"plan"``: the table-driven executor of
-          :mod:`repro.codegen.plan`.
-        - ``"interp"``: the original interpretive executor — the
-          differential oracle.
+        - ``"interp"``: the interpretive executor over
+          :func:`repro.simd.vecops.exec_instr` — the differential
+          oracle, and the walk for any node that has no kernel.
 
         Tracing runs ``"native"`` and ``"kernels"`` requests on
-        ``"plan"`` (they record no per-PE trace), also with a warning;
-        :attr:`SimdResult.backend_used` records what actually ran.
+        ``"interp"`` (they record no per-PE trace), also with a
+        warning; :attr:`SimdResult.backend_used` records what actually
+        ran.
     shards:
         PE-axis shard count for ``"kernels"`` and ``"native"``: every
         shardable node runs on that many contiguous slices of the PE
         axis on a worker pool (:mod:`repro.simd.shards`). Default
         ``None`` means ``$REPRO_SHARDS``, else 1 (the serial path); the
-        count is clamped to ``npes``. ``"plan"`` and ``"interp"`` run
-        one shard (an explicit ``shards > 1`` warns).
+        count is clamped to ``npes``. ``"interp"`` runs one shard (an
+        explicit ``shards > 1`` warns).
     """
 
     BACKENDS = BACKENDS
@@ -169,7 +170,7 @@ class SimdMachine:
         self.trace_enabled = trace
         self.backend = backend
         self.nshards = shardsmod.resolve_shard_count(shards, npes)
-        if backend in ("plan", "interp"):
+        if backend == "interp":
             if shards is not None and shards > 1:
                 warnings.warn(
                     f"shards={shards} has no effect with the {backend!r} "
@@ -187,9 +188,10 @@ class SimdMachine:
 
         ``plan`` supplies a precompiled
         :class:`~repro.codegen.plan.ProgramPlan` for ``prog`` (e.g. the
-        one the stage pipeline produced and cached); when omitted the
-        program's own cached plan is used — either way nothing is
-        rebuilt per run. The ``interp`` backend ignores it.
+        one the stage pipeline produced and cached), whose shardable
+        flags and ``globalor`` bit weights the step loop reads; when
+        omitted the program's own cached plan is used — either way
+        nothing is rebuilt per run. The ``interp`` backend ignores it.
 
         ``miss_handler`` enables lazy conversion: a
         :class:`~repro.codegen.lazy.LazyProgram` whose ``fetch(state,
@@ -235,15 +237,15 @@ class SimdMachine:
 
     def _resolve(self, prog: SimdProgram, miss_handler=None):
         """The backend that will actually run ``prog`` and its per-node
-        callables (``None`` for ``plan`` and ``interp``) — warning on
-        every downgrade along :data:`FALLBACK`, so a fallback can never
-        mislabel a run."""
+        callables (``None`` for ``interp``) — warning on every downgrade
+        along :data:`FALLBACK`, so a fallback can never mislabel a
+        run."""
         backend = self.backend
         if self.trace_enabled and backend in FALLBACK:
             warnings.warn(
                 f"backend {backend!r} records no per-PE trace; running "
-                f"'plan' instead", RuntimeWarning, stacklevel=3)
-            return "plan", None
+                f"'interp' instead", RuntimeWarning, stacklevel=3)
+            return "interp", None
         while backend in FALLBACK:
             reason = self._unavailable(backend, prog, miss_handler)
             if reason is None and backend == "kernels":
@@ -327,9 +329,9 @@ class SimdMachine:
         of three executors — its kernel or native callable from ``fns``
         on the full arrays; the same callable fanned out over
         ``nshards`` PE shards (:class:`~repro.simd.shards.ShardFan`,
-        shardable nodes only); or the plan/interp segment walk
-        (:meth:`_exec_node`, also for nodes the C generator skipped) —
-        then charges the transition and dispatches on the ``globalor``
+        shardable nodes only); or the interpretive segment walk
+        (:meth:`_exec_node`, also for nodes with no callable) — then
+        charges the transition and dispatches on the ``globalor``
         aggregate (sections 3.2.2-3.2.4)."""
         st, pc = self._initial_state(prog, active)
         if backend == "interp":
@@ -364,9 +366,7 @@ class SimdMachine:
             apc = None
             fn = fns.get(current) if fns is not None else None
             if fn is None:
-                b, t, e, exited = self._exec_node(
-                    node, plan.nodes[current] if plan is not None else None,
-                    pc, st, trace, steps)
+                b, t, e, exited = self._exec_node(node, pc, st, trace, steps)
             elif fan is None or not plan.nodes[current].shardable:
                 # Full width: serial runs, and the cross-lane nodes
                 # (mono store, router, spawn) of sharded ones.
@@ -439,24 +439,18 @@ class SimdMachine:
             trace=trace,
         )
 
-    def _exec_node(self, node, nplan: "planmod.NodePlan | None",
-                   pc: np.ndarray, st: vecops.PeState,
+    def _exec_node(self, node, pc: np.ndarray, st: vecops.PeState,
                    trace: dict | None = None,
                    step: int = 0) -> tuple[int, int, int, bool]:
-        """The plan/interp segment walk over one whole node, with the
+        """The interpretive segment walk over one whole node, with the
         kernel return convention ``(body, transition, enabled,
-        exited)``: each segment runs on its plan tables, or
-        interpretively when ``nplan`` is ``None``, and a segment that
-        can exit pays one ``globalor`` to test for a live PE."""
+        exited)``: a segment that can exit pays one ``globalor`` to
+        test for a live PE."""
         body = 0
         tcost = 0
         enabled = 0
-        for i, seg in enumerate(node.segments):
-            if nplan is not None:
-                c, e = self._exec_segment_plan(nplan.segments[i], pc, st,
-                                               trace, step)
-            else:
-                c, e = self._exec_segment(seg, pc, st, trace, step)
+        for seg in node.segments:
+            c, e = self._exec_segment(seg, pc, st, trace, step)
             body += c
             enabled += e
             if seg.can_exit:
@@ -471,7 +465,8 @@ class SimdMachine:
 
         With a compiled plan this is one gather through the
         precomputed bit-weight table plus a ``bitwise_or`` reduction;
-        the pre-plan path stays as the slow reference."""
+        without one (``interp``) a loop over the distinct live pcs
+        stays as the slow reference."""
         live = pc[pc >= 0]
         if live.size == 0:
             return 0
@@ -481,132 +476,6 @@ class SimdMachine:
         for bid in np.unique(live):
             apc |= 1 << int(bid)
         return apc
-
-    def _exec_segment_plan(self, sp: planmod.SegmentPlan, pc: np.ndarray,
-                           st: vecops.PeState, trace: dict | None = None,
-                           step: int = 0) -> tuple[int, int]:
-        """Plan-compiled segment execution: identical semantics and
-        cycle accounting to :meth:`_exec_segment`, but enable sets are
-        reused from per-member lane lists, body stack depths come from
-        the precompiled tables (no per-instruction ``sp`` traffic), and
-        terminators dispatch on precompiled kind codes."""
-        cycles = 0
-        enabled = 0
-        members = sp.member_bids
-        lanes = [np.flatnonzero(pc == bid) for bid in members]
-        if trace is not None:
-            for j, bid in enumerate(members):
-                for pe in lanes[j]:
-                    trace[int(pe)].append((bid, step))
-        # Operand-stack depth of each member at segment entry: every
-        # lane of a member shares it (CFG-verified invariant).
-        base = [int(st.sp[l[0]]) if l.size else 0 for l in lanes]
-
-        # Body: each schedule entry runs once, on the PEs whose pc bit
-        # is in its guard.
-        if sp.instrs:
-            all_lanes = None
-            for e, instr in enumerate(sp.instrs):
-                mode = sp.src_modes[e]
-                if mode == planmod.SRC_SINGLE:
-                    idxs = lanes[sp.src_args[e]]
-                elif mode == planmod.SRC_ALL:
-                    if all_lanes is None:
-                        all_lanes = self._live_member_lanes(pc, lanes)
-                    idxs = all_lanes
-                else:
-                    row = sp.src_args[e]
-                    live = np.where(pc >= 0, pc, row.shape[0] - 1)
-                    idxs = np.flatnonzero(row[live])
-                c = self.costs.cost(instr)
-                cycles += c
-                enabled += c * idxs.size
-                if idxs.size == 0:
-                    continue
-                if sp.depth_scalars is not None:
-                    # Absolute depths precompiled into the plan: a
-                    # scalar, or a per-bid gather table when members at
-                    # different depths share this entry (dispatch
-                    # chains).
-                    depth = sp.depth_scalars[e]
-                    if depth is None:
-                        depth = sp.depth_tables[e][pc[idxs]]
-                else:
-                    # Static depths unresolved (hand-built programs):
-                    # derive from the segment-entry stack pointers.
-                    gm = sp.guard_members[e]
-                    rel = sp.rel_depths[e]
-                    depths = {base[j] + rel[k] for k, j in enumerate(gm)
-                              if lanes[j].size}
-                    if len(depths) == 1:
-                        depth = depths.pop()
-                    else:
-                        table = np.zeros(max(members) + 1, dtype=np.int64)
-                        for k, j in enumerate(gm):
-                            table[members[j]] = base[j] + rel[k]
-                        depth = table[pc[idxs]]
-                vecops.exec_instr_at(instr, idxs, st, depth)
-
-        # Terminators, one guarded group per member.
-        c = self.costs.branch_cost
-        cycles += c * len(members)
-        new_pc = pc.copy()
-        spawn_requests: list[tuple[np.ndarray, int]] = []
-        for j, bid in enumerate(members):
-            l = lanes[j]
-            enabled += c * l.size
-            if l.size == 0:
-                continue
-            kind = sp.kinds[j]
-            fin = base[j] + sp.total_delta[j]
-            if kind == planmod.K_FALL:
-                new_pc[l] = sp.on_true[j]
-                if fin != base[j]:
-                    st.sp[l] = fin
-            elif kind == planmod.K_COND:
-                if fin < 1:
-                    raise MachineError("branch on empty stack")
-                cond = st.stack[fin - 1, l]
-                st.sp[l] = fin - 1
-                new_pc[l] = np.where(cond != 0, sp.on_true[j],
-                                     sp.on_false[j])
-            elif kind == planmod.K_RET:
-                new_pc[l] = PC_DONE
-            elif kind == planmod.K_HALT:
-                new_pc[l] = PC_IDLE
-                st.reset_pes(l)
-            else:  # K_SPAWN
-                spawn_requests.append((l, sp.on_true[j]))
-                new_pc[l] = sp.on_false[j]
-                if fin != base[j]:
-                    st.sp[l] = fin
-
-        # Spawns activate idle PEs after all pc updates are staged, so a
-        # child cannot be re-claimed within the same segment.
-        for idxs, child in spawn_requests:
-            free = np.flatnonzero(new_pc == PC_IDLE)
-            if free.size < idxs.size:
-                raise MachineError(
-                    "spawn: not enough free PEs (section 3.2.5 requires "
-                    "spawns not to exceed the number of processors)"
-                )
-            children = free[: idxs.size]
-            st.poly[:, children] = st.poly[:, idxs]
-            st.reset_pes(children)
-            new_pc[children] = child
-        pc[:] = new_pc
-        return cycles, enabled
-
-    @staticmethod
-    def _live_member_lanes(pc: np.ndarray,
-                           lanes: list[np.ndarray]) -> np.ndarray:
-        """Ascending union of the (disjoint, sorted) member lane lists."""
-        if len(lanes) == 1:
-            return lanes[0]
-        mask = np.zeros(pc.shape[0], dtype=bool)
-        for l in lanes:
-            mask[l] = True
-        return np.flatnonzero(mask)
 
     def _exec_segment(self, seg, pc: np.ndarray, st: vecops.PeState,
                       trace: dict | None = None,

@@ -22,7 +22,9 @@ program; this module turns that text into callable per-node functions:
   killed via ``REPRO_NATIVE_DISABLE=1``); the machine checks it before
   selecting the backend and falls back to ``kernels`` with a
   ``RuntimeWarning`` when it is set. Build failures raise
-  :class:`NativeBuildError`, which the machine treats the same way.
+  :class:`NativeBuildError`, which the machine treats the same way. An
+  existing artifact that fails to load is deleted and rebuilt once;
+  only a fresh build that still fails to load raises.
 
 A wrapper call hands the C function raw array pointers (row strides in
 elements), so a :class:`~repro.simd.shards.ShardView` — whose column
@@ -191,7 +193,19 @@ def load_native(nat) -> dict:
     so_path = build_shared(nat)
     ffi = cffi.FFI()
     ffi.cdef(nat.cdef())
-    lib = ffi.dlopen(str(so_path))
+    try:
+        lib = ffi.dlopen(str(so_path))
+    except OSError:
+        # A corrupt artifact (truncated by a crashed writer or a full
+        # disk) would otherwise fail every later load: drop it and
+        # build once more.
+        so_path.unlink(missing_ok=True)
+        so_path = build_shared(nat)
+        try:
+            lib = ffi.dlopen(str(so_path))
+        except OSError as err:
+            raise NativeBuildError(
+                f"cannot load rebuilt {so_path.name}: {err}") from err
     fns = {key: _make_wrapper(ffi, getattr(lib, name))
            for key, name in nat.entry_names.items()}
     _loaded[nat.digest()] = (ffi, lib, fns)

@@ -8,10 +8,11 @@ machine's guarded groups keep them uniform within the enabled set).
 
 The semantics match :mod:`repro.ir.semantics` bit-for-bit for values
 representable in int64 (the package's numeric model; see DESIGN.md).
-This module is also the semantic reference for the fused kernel
-generator: :mod:`repro.codegen.kernels` inlines these operations
-expression for expression, and ``tests/test_kernels.py`` holds the
-generated code to bit-identical results.
+This module is also the semantic reference for the kernel lowering:
+:mod:`repro.codegen.kir` executes :func:`exec_instr`'s operations
+symbolically, its NumPy and C printers inline them expression for
+expression, and ``tests/test_kernels.py`` / ``tests/test_native.py``
+hold the generated code to bit-identical results.
 
 Deterministic router conflicts: when several enabled PEs ``StR`` to the
 same destination, the highest-indexed writer wins (``idxs`` is kept
@@ -44,9 +45,8 @@ class PeState:
     The PE axis is always the *last* axis, so a contiguous PE range is
     a numpy basic slice — a writable view, not a copy. That layout is
     what lets :class:`~repro.simd.shards.ShardView` hand disjoint
-    slices of one shared state to parallel shard workers; executors
-    must accept any object with these attributes (``exec_instr_at``
-    never touches ``sp``/``rsp`` beyond the view either).
+    slices of one shared state to parallel shard workers; kernels
+    must accept any object with these attributes.
     """
 
     def __init__(self, npes: int, n_poly: int, n_mono: int,
@@ -323,171 +323,6 @@ def exec_instr(instr: Instr, idxs: np.ndarray, st: PeState) -> None:
         st.rsp[idxs] = rspi
         stack[row(0), idxs] = st.rstack[rspi, idxs]
         sp[idxs] = spi + 1
-        return
-    raise AssertionError(f"unhandled opcode {op}")
-
-
-def exec_instr_at(instr: Instr, idxs: np.ndarray, st: PeState,
-                  depth) -> None:
-    """Execute ``instr`` on the PEs in ``idxs`` whose operand-stack
-    depth *before* the instruction is ``depth`` — a Python int when the
-    enabled group shares one depth (the common case), else a per-PE
-    vector aligned with ``idxs``.
-
-    Unlike :func:`exec_instr` this never reads or writes ``st.sp``:
-    plan-compiled execution tracks depths statically (they are
-    compile-time constants of the schedule) and writes the stack
-    pointers back once per segment. Semantics, determinism rules, and
-    error conditions are identical.
-    """
-    if idxs.size == 0:
-        return
-    op = instr.op
-    stack = st.stack
-    if isinstance(depth, np.ndarray):
-        lo = int(depth.min())
-        hi = int(depth.max())
-    else:
-        lo = hi = depth
-
-    def _under():
-        raise MachineError(f"operand stack underflow executing {op.value}")
-
-    def _over(room):
-        if hi + room > stack.shape[0]:
-            raise MachineError(
-                f"operand stack overflow executing {op.value}"
-            )
-
-    if op in BINARY_OPS:
-        if lo < 2:
-            _under()
-        b = stack[depth - 1, idxs]
-        a = stack[depth - 2, idxs]
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack[depth - 2, idxs] = _binary(op, a, b)
-        return
-    if op in UNARY_OPS:
-        if lo < 1:
-            _under()
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack[depth - 1, idxs] = _unary(op, stack[depth - 1, idxs])
-        return
-    if op is Op.PUSH:
-        _over(1)
-        stack[depth, idxs] = float(instr.arg)
-        return
-    if op is Op.POP:
-        if lo < int(instr.arg):
-            _under()
-        return
-    if op is Op.SWAP:
-        if lo < 2:
-            _under()
-        a = stack[depth - 1, idxs]
-        stack[depth - 1, idxs] = stack[depth - 2, idxs]
-        stack[depth - 2, idxs] = a
-        return
-    if op is Op.DUP:
-        if lo < 1:
-            _under()
-        _over(1)
-        stack[depth, idxs] = stack[depth - 1, idxs]
-        return
-    if op is Op.LD:
-        _over(1)
-        stack[depth, idxs] = st.poly[int(instr.arg), idxs]
-        return
-    if op is Op.ST:
-        if lo < 1:
-            _under()
-        st.poly[int(instr.arg), idxs] = stack[depth - 1, idxs]
-        return
-    if op is Op.LDM:
-        _over(1)
-        stack[depth, idxs] = st.mono[int(instr.arg)]
-        return
-    if op is Op.STM:
-        if lo < 1:
-            _under()
-        values = stack[depth - 1, idxs]
-        # A mono store broadcasts; with several enabled writers the
-        # highest-indexed PE's value wins (deterministic rule).
-        st.mono[int(instr.arg)] = values[-1]
-        return
-    if op is Op.LDR:
-        if lo < 1:
-            _under()
-        targets = stack[depth - 1, idxs].astype(np.int64)
-        if np.any((targets < 0) | (targets >= st.npes)):
-            raise MachineError("parallel read from out-of-range PE")
-        stack[depth - 1, idxs] = st.poly[int(instr.arg), targets]
-        return
-    if op is Op.STR:
-        if lo < 2:
-            _under()
-        targets = stack[depth - 1, idxs].astype(np.int64)
-        values = stack[depth - 2, idxs]
-        if np.any((targets < 0) | (targets >= st.npes)):
-            raise MachineError("parallel write to out-of-range PE")
-        st.poly[int(instr.arg), targets] = values
-        return
-    if op in (Op.LDI, Op.LDMI):
-        if lo < 1:
-            _under()
-        eidx = stack[depth - 1, idxs].astype(np.int64)
-        _check_bounds(eidx, instr)
-        base = int(instr.arg)
-        if op is Op.LDI:
-            stack[depth - 1, idxs] = st.poly[base + eidx, idxs]
-        else:
-            stack[depth - 1, idxs] = st.mono[base + eidx]
-        return
-    if op in (Op.STI, Op.STMI):
-        if lo < 2:
-            _under()
-        eidx = stack[depth - 1, idxs].astype(np.int64)
-        _check_bounds(eidx, instr)
-        values = stack[depth - 2, idxs]
-        base = int(instr.arg)
-        if op is Op.STI:
-            st.poly[base + eidx, idxs] = values
-        else:
-            # Broadcast store; colliding elements resolve to the
-            # highest-indexed writer (fancy-assignment order).
-            st.mono[base + eidx] = values
-        return
-    if op is Op.PROCNUM:
-        _over(1)
-        stack[depth, idxs] = st.pids[idxs]
-        return
-    if op is Op.NPROC:
-        _over(1)
-        stack[depth, idxs] = float(st.npes)
-        return
-    if op is Op.SEL:
-        if lo < 3:
-            _under()
-        b = stack[depth - 1, idxs]
-        a = stack[depth - 2, idxs]
-        c = stack[depth - 3, idxs]
-        stack[depth - 3, idxs] = np.where(c != 0, a, b)
-        return
-    if op is Op.RPUSH:
-        rspi = st.rsp[idxs]
-        if int(rspi.max()) >= st.rstack.shape[0]:
-            raise MachineError("return-selector stack overflow")
-        st.rstack[rspi, idxs] = float(instr.arg)
-        st.rsp[idxs] = rspi + 1
-        return
-    if op is Op.RPOP:
-        rspi = st.rsp[idxs]
-        if int(rspi.min()) < 1:
-            raise MachineError("return-selector stack underflow")
-        _over(1)
-        rspi = rspi - 1
-        st.rsp[idxs] = rspi
-        stack[depth, idxs] = st.rstack[rspi, idxs]
         return
     raise AssertionError(f"unhandled opcode {op}")
 

@@ -17,7 +17,7 @@ The stages, in order::
               (time splitting restarts the conversion inside this stage)
     opt-meta  automaton             -> StraightenedGraph (repro.opt passes)
     encode    CFG + chains          -> SimdProgram (CSI + hash encoding)
-    plan      SimdProgram           -> ProgramPlan (dense executor tables)
+    plan      SimdProgram           -> ProgramPlan (dense node tables)
     kernels   ProgramPlan           -> KernelProgram (fused per-node code)
     native    ProgramPlan           -> NativeProgram (per-node C source;
               compiled to a shared library lazily at run time)

@@ -2,9 +2,9 @@
 
 ``SimdMachine(backend="kernels")`` runs one generated, compiled
 function per automaton node (:mod:`repro.codegen.kernels`); the
-``plan`` (dense tables) and ``interp`` (interpretive reference)
-backends stay available as differential oracles. The kernels are a
-host-side optimization: every accounting field of
+``interp`` backend (the interpretive reference) stays available as the
+differential oracle, and runs every node that has no kernel. The
+kernels are a host-side optimization: every accounting field of
 :class:`~repro.simd.machine.SimdResult` must be bit-identical across
 the backends (``native`` too, where a C toolchain is available), and
 the generated source must travel with the program artifact through
@@ -75,16 +75,18 @@ class TestDifferential:
         runs = run_backends(result, 1)
         assert_identical(runs["kernels"], runs["interp"], "single_pe")
 
-    def test_trace_falls_back_to_plan(self):
+    def test_trace_falls_back_to_interp(self):
         # Kernels record no per-PE trace; with trace=True the machine
-        # must run the plan path and still produce the oracle's trace.
+        # must run the interp walk and still produce the oracle's trace.
         result = convert_source(STANDARD["divergent_loops"]())
         prog = result.simd_program()
-        with pytest.warns(RuntimeWarning, match="no per-PE trace"):
+        with pytest.warns(RuntimeWarning,
+                          match="no per-PE trace; running 'interp'"):
             a = SimdMachine(npes=8, costs=result.options.costs, trace=True,
                             backend="kernels").run(prog)
         b = SimdMachine(npes=8, costs=result.options.costs, trace=True,
                         backend="interp").run(prog)
+        assert a.backend_used == "interp"
         assert a.trace is not None
         assert a.trace == b.trace
         assert_identical(a, b, "trace")
@@ -101,9 +103,11 @@ class TestDifferential:
         costs = replace(DEFAULT_COSTS,
                         globalor_cost=DEFAULT_COSTS.globalor_cost + 3)
         prog = result.simd_program()
-        with pytest.warns(RuntimeWarning, match="cost model"):
+        with pytest.warns(RuntimeWarning,
+                          match="cost model.*running 'interp' instead"):
             a = SimdMachine(npes=8, costs=costs, backend="kernels").run(prog)
         b = SimdMachine(npes=8, costs=costs, backend="interp").run(prog)
+        assert a.backend_used == "interp"
         assert_identical(a, b, "foreign_costs")
         # The folded-cost kernels would have produced different cycles.
         k = SimdMachine(npes=8, costs=result.options.costs,
@@ -137,6 +141,60 @@ class TestDifferential:
 
         with pytest.raises(MachineError, match="unknown backend"):
             SimdMachine(npes=4, backend="jit")
+
+
+class TestInterpFallback:
+    """Nodes without a callable run on the interp segment walk — all of
+    them when the program has no kernels, some of them in a mixed
+    run."""
+
+    @pytest.mark.parametrize("backend", ("kernels", "native"))
+    def test_no_compiled_kernels(self, backend):
+        # What compile_kernels / compile_native leave for a program
+        # whose static stack depths are unresolvable.
+        result = convert_source(STANDARD["divergent_loops"]())
+        prog = result.simd_program()
+        prog._kernels = None
+        prog._native = None
+        machine = SimdMachine(npes=8, costs=result.options.costs,
+                              backend=backend)
+        # native first warns on its own (no native kernels, or no
+        # toolchain here), then kernels falls back.
+        with pytest.warns(RuntimeWarning) as caught:
+            res = machine.run(prog)
+        msgs = [str(w.message) for w in caught]
+        assert len(msgs) == (2 if backend == "native" else 1)
+        assert msgs[-1].startswith("program has no compiled kernels")
+        assert msgs[-1].endswith("running 'interp' instead")
+        assert res.backend_used == "interp"
+        assert res.shards == 1
+        ref = SimdMachine(npes=8, costs=result.options.costs,
+                          backend="interp").run(prog)
+        assert_identical(res, ref, ("no_kernels", backend))
+
+    @pytest.mark.parametrize("name", sorted(STANDARD))
+    @pytest.mark.parametrize("compress", (False, True))
+    def test_mixed_run_bit_identical(self, name, compress):
+        # Every other node loses its kernel, so kernel nodes and interp
+        # walks alternate and hand the stack pointers to each other.
+        src = STANDARD[name]()
+        result = convert_source(src, ConversionOptions(compress=compress))
+        prog = result.simd_program()
+        fns = prog.kernels().fns
+        for key in sorted(fns, key=lambda k: tuple(sorted(k)))[1::2]:
+            del fns[key]
+        for npes in (8, 33):
+            active = npes // 2 if "spawn" in src else None
+            ref = SimdMachine(npes=npes, costs=result.options.costs,
+                              backend="interp").run(prog, active=active)
+            for shards in (1, 3):
+                res = SimdMachine(npes=npes, costs=result.options.costs,
+                                  backend="kernels", shards=shards).run(
+                    prog, active=active)
+                assert res.backend_used == "kernels"
+                assert res.shards == shards
+                assert_identical(res, ref,
+                                 (name, compress, npes, shards))
 
 
 class TestMixedDepthDispatch:

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestConcurrentRuns:
             self, monkeypatch):
         # Each run() resolves its own callables, so a second thread
         # resolving on the same machine cannot swap a running loop's
-        # native kernels for the plan executor under the native label.
+        # native kernels for another executor under the native label.
         result = convert_source(STANDARD["divergent_loops"]())
         prog = result.simd_program()
         lock = threading.Lock()
@@ -223,7 +224,7 @@ class TestFallbacks:
             res = simulate_simd(result, npes=8, backend="native")
         assert res.backend_used == "kernels"
 
-    def test_foreign_cost_model_cascades_to_plan(self):
+    def test_foreign_cost_model_cascades_to_interp(self):
         from dataclasses import replace
 
         from repro.ir.instr import DEFAULT_COSTS
@@ -235,14 +236,16 @@ class TestFallbacks:
         with pytest.warns(RuntimeWarning) as caught:
             res = machine.run(prog)
         # native refuses (foreign costs — or no toolchain here), then
-        # kernels refuses the foreign costs: the plan executor runs
-        # under the machine's model. Each step warns.
+        # kernels refuses the foreign costs: the interp walk runs under
+        # the machine's model. Each step warns.
         msgs = [str(w.message) for w in caught]
         assert len(msgs) == 2
         assert msgs[0].endswith("running 'kernels' instead")
         assert "cost model" in msgs[1]
-        assert msgs[1].endswith("running 'plan' instead")
-        assert res.backend_used == "plan"
+        assert msgs[1].endswith("running 'interp' instead")
+        assert res.backend_used == "interp"
+        ref = SimdMachine(npes=8, costs=other, backend="interp").run(prog)
+        assert_identical(res, ref, "foreign_costs")
 
 
 @requires_toolchain
@@ -270,6 +273,23 @@ class TestArtifactCache:
         monkeypatch.setattr(nativert.subprocess, "run", boom)
         fns = nativert.load_native(nat)
         assert set(fns) == set(nat.entry_names)
+
+    def test_corrupt_artifact_is_rebuilt(self):
+        # A truncated .so (a crashed writer, a full disk) must not fail
+        # this or any later load: it is deleted and built once more.
+        src = "main() { poly int x; x = procnum * 7 + 2; return (x); }"
+        result = convert_source(src)
+        prog = result.simd_program()
+        so = nativert.build_shared(prog.native())
+        so.write_bytes(so.read_bytes()[:100])
+        nativert._loaded.pop(prog.native().digest(), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_native(result, 8)
+        assert res.backend_used == "native"
+        assert so.stat().st_size > 100
+        ref = run_backends(result, 8, backends=("interp",))["interp"]
+        assert_identical(res, ref, "rebuilt")
 
     def test_key_includes_compiler_identity(self, monkeypatch):
         nat = convert_source(STANDARD["divergent_loops"]()) \

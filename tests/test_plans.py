@@ -1,71 +1,22 @@
-"""Differential tests for the plan-compiled SIMD executor.
+"""Structure tests for the precompiled plan tables.
 
-`SimdMachine(backend="plan")` runs the precompiled tables of
-:mod:`repro.codegen.plan`; `backend="interp"` is the original
-interpretive executor kept as the oracle. Every accounting field of
-:class:`~repro.simd.machine.SimdResult` must be bit-identical between
-the two — the plan layer is a host-side optimization and must not
-perturb the simulated cost model.
+:mod:`repro.codegen.plan` lowers a :class:`~repro.codegen.emit.SimdProgram`
+into the dense tables the kernel lowering (:mod:`repro.codegen.kir`)
+and the SIMD machine's step loop read. The tables must mirror the
+program they came from, and the two entry-depth resolvers — over the
+finished plan and over the CFG alone — must agree.
 """
 
-import numpy as np
 import pytest
 
-from repro.codegen.plan import compile_plan
+from repro.codegen.plan import cfg_entry_depths, compile_plan
 from repro.pipeline import ConversionOptions, convert_source
+from repro.simd import nativert
 from repro.simd.machine import SimdMachine
+from repro.stages import driver as stage_driver
 from repro.workloads import STANDARD
 
-EXACT_FIELDS = (
-    "cycles",
-    "body_cycles",
-    "transition_cycles",
-    "enabled_pe_cycles",
-    "meta_transitions",
-)
-ARRAY_FIELDS = ("pc", "poly", "mono")
-
-
-def run_both(result, npes, active=None, trace=False):
-    runs = []
-    for backend in ("plan", "interp"):
-        machine = SimdMachine(npes=npes, costs=result.options.costs,
-                              trace=trace, backend=backend)
-        runs.append(machine.run(result.simd_program(), active=active))
-    return runs
-
-
-def assert_identical(a, b, label):
-    for fld in EXACT_FIELDS:
-        assert getattr(a, fld) == getattr(b, fld), (label, fld)
-    for fld in ARRAY_FIELDS:
-        assert np.array_equal(getattr(a, fld), getattr(b, fld)), (label, fld)
-    assert np.array_equal(a.returns, b.returns, equal_nan=True), label
-    assert a.node_visits == b.node_visits, label
-    assert abs(a.utilization - b.utilization) == 0, label
-
-
-class TestDifferential:
-    @pytest.mark.parametrize("name", sorted(STANDARD))
-    @pytest.mark.parametrize("compress", (False, True))
-    def test_workload_bit_identical(self, name, compress):
-        src = STANDARD[name]()
-        result = convert_source(src, ConversionOptions(compress=compress))
-        for npes in (8, 33):
-            # Spawning workloads need idle PEs in the free pool.
-            active = npes // 2 if "spawn" in src else None
-            a, b = run_both(result, npes, active=active)
-            assert_identical(a, b, (name, compress, npes))
-
-    def test_traces_match(self):
-        result = convert_source(STANDARD["divergent_loops"]())
-        a, b = run_both(result, 8, trace=True)
-        assert a.trace == b.trace
-
-    def test_single_pe(self):
-        result = convert_source(STANDARD["mandelbrot"]())
-        a, b = run_both(result, 1)
-        assert_identical(a, b, "single_pe")
+from tests.test_kernels import assert_identical
 
 
 class TestPlanStructure:
@@ -81,16 +32,32 @@ class TestPlanStructure:
             assert int(plan.bit_weights[bid]) == 1 << bid
 
     def test_wide_programs_use_exact_weights(self):
+        # The only program with more than 64 block ids: the step loop's
+        # globalor gathers object-dtype weights, on every executor.
         from repro.workloads import barrier_phases
 
         result = convert_source(barrier_phases(6, n_phases=22))
-        plan = result.simd_program().plan()
+        prog = result.simd_program()
+        plan = prog.plan()
         assert plan.n_bids > 64
         assert plan.bit_weights.dtype == object
         top = plan.n_bids - 1
         assert int(plan.bit_weights[top]) == 1 << top
-        a, b = run_both(result, 8)
-        assert_identical(a, b, "wide")
+
+        def run(backend, shards=None):
+            res = SimdMachine(npes=8, costs=result.options.costs,
+                              backend=backend, shards=shards).run(prog)
+            assert res.backend_used == backend
+            return res
+
+        ref = run("interp")
+        runs = [("kernels", 1), ("kernels", 3)]
+        if nativert.unavailable_reason() is None:
+            runs.append(("native", 1))
+        for backend, shards in runs:
+            res = run(backend, shards)
+            assert res.shards == shards
+            assert_identical(res, ref, ("wide", backend, shards))
 
     def test_segment_plans_align_with_segments(self):
         result = convert_source(STANDARD["odd_even_sort"]())
@@ -103,3 +70,31 @@ class TestPlanStructure:
             for seg, sp in zip(node.segments, nplan.segments):
                 assert sp.member_bids == tuple(sorted(seg.members))
                 assert len(sp.instrs) == len(seg.schedule.entries)
+
+
+def compile_to_plan(source: str, options: ConversionOptions):
+    """The pipeline up to its plan stage (no kernel or C generation):
+    the final CFG and the program's plan."""
+    ctx = stage_driver.CompileContext(source=source, options=options)
+    for stage in stage_driver.PIPELINE_STAGES:
+        stage.run(ctx)
+        if stage.name == "plan":
+            return ctx.cfg, ctx.plan
+    raise AssertionError("no plan stage")
+
+
+class TestEntryDepths:
+    @pytest.mark.parametrize("name", sorted(STANDARD))
+    @pytest.mark.parametrize("compress", (False, True))
+    def test_program_walk_matches_cfg_walk(self, name, compress):
+        # The eager walk over the finished plan and the lazy walk over
+        # the CFG share one worklist; on member blocks they must agree.
+        for level in (0, 1, 2):
+            cfg, plan = compile_to_plan(STANDARD[name](), ConversionOptions(
+                compress=compress, opt_level=level, lazy=False))
+            members = {bid for nplan in plan.nodes.values()
+                       for sp in nplan.segments for bid in sp.member_bids}
+            cfg_depths = cfg_entry_depths(cfg)
+            assert plan.static_depths is not None, level
+            assert plan.static_depths == \
+                {bid: cfg_depths[bid] for bid in members}, level

@@ -283,7 +283,7 @@ class TestRandomTraceEquivalence:
             result = convert_source(src, SMALL)
         except ConversionError:
             assume(False)
-        simd = SimdMachine(npes=5, trace=True, backend="plan").run(
+        simd = SimdMachine(npes=5, trace=True, backend="interp").run(
             result.simd_program(), max_steps=200_000
         )
         mimd = MimdMachine(nprocs=5, trace=True).run(

@@ -246,17 +246,18 @@ class TestBackendFallbacks:
                               backend="kernels", trace=True)
         with pytest.warns(RuntimeWarning, match="no per-PE trace"):
             res = machine.run(result.simd_program())
-        assert res.backend_used == "plan"
+        assert res.backend_used == "interp"
         assert res.trace is not None
 
     @pytest.mark.parametrize("backend", ("kernels", "native"))
-    def test_sharded_trace_falls_back_to_plan(self, backend):
+    def test_sharded_trace_falls_back_to_interp(self, backend):
         result = convert_source(STANDARD["divergent_loops"]())
         machine = SimdMachine(npes=8, costs=result.options.costs,
                               backend=backend, shards=4, trace=True)
-        with pytest.warns(RuntimeWarning, match="no per-PE trace"):
+        with pytest.warns(RuntimeWarning,
+                          match="no per-PE trace; running 'interp'"):
             res = machine.run(result.simd_program())
-        assert res.backend_used == "plan"
+        assert res.backend_used == "interp"
         assert res.shards == 1
         oracle = SimdMachine(npes=8, costs=result.options.costs,
                              backend="interp", trace=True) \
@@ -264,8 +265,8 @@ class TestBackendFallbacks:
         assert res.trace == oracle.trace
 
     @pytest.mark.parametrize("backend,fallback",
-                             (("kernels", "plan"),
-                              ("native", "plan")))
+                             (("kernels", "interp"),
+                              ("native", "interp")))
     def test_foreign_cost_model_warns(self, backend, fallback):
         result = convert_source(STANDARD["divergent_loops"]())
         costs = replace(DEFAULT_COSTS,
@@ -278,12 +279,14 @@ class TestBackendFallbacks:
             with pytest.warns(RuntimeWarning) as caught:
                 res = machine.run(result.simd_program())
             assert "cost model" in str(caught[-1].message)
+            assert str(caught[-1].message).endswith(
+                f"running {fallback!r} instead")
             assert res.backend_used == fallback
             assert res.shards == 1
 
     def test_serial_backends_report_themselves(self):
         result = convert_source(STANDARD["divergent_loops"]())
-        for backend in ("kernels", "plan", "interp"):
+        for backend in ("kernels", "interp"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 res = run(result, backend, 8, shards=1)
@@ -292,11 +295,10 @@ class TestBackendFallbacks:
 
     def test_shards_ignored_on_serial_backend_warns(self):
         result = convert_source(STANDARD["divergent_loops"]())
-        for backend in ("plan", "interp"):
-            with pytest.warns(RuntimeWarning, match="no effect"):
-                res = run(result, backend, 8, shards=4)
-            assert res.backend_used == backend
-            assert res.shards == 1
+        with pytest.warns(RuntimeWarning, match="no effect"):
+            res = run(result, "interp", 8, shards=4)
+        assert res.backend_used == "interp"
+        assert res.shards == 1
 
     def test_repro_shards_env_drives_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "4")
@@ -305,18 +307,20 @@ class TestBackendFallbacks:
         assert res.shards == 4
         ref = run(result, "kernels", 8, shards=1)
         assert_identical(res, ref, "env_shards")
-        # Not an explicit request: plan runs one shard without a warning.
+        # Not an explicit request: interp runs one shard without a
+        # warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(result, "plan", 8).shards == 1
+            assert run(result, "interp", 8).shards == 1
         monkeypatch.delenv("REPRO_SHARDS")
         assert run(result, "kernels", 8).shards == 1
 
-    @pytest.mark.parametrize("name", ("kernels-mt", "native-mt", "plan-mt"))
+    @pytest.mark.parametrize("name",
+                             ("kernels-mt", "native-mt", "plan-mt", "plan"))
     def test_retired_mt_names_rejected(self, name):
         with pytest.raises(MachineError, match="unknown backend") as exc:
             SimdMachine(npes=4, backend=name)
-        assert "native, kernels, plan, interp" in str(exc.value)
+        assert str(exc.value).endswith("native, kernels, interp")
 
 
 class TestResultFields:
@@ -348,3 +352,13 @@ class TestCli:
                      "--backend", "kernels", "--shards", "2"]) == 0
         out = capsys.readouterr().out
         assert "backend: kernels (shards 2)" in out
+
+    def test_retired_plan_backend_is_a_usage_error(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "prog.mimdc"
+        path.write_text(STANDARD["divergent_loops"]())
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--backend", "plan"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'plan'" in capsys.readouterr().err

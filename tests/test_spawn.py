@@ -168,7 +168,7 @@ child:
 }
 """
         r = convert_source(src)
-        for backend in ("interp", "plan"):
+        for backend in ("interp", "kernels"):
             from repro.simd.machine import SimdMachine
 
             m = SimdMachine(npes=8, costs=r.options.costs, backend=backend)

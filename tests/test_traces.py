@@ -22,7 +22,7 @@ def traced_run(src: str, npes: int = 6, active=None,
                options=ConversionOptions()):
     result = convert_source(src, options)
     simd = SimdMachine(npes=npes, costs=options.costs, trace=True,
-                       backend="plan").run(
+                       backend="interp").run(
         result.simd_program(), active=active, max_steps=500_000
     )
     mimd = MimdMachine(nprocs=npes, costs=options.costs, trace=True).run(

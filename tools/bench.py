@@ -2,8 +2,8 @@
 """Backend benchmark: every library workload under every SIMD executor.
 
 Writes ``<bench-id>.json`` (``--bench-id``, default ``BENCH_9``) — per
-workload x row (the four backends ``native`` / ``kernels`` / ``plan``
-/ ``interp`` on one shard, plus ``native@N`` / ``kernels@N`` at
+workload x row (the three backends ``native`` / ``kernels`` /
+``interp`` on one shard, plus ``native@N`` / ``kernels@N`` at
 ``--shards N``; the native rows are skipped, with a recorded
 ``skip_reason``, when no C toolchain is available): simulated cycles,
 best wall time, PE utilization, and meta transitions — plus a
@@ -35,7 +35,8 @@ Exit status is nonzero if
 
 - any backend disagrees on simulated results (bit-identical by
   contract),
-- ``kernels`` is slower than ``plan`` on the scaling workload,
+- ``kernels`` is less than :data:`KERNELS_VS_INTERP_THRESHOLD` times
+  faster than ``interp`` on the scaling workload,
 - ``native`` is slower than ``kernels`` on the scaling workload —
   enforced whenever the toolchain is available (the whole point of the
   C emission is beating the NumPy kernels' per-node dispatch),
@@ -97,6 +98,11 @@ main() {
 """
 
 MAX_STEPS = 1_000_000
+#: The fused kernels' floor over the interpretive oracle on the scaling
+#: workload. It stands in for the retired "kernels >= table executor"
+#: gate: that executor ran 2.33-2.76x faster than ``interp`` in
+#: BENCH_5..9, while ``kernels`` measured 5.9-7.1x.
+KERNELS_VS_INTERP_THRESHOLD = 2.5
 MT_SPEEDUP_THRESHOLD = 1.5
 LAZY_OVERHEAD_THRESHOLD = 1.10
 #: Machine width for the explosion rows: per-state expansion is 3^b in
@@ -400,9 +406,7 @@ def main(argv: list[str] | None = None) -> int:
                               args.scaling_npes, args.reps, args.shards)
     kern_ms = scaling["kernels"]["wall_ms"]
     kern_mt_ms = scaling[f"kernels@{args.shards}"]["wall_ms"]
-    plan_ms = scaling["plan"]["wall_ms"]
     interp_ms = scaling["interp"]["wall_ms"]
-    speedup_plan = plan_ms / kern_ms
     speedup_interp = interp_ms / kern_ms
     speedup_mt = kern_ms / kern_mt_ms
     cpus = os.cpu_count() or 1
@@ -411,11 +415,10 @@ def main(argv: list[str] | None = None) -> int:
                       f"host has {cpus} CPU(s) (< 4); wall-clock "
                       f"sharding speedup is not measurable here")
     print(f"{'scaling':24s} kernels={kern_ms:.2f}ms "
-          f"kernels@{args.shards}={kern_mt_ms:.2f}ms plan={plan_ms:.2f}ms "
-          f"interp={interp_ms:.2f}ms -> kernels {speedup_plan:.2f}x vs "
-          f"plan, {speedup_interp:.2f}x vs interp; sharded kernels "
-          f"{speedup_mt:.2f}x vs serial at {args.shards} shards "
-          f"({args.scaling_npes} PEs, {cpus} CPUs)")
+          f"kernels@{args.shards}={kern_mt_ms:.2f}ms "
+          f"interp={interp_ms:.2f}ms -> kernels {speedup_interp:.2f}x "
+          f"vs interp; sharded kernels {speedup_mt:.2f}x vs serial at "
+          f"{args.shards} shards ({args.scaling_npes} PEs, {cpus} CPUs)")
 
     native_reason = nativert.unavailable_reason()
     if native_reason is None:
@@ -486,7 +489,6 @@ def main(argv: list[str] | None = None) -> int:
         "absint": absint,
         "scaling": {
             "rows": scaling,
-            "kernels_vs_plan": round(speedup_plan, 3),
             "kernels_vs_interp": round(speedup_interp, 3),
             "kernels_mt_vs_kernels": round(speedup_mt, 3),
             "native_vs_kernels": (
@@ -535,9 +537,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {out}")
 
     status = 0
-    if speedup_plan < 1.0:
-        print(f"FAIL: kernels backend slower than plan on the scaling "
-              f"workload ({speedup_plan:.2f}x)", file=sys.stderr)
+    if speedup_interp < KERNELS_VS_INTERP_THRESHOLD:
+        print(f"FAIL: kernels backend only {speedup_interp:.2f}x faster "
+              f"than interp on the scaling workload (threshold "
+              f"{KERNELS_VS_INTERP_THRESHOLD}x)", file=sys.stderr)
         status = 1
     if speedup_mt < MT_SPEEDUP_THRESHOLD:
         msg = (f"kernels at {args.shards} shards is only "
