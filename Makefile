@@ -8,7 +8,8 @@ test:
 	$(PY) -m pytest tests/ -q
 
 props:
-	$(PY) -m pytest tests/test_properties.py tests/test_csi_exact.py -q
+	$(PY) -m pytest tests/test_properties.py tests/test_csi_exact.py \
+		tests/test_lazy.py::TestGeneratedPrograms -q
 
 # Backend benchmark (all three executors on one shard, plus kernels and
 # native at 4 shards, over the workload library + the 16K-PE scaling

@@ -270,7 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         mimd = simulate_mimd(result, nprocs=args.npes, active=args.active,
                              max_steps=args.max_steps)
         if np.array_equal(simd.returns, mimd.returns, equal_nan=True) and \
-                np.array_equal(simd.poly, mimd.poly):
+                np.array_equal(simd.poly, mimd.poly, equal_nan=True):
             print("check: SIMD == MIMD reference")
         else:
             print("check: MISMATCH against the MIMD reference", file=sys.stderr)

@@ -16,6 +16,11 @@ Per meta state (section 3):
 Meta-graph straightening (section 4.2 step 4) merges single-exit /
 single-entry chains into one emitted node of several segments; the
 dispatch between them disappears.
+
+Lazy conversion builds one node at a time (:func:`compile_node`) and
+prints no switch, so its multiway transitions dispatch through the
+transition row itself (:class:`RowDispatch`); the hash encoding is
+what eager emission prints.
 """
 
 from __future__ import annotations
@@ -51,17 +56,36 @@ class Segment:
 
 
 @dataclass
+class RowDispatch:
+    """A lazy node's multiway transition: its transition-table row,
+    ``{aggregate key: successor}``. An aggregate outside the row raises,
+    as an empty jump-table slot does."""
+
+    cases: dict[int, frozenset]
+
+    def lookup(self, key: int) -> frozenset:
+        target = self.cases.get(key)
+        if target is None:
+            raise ConversionError(
+                f"aggregate {key:#x} reached an unencoded transition"
+            )
+        return target
+
+
+@dataclass
 class MetaNode:
     """One emitted SIMD code node (a straightened chain of meta states).
 
-    ``encoding`` dispatches the final multiway transition; ``None`` when
-    the node has at most one successor, in which case ``single_target``
-    names it (or is ``None`` for a pure exit node).
+    ``encoding`` dispatches the final multiway transition: the
+    Listing-5 hash in eager programs, the :class:`RowDispatch` row in
+    lazy ones. It is ``None`` when the node has at most one successor,
+    in which case ``single_target`` names it (or is ``None`` for a pure
+    exit node).
     """
 
     name: str
     segments: list[Segment]
-    encoding: BranchEncoding | None = None
+    encoding: BranchEncoding | RowDispatch | None = None
     single_target: frozenset | None = None
     #: Runtime all-at-barrier target (compressed graphs, section 2.5 +
     #: 2.6 combined): taken when the live aggregate is entirely barrier
@@ -238,19 +262,9 @@ def encode_program(cfg: Cfg, graph,
     for chain in chains:
         segments = [_make_segment(cfg, graph, m, costs, use_csi)
                     for m in chain]
-        last = chain[-1]
-        table = graph.table.get(last, {})
-        distinct_targets = set(table.values())
         name = "+".join(format_members(m) for m in chain)
         node = MetaNode(name=name, segments=segments)
-        if len(table) > 1:
-            cases = {
-                key_of_members(key): target for key, target in table.items()
-            }
-            node.encoding = encode_branch(cases)
-        elif len(distinct_targets) == 1:
-            (node.single_target,) = distinct_targets
-        node.barrier_target = graph.barrier_entry.get(last)
+        _set_transition(node, graph, chain[-1], encode_branch)
         nodes[chain[0]] = node
 
     prog = SimdProgram(
@@ -268,8 +282,8 @@ def encode_program(cfg: Cfg, graph,
 
 
 def compile_node(cfg: Cfg, graph: MetaStateGraph, members: frozenset,
-                 costs: CostModel = DEFAULT_COSTS, use_csi: bool = True,
-                 encoder=None) -> MetaNode:
+                 costs: CostModel = DEFAULT_COSTS,
+                 use_csi: bool = True) -> MetaNode:
     """Emit the single-state :class:`MetaNode` for ``members`` — the
     per-state twin of :func:`encode_program` that lazy conversion uses
     to materialize nodes as the runtime discovers them.
@@ -279,25 +293,33 @@ def compile_node(cfg: Cfg, graph: MetaStateGraph, members: frozenset,
     which a partial automaton cannot know yet). ``members`` must
     already be expanded in ``graph`` (its ``table`` row recorded).
 
-    ``encoder`` optionally replaces :func:`encode_branch` for the
-    multiway dispatch — lazy mode passes an
-    :class:`repro.hashenc.incremental.IncrementalEncoder` bound to the
-    node so re-materializations extend the existing branch mapping
-    instead of re-searching from scratch.
+    A multiway transition dispatches through that row
+    (:class:`RowDispatch`) instead of a searched hash: the machine
+    charges the same flat ``dispatch_cost`` either way, and lazy mode
+    prints no switch.
     """
-    segment = _make_segment(cfg, graph, members, costs, use_csi)
-    table = graph.table.get(members, {})
+    node = MetaNode(
+        name=format_members(members),
+        segments=[_make_segment(cfg, graph, members, costs, use_csi)],
+    )
+    _set_transition(node, graph, members, RowDispatch)
+    return node
+
+
+def _set_transition(node: MetaNode, graph: MetaStateGraph,
+                    last: frozenset, encode) -> None:
+    """Attach the transition out of ``last``, the node's final state:
+    ``encode`` builds the multiway dispatch from
+    ``{aggregate key: successor}`` when the row has several cases."""
+    table = graph.table.get(last, {})
     distinct_targets = set(table.values())
-    node = MetaNode(name=format_members(members), segments=[segment])
     if len(table) > 1:
-        cases = {
+        node.encoding = encode({
             key_of_members(key): target for key, target in table.items()
-        }
-        node.encoding = (encoder or encode_branch)(cases)
+        })
     elif len(distinct_targets) == 1:
         (node.single_target,) = distinct_targets
-    node.barrier_target = graph.barrier_entry.get(members)
-    return node
+    node.barrier_target = graph.barrier_entry.get(last)
 
 
 def _make_segment(cfg: Cfg, graph: MetaStateGraph, members: frozenset,

@@ -238,12 +238,12 @@ def compile_node_kernel(prog, plan, key, idx: int):
     materialized (with static depths attached — see
     :func:`repro.codegen.plan.compile_node_plan`); ``idx`` only names
     the generated function and its constants, so any unique small
-    integer works. Returns ``(fn, source)`` where ``source`` is a
-    self-contained module compiling to exactly ``fn`` (what a resumed
-    or cache-loaded manager re-execs instead of regenerating), or
-    ``None`` when this node cannot be kernelized — the machine then
-    runs it on the interpretive segment walk, exactly like an eager
-    program whose :class:`KernelProgram` skipped the node."""
+    integer works. Returns the function, or ``None`` when this node
+    cannot be kernelized — the machine then runs it on the interpretive
+    segment walk, exactly like an eager program whose
+    :class:`KernelProgram` skipped the node. The source depends only on
+    the CFG, the node's members and the cost model, so a node evicted
+    and re-entered compiles to the same code."""
     if plan.static_depths is None:
         return None
     try:
@@ -255,7 +255,7 @@ def compile_node_kernel(prog, plan, key, idx: int):
                         _Printer().node(idx, name, node)])
     namespace: dict = {}
     exec(compile(source, f"<msc-jit-{name}>", "exec"), namespace)
-    return namespace[name], source
+    return namespace[name]
 
 
 # ----------------------------------------------------------------------
@@ -519,7 +519,7 @@ class _Printer:
     # ------------------------------------------------------------------
     def _terms(self, w, seg, lanes, sizes) -> None:
         """Per-member guarded terminators, spawn fills last (matching
-        the staged-update order of the table executor)."""
+        the staged-update order of ``SimdMachine._exec_segment``)."""
         for j, term in enumerate(seg.terms):
             lv = lanes[j]
             w.put(f"# terminator of block {seg.members[j]}")

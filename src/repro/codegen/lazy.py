@@ -13,21 +13,19 @@ machine calls :meth:`fetch`, which
    transition row is missing or stale (barrier parking grew), and
    invalidates every compiled artifact the growth staled;
 2. **compiles** — JITs the state's :class:`~repro.codegen.emit.
-   MetaNode` (trivial one-state layout), its
-   :class:`~repro.codegen.plan.NodePlan`, and — on the kernel backends
-   — its fused kernel, registering all three into the same dispatch
-   dicts the machine loops read (``program.nodes`` / ``plan.nodes`` /
-   :attr:`kfns`), so the step loop resumes with plain dict hits;
+   MetaNode` (trivial one-state layout, dispatching through its
+   transition row), its :class:`~repro.codegen.plan.NodePlan`, and —
+   on the kernel backends — its fused kernel, registering all three
+   into the same dispatch dicts the machine loops read
+   (``program.nodes`` / ``plan.nodes`` / :attr:`kfns`), so the step
+   loop resumes with plain dict hits;
 3. **bounds residency** — with ``max_resident_meta`` set, an LRU of
    compiled nodes is maintained and the least-recently-dispatched
    node's artifacts are dropped. The engine's graph keeps the state's
    members, parked set, and table row, so re-entering the node simply
-   re-runs step 2 — deterministically: the schedule, plan, and kernel
-   depend only on the CFG, members, and cost model, and the dispatch
-   encoding (whose exact hash function *may* differ after its
-   :class:`~repro.hashenc.incremental.IncrementalEncoder` extended)
-   routes every aggregate to the same successor at the same flat
-   ``dispatch_cost`` either way.
+   re-runs step 2 — deterministically: the schedule, row dispatch,
+   plan, and kernel depend only on the CFG, the members and their
+   row, and the cost model.
 
 The native C backend does not participate: compiling one shared
 library per just-discovered node would put the C compiler on the hot
@@ -56,7 +54,6 @@ from repro.codegen.emit import MetaNode, SimdProgram, compile_node
 from repro.codegen.kernels import compile_node_kernel
 from repro.codegen.plan import compile_node_plan, incremental_plan
 from repro.core.convert import ConversionEngine
-from repro.hashenc.incremental import IncrementalEncoder
 
 
 class LazyProgram:
@@ -97,16 +94,11 @@ class LazyProgram:
         #: read this dict in the step loop (the lazy twin of
         #: ``KernelProgram.fns``).
         self.kfns: dict = {}
-        #: entry meta state -> generated kernel source, kept across
-        #: eviction so re-materialization re-execs instead of
-        #: regenerating.
-        self.kernel_sources: dict = {}
         self._kernel_names: dict = {}
         # Nodes whose kernel generation raised KernelUnsupported: they
         # stay on the interpretive segment walk for good, exactly like
         # an eager KernelProgram that skipped them.
         self._kernel_failed: set = set()
-        self._encoders: dict = {}
         self._lru: OrderedDict = OrderedDict()
         self.max_resident = int(getattr(options, "max_resident_meta", 0) or 0)
         self.materialized = 0
@@ -160,11 +152,8 @@ class LazyProgram:
 
     # ------------------------------------------------------------------
     def _materialize(self, key, want_kernel: bool) -> MetaNode:
-        encoder = self._encoders.get(key)
-        if encoder is None:
-            encoder = self._encoders[key] = IncrementalEncoder()
         node = compile_node(self.cfg, self.graph, key, self.costs,
-                            self.use_csi, encoder=encoder)
+                            self.use_csi)
         nplan = compile_node_plan(node, self.plan.n_bids,
                                   self.plan.static_depths)
         self.program.nodes[key] = node
@@ -172,32 +161,20 @@ class LazyProgram:
         self.materialized += 1
         if want_kernel and self.supports_kernels \
                 and key not in self._kernel_failed:
-            idx = self._kernel_names.get(key)
-            if idx is None:
-                idx = self._kernel_names[key] = len(self._kernel_names)
-            source = self.kernel_sources.get(key)
-            if source is None:
-                got = compile_node_kernel(self.program, self.plan, key, idx)
-                if got is None:
-                    self._kernel_failed.add(key)
-                else:
-                    self.kfns[key], self.kernel_sources[key] = got
+            idx = self._kernel_names.setdefault(key, len(self._kernel_names))
+            fn = compile_node_kernel(self.program, self.plan, key, idx)
+            if fn is None:
+                self._kernel_failed.add(key)
             else:
-                # Re-materialization after eviction: the source depends
-                # only on CFG + members + costs, so re-exec it verbatim.
-                namespace: dict = {}
-                exec(compile(source, f"<msc-jit-node_{idx}>", "exec"),
-                     namespace)
-                self.kfns[key] = namespace[f"node_{idx}"]
+                self.kfns[key] = fn
         return node
 
     def _drop(self, key) -> None:
-        """Invalidate a state's compiled artifacts (stale row); its
-        encoder survives so re-encoding extends the same mapping."""
+        """Drop a state's compiled artifacts (stale row, or evicted);
+        the next fetch of ``key`` compiles it like a first visit."""
         self.program.nodes.pop(key, None)
         self.plan.nodes.pop(key, None)
         self.kfns.pop(key, None)
-        self.kernel_sources.pop(key, None)
         self._kernel_failed.discard(key)
         self._lru.pop(key, None)
 
@@ -206,10 +183,7 @@ class LazyProgram:
         self._lru.move_to_end(key)
         if self.max_resident > 0:
             while len(self._lru) > self.max_resident:
-                victim, _ = self._lru.popitem(last=False)
-                self.program.nodes.pop(victim, None)
-                self.plan.nodes.pop(victim, None)
-                self.kfns.pop(victim, None)
+                self._drop(next(iter(self._lru)))
                 self.evictions += 1
         # Post-trim, so a bounded run's peak never exceeds its cap.
         self.max_resident_seen = max(self.max_resident_seen,

@@ -97,7 +97,8 @@ def unary(op: Op, a: float) -> float:
     if op is Op.BNOT:
         return float(~_as_int(a))
     if op is Op.TRUNC:
-        return float(math.trunc(a))
+        # Non-finite values pass through, as in np.trunc and C trunc.
+        return float(math.trunc(a)) if math.isfinite(a) else a
     if op is Op.BOOL:
         return 1.0 if a != 0 else 0.0
     raise AssertionError(f"not a unary opcode: {op}")

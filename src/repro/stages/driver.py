@@ -251,8 +251,8 @@ def _stage_kernels(ctx: CompileContext) -> dict:
         return {"lazy_deferred": 1}
     kern = ctx.program.kernels()
     if kern is None:
-        # Static depths unresolvable: the machine stays on the plan
-        # path. Recorded, not fatal.
+        # Static depths unresolvable: the machine falls back to the
+        # interp backend. Recorded, not fatal.
         return {"kernel_nodes": 0}
     return kern.stats()
 

@@ -82,6 +82,15 @@ class TestRun:
     def test_run_active(self, source_file, capsys):
         assert main(["run", source_file, "--npes", "8", "--active", "4"]) == 0
 
+    def test_check_accepts_nan_memory(self, tmp_path, capsys):
+        # NaN never equals itself, so memory is compared with equal_nan
+        # like the returns.
+        path = tmp_path / "nan.mimdc"
+        path.write_text("main() { poly float g; g = 1e999 - 1e999; "
+                        "return (1); }")
+        assert main(["run", str(path), "--npes", "4", "--check"]) == 0
+        assert "SIMD == MIMD reference" in capsys.readouterr().out
+
 
 class TestCompare:
     def test_compare(self, source_file, capsys):

@@ -107,17 +107,16 @@ class TestBranchEncoding:
             assert enc.lookup(k) == v
 
     def test_unknown_key_raises(self):
-        enc = encode_branch({0b0010: "a", 0b0100: "b"})
-        # find a key hashing outside the used entries
-        bad_keys = [k for k in range(1, 2**10)
-                    if k not in enc.cases]
-        for k in bad_keys:
-            h = enc.fn.apply(k)
-            if h >= len(enc.table) or enc.table[h] is None:
-                with pytest.raises(ConversionError):
-                    enc.lookup(k)
-                return
-        pytest.skip("every probe aliased onto a valid entry")
+        # encode_branch fills its whole table, so build one with an
+        # empty slot: (apc >> 1) & 3 puts 0b0010 at 1 and 0b0100 at 2.
+        enc = BranchEncoding(fn=HashFn("mask", s=1, mask=3),
+                             table=[None, "a", "b"],
+                             cases={0b0010: "a", 0b0100: "b"})
+        assert enc.lookup(0b0010) == "a" and enc.lookup(0b0100) == "b"
+        # 0b1000 hashes to the empty slot 0, 0b0110 past the table.
+        for probe in (0b1000, 0b0110):
+            with pytest.raises(ConversionError, match="unencoded"):
+                enc.lookup(probe)
 
     def test_load_factor(self):
         enc = encode_branch({1: "x", 2: "y", 3: "z", 4: "w"})

@@ -16,6 +16,8 @@ The contract has two tiers (docs/internals.md section 14):
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import ConversionOptions, convert_source, simulate_mimd, simulate_simd
 from repro import workloads
@@ -28,6 +30,7 @@ from repro.core.convert import (
     convert,
 )
 from repro.errors import ConversionError
+from repro.hashenc.search import key_of_members
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse
 from repro.lang.sema import analyze
@@ -35,6 +38,7 @@ from repro.opt.meta_passes import StraightenedGraph
 from repro.simd.machine import SimdMachine
 
 from tests.helpers import LISTING3_SHAPE, assert_equivalent
+from tests.test_properties import COMMON_SETTINGS, programs, shared_programs
 
 NPES = 8
 
@@ -121,6 +125,79 @@ class TestColdOracle:
         assert rec.counters["lazy_materialized"] > 0
         assert (rec.counters["lazy_materialized"]
                 <= rec.counters["lazy_discovered"])
+
+
+# ----------------------------------------------------------------------
+# Both tiers on generated programs
+# ----------------------------------------------------------------------
+
+class TestGeneratedPrograms:
+    """The two contract tiers on the generated programs of
+    ``tests/test_properties.py``. The cold tier draws race-free
+    programs only: a racy mono store or router write may resolve
+    differently on the MIMD oracle."""
+
+    NPES = 5
+    LAZY = ConversionOptions(lazy=True, max_meta_states=400)
+    EAGER = ConversionOptions(lazy=False, max_meta_states=400)
+
+    @given(src=programs())
+    @settings(max_examples=30, **COMMON_SETTINGS)
+    def test_cold_matches_mimd(self, src):
+        lazy = convert_source(src, self.LAZY, cache=False)
+        try:
+            simd = simulate_simd(lazy, self.NPES)
+        except ConversionError:
+            assume(False)
+        assert_equivalent(simd, simulate_mimd(lazy, nprocs=self.NPES))
+
+    @given(src=st.one_of(programs(), shared_programs()))
+    @settings(max_examples=30, **COMMON_SETTINGS)
+    def test_warm_matches_eager_trivial_layout(self, src):
+        try:
+            eager = convert_source(src, self.EAGER, cache=False)
+        except ConversionError:
+            assume(False)
+        costs = self.EAGER.costs
+        twin = encode_program(eager.cfg,
+                              StraightenedGraph.trivial(eager.graph),
+                              costs=costs, use_csi=self.EAGER.use_csi)
+        lazy = convert_source(src, self.LAZY, cache=False)
+        simulate_simd(lazy, self.NPES, backend="interp")
+        for shards in (1, 2):
+            ref = SimdMachine(self.NPES, costs=costs, backend="kernels",
+                              shards=shards).run(twin)
+            got = simulate_simd(lazy, self.NPES, backend="kernels",
+                                shards=shards)
+            _bit_identical(ref, got)
+
+
+# ----------------------------------------------------------------------
+# Row dispatch: exactly the transition row dispatches
+# ----------------------------------------------------------------------
+
+class TestRowDispatch:
+    def test_out_of_row_aggregates_raise(self):
+        lazy = convert_source(workloads.divergent_loops(3),
+                              ConversionOptions(lazy=True), cache=False)
+        simulate_simd(lazy, NPES)
+        mgr = lazy.lazy_program()
+        multiway = [(key, node) for key, node in mgr.program.nodes.items()
+                    if node.encoding is not None]
+        assert multiway
+        for key, node in multiway:
+            row = {key_of_members(union): target
+                   for union, target in mgr.graph.table[key].items()}
+            aliased = []
+            for probe in range(1, 2**12):
+                try:
+                    target = node.encoding.lookup(probe)
+                except ConversionError:
+                    assert probe not in row, (node.name, probe)
+                    continue
+                if row.get(probe) != target:
+                    aliased.append(probe)
+            assert aliased == [], node.name
 
 
 # ----------------------------------------------------------------------

@@ -4,16 +4,19 @@ decodes them: the NumPy and C kernel printers, which must round-trip
 each double bit for bit (NaN sign included), and the abstract
 interpreter behind ``-O2`` and ``analyze=True``.
 
-The programs stay float-only up to a comparison, so no value is ever
-converted to an integer: integer conversion of inf is a separate open
-problem (the MIMD oracle rejects it), and the MIMD oracle is not part
-of this check.
+:data:`PROGRAM` stays float-only up to a comparison. :data:`INT_PROGRAM`
+stores inf, -inf and NaN to ``int`` variables: that conversion
+truncates toward zero and passes non-finite values through, as
+``np.trunc`` and C ``trunc`` do, on the SIMD backends, in the ``-O2``
+constant folder and on the MIMD oracle alike. Integer *operations* on
+values outside int64 are a separate open problem.
 """
 
 import numpy as np
 import pytest
 
-from repro.pipeline import ConversionOptions, convert_source, simulate_simd
+from repro.pipeline import (ConversionOptions, convert_source,
+                            simulate_mimd, simulate_simd)
 from repro.simd.machine import BACKENDS, SimdMachine
 
 from tests.test_kernels import HOST_BACKENDS
@@ -33,6 +36,19 @@ main() {
         k = k * g;
     }
     return (h != h);
+}
+"""
+
+#: +inf, -inf and NaN (inf - inf) stored to poly ints; each PE
+#: returns one of the three.
+INT_PROGRAM = """
+main() {
+    poly float f; poly int p; poly int m; poly int n;
+    f = 1e999;
+    p = f;
+    m = 0.0 - f;
+    n = f - f;
+    return (procnum % 3 == 0 ? p : (procnum % 3 == 1 ? m : n));
 }
 """
 
@@ -71,6 +87,25 @@ def test_eager_backends_bit_identical(opt_level, compress):
     for backend, res in runs.items():
         assert res.backend_used == backend
         assert_bit_identical(res, ref, (opt_level, compress, backend))
+
+
+@pytest.mark.parametrize("opt_level", (0, 1, 2))
+def test_int_conversion_passes_nonfinite_through(opt_level):
+    result = convert_source(INT_PROGRAM,
+                            ConversionOptions(opt_level=opt_level))
+    prog = result.simd_program()
+    runs = {be: SimdMachine(npes=NPES, costs=result.options.costs,
+                            backend=be).run(prog)
+            for be in HOST_BACKENDS}
+    ref = runs["interp"]
+    assert {0x7FF0000000000000, 0xFFF0000000000000} <= \
+        set(bits(ref.returns).tolist())
+    assert np.isnan(ref.returns).any()
+    for backend, res in runs.items():
+        assert res.backend_used == backend
+        assert_bit_identical(res, ref, (opt_level, backend))
+    mimd = simulate_mimd(result, nprocs=NPES)
+    assert np.array_equal(ref.returns, mimd.returns, equal_nan=True)
 
 
 def test_lazy_bit_identical():
