@@ -20,7 +20,10 @@ props:
 # hosts; skip_reason recorded otherwise), if simulated cycles regressed
 # against the latest prior BENCH_*.json, if warm lazy execution is
 # over 1.10x eager, or if the frontier verifier or the absint
-# fixpoint misses its wall-time gate.
+# fixpoint misses its wall-time gate. The serial native rows run the
+# whole automaton in one C call (msc_run); the native rows at 4 shards
+# step in Python and call one C function per node, with arguments
+# bound once per shard.
 bench:
 	$(PY) tools/bench.py --bench-id BENCH_9 --shards 4
 

@@ -1,4 +1,4 @@
-"""Native C emission of the fused per-node kernels.
+"""Native C emission of the fused per-node kernels and the meta-step loop.
 
 This is the second printer of the kernel IR (:mod:`repro.codegen.kir`):
 where :mod:`repro.codegen.kernels` prints one *Python* function per
@@ -27,38 +27,61 @@ same state arrays, with the same lowered structure:
   member times its lane count, exactly as in the NumPy kernels.
 
 One structural difference from the NumPy kernels: lane sets are never
-materialized as index arrays. Each segment snapshots ``pc`` into a
-caller-provided scratch buffer (``pc0``) and every membership test —
-body guards, terminator loops, spawn parents, lane counts — reads the
+materialized as index arrays. Each segment snapshots ``pc`` into the
+run's scratch buffer (``pc0``) and every membership test — body
+guards, terminator loops, spawn parents, lane counts — reads the
 snapshot while terminators write ``pc``. Scanning the snapshot yields
 exactly the sets the NumPy kernels forward between segments (terminator
 targets land in the next segment's members, and barrier members are
 re-scanned in both designs), so counts and results are identical.
 
-Error handling is by *code, not message*: a failing lane makes the
-function return a nonzero :data:`NATIVE_ERROR_MESSAGES` code
-immediately (partial writes are fine — the machine discards state on
-error). The machine then replays the run on the ``kernels`` backend to
-reconstruct the exact :class:`~repro.errors.MachineError`; simulation
-is deterministic, so the predicate — *whether* a run fails — matches
-the NumPy kernels exactly, only which of several errors surfaces first
-may differ (the same documented divergence the NumPy kernels have
-against the interpretive executor).
+The node functions are ``static``; two fixed entry points reach them
+through one ``msc_ctx`` struct that holds the state pointers, strides,
+the ``pc0`` scratch and the four ``out`` counters:
 
-Generated functions are **shard-sliceable** under the same contract as
-kernel v2: lane indices are always relative to the ``pc`` pointer the
-function was handed, widths come from ``n``, PE ids from ``pids``, and
-row strides are passed explicitly (a :class:`~repro.simd.shards.ShardView`
-column slice keeps the full-array row stride). Cross-lane nodes (mono
-stores, router ops, spawn fills) are only ever called full-width, like
-their NumPy twins.
+- ``msc_node(ctx, k)`` runs node ``k`` once (the per-node path: sharded
+  runs, and programs the loop cannot hold);
+- ``msc_run(ctx, max_steps, acc, visits)`` runs the whole automaton:
+  the meta-step loop of :meth:`repro.simd.machine.SimdMachine._loop`,
+  in the same order, over static per-node transition tables (single
+  and barrier targets, the hash parameters, an offset into one flat
+  jump table) and one hash evaluator that mirrors
+  :meth:`repro.hashenc.search.HashFn.apply`. It is printed only when
+  every node has a C function and the block ids fit a ``u64``
+  aggregate (:attr:`NativeProgram.loop`). Tables rather than a
+  ``switch`` per node keep the added C, and so the ``cc`` time,
+  small; the Listing 5 switches stay in the MPL emitter.
+
+The cffi declarations (:data:`CDEF`) are therefore the same for every
+program.
+
+Error handling is by *code, not message*: a failing lane makes a node
+return a nonzero :data:`NATIVE_ERROR_MESSAGES` code immediately
+(partial writes are fine — the machine discards state on error), and
+``msc_run`` also stops with a code on the step budget and on an
+unencoded aggregate. The machine then replays the run on the
+``kernels`` backend to reconstruct the exact
+:class:`~repro.errors.MachineError` or
+:class:`~repro.errors.ConversionError`; simulation is deterministic,
+so the predicate — *whether* a run fails — matches the NumPy kernels
+exactly, only which of several errors surfaces first may differ (the
+same documented divergence the NumPy kernels have against the
+interpretive executor).
+
+Node functions are **shard-sliceable** under the same contract as
+kernel v2: lane indices are always relative to the ``pc`` pointer in
+the context, widths come from ``n``, PE ids from ``pids``, and row
+strides are explicit (a :class:`~repro.simd.shards.ShardView` column
+slice keeps the full-array row stride). Cross-lane nodes (mono stores,
+router ops, spawn fills) are only ever called full-width, like their
+NumPy twins.
 
 A :class:`NativeProgram` stores only the generated *source* (plus the
-node-key -> function-name table); compiling it to a shared library and
-loading it through cffi is the runtime's job (:mod:`repro.simd.nativert`),
-which is what lets the artifact travel inside the content-addressed
-compile cache as text and be rebuilt — or dlopen'd from the native
-cache — on any host.
+node-key -> function-index table); compiling it to a shared library
+and loading it through cffi is the runtime's job
+(:mod:`repro.simd.nativert`), which is what lets the artifact travel
+inside the content-addressed compile cache as text and be rebuilt — or
+dlopen'd from the native cache — on any host.
 """
 
 from __future__ import annotations
@@ -66,15 +89,16 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.codegen import plan as planmod
 from repro.codegen.kir import CONST, NPES
+from repro.hashenc.search import key_of_members
 from repro.ir.instr import BINARY_OPS, UNARY_OPS, Op
 
 #: Bump when the generated-code / runtime ABI contract changes; part of
 #: the shared-library cache key (see :mod:`repro.simd.nativert`).
-NATIVE_VERSION = 1
+NATIVE_VERSION = 2
 
 # ----------------------------------------------------------------------
 # error codes — returned by the generated functions; the machine replays
@@ -92,6 +116,8 @@ E_RSTACK_OVERFLOW = 8
 E_RSTACK_UNDERFLOW = 9
 E_BRANCH_EMPTY = 10
 E_SPAWN_FREE = 11
+E_STEPS = 12
+E_UNENCODED = 13
 
 NATIVE_ERROR_MESSAGES = {
     E_STACK_OVERFLOW: "operand stack overflow",
@@ -106,12 +132,15 @@ NATIVE_ERROR_MESSAGES = {
     E_BRANCH_EMPTY: "branch on empty stack",
     E_SPAWN_FREE: "spawn: not enough free PEs (section 3.2.5 requires "
                   "spawns not to exceed the number of processors)",
+    E_STEPS: "SIMD run exceeded its meta-step budget",
+    E_UNENCODED: "aggregate reached an unencoded transition",
 }
 
-#: C-side parameter list of every generated node function. Strides are
-#: in *elements* (``arr.strides[0] // 8``); ``pc0`` is caller-provided
-#: scratch of ``n`` int64s; ``out`` receives ``body, tcost, enabled,
-#: exited``; the return value is 0 or an error code.
+#: C-side parameter list of every generated node function: the fields
+#: of ``msc_ctx`` that ``msc_node`` passes. Strides are in *elements*
+#: (``arr.strides[0] // 8``); ``pc0`` is the run's scratch of ``n``
+#: int64s; ``out`` receives ``body, tcost, enabled, exited``; the
+#: return value is 0 or an error code.
 _PARAMS = (
     "i64 *restrict pc, i64 n, "
     "double *restrict stack, i64 s_str, i64 s_rows, i64 *restrict sp, "
@@ -120,20 +149,43 @@ _PARAMS = (
     "double *restrict pids, i64 npes, i64 *restrict pc0, i64 *restrict out"
 )
 
-#: The cffi ``cdef`` declaration of one node function (ABI mode).
-CDEF_SIGNATURE = (
-    "int64_t {name}(int64_t *, int64_t, double *, int64_t, int64_t, "
-    "int64_t *, double *, int64_t, int64_t, int64_t *, double *, "
-    "int64_t, double *, double *, int64_t, int64_t *, int64_t *);"
-)
+#: The context struct: one run's (or one shard view's) arguments,
+#: bound once by :func:`repro.simd.nativert.bind`. The same text
+#: declares it to C and to cffi.
+_CTX = """\
+typedef struct {
+    int64_t *pc; int64_t n;
+    double *stack; int64_t s_str; int64_t s_rows; int64_t *sp;
+    double *rstack; int64_t r_str; int64_t r_rows; int64_t *rsp;
+    double *poly; int64_t p_str; double *mono; double *pids; int64_t npes;
+    int64_t *pc0; int64_t out[4];
+} msc_ctx;
+"""
+
+#: The cffi ``cdef`` of every program (ABI mode): the context struct
+#: and the two entry points. ``msc_run`` is absent from a library
+#: whose program the loop cannot hold; cffi resolves it only when
+#: called.
+CDEF = _CTX + """\
+int64_t msc_node(msc_ctx *, int64_t);
+int64_t msc_run(msc_ctx *, int64_t, int64_t *, int64_t *);
+"""
+
+#: ``HashFn.kind`` -> the evaluator's case number in ``msc_hash``.
+_HASH_KINDS = ("const", "mask", "notmask", "xor", "add", "mod")
+
+#: Block ids the loop can hold: aggregates of ids 0..62 fit a ``u64``
+#: with the ``add`` hash's carry (from 64 ids it leaves bit 63).
+LOOP_MAX_BIDS = 63
 
 _C_HEADER = """\
 /* Native meta-state kernels generated by repro.codegen.native (v{version}).
  *
- * One function per automaton node: node(pc, ..., out) -> error code,
- * out = {{body_cycles, transition_cycles, enabled_pe_cycles, exited}}.
- * Derived from the program plan; regenerated whenever the program
- * changes. Do not edit.
+ * One static function per automaton node: node(pc, ..., out) -> error
+ * code, out = {{body_cycles, transition_cycles, enabled_pe_cycles,
+ * exited}}; msc_node(ctx, k) runs node k, and msc_run(ctx, ...) runs
+ * the whole automaton over the transition tables. Derived from the
+ * program plan; regenerated whenever the program changes. Do not edit.
  */
 #include <stdint.h>
 #include <string.h>
@@ -142,6 +194,7 @@ _C_HEADER = """\
 typedef int64_t i64;
 typedef uint64_t u64;
 
+{ctx}
 /* The double with bit pattern b: how non-finite literals are spelled. */
 static inline double f64(u64 b)
 {{
@@ -192,55 +245,219 @@ class NativeProgram:
     """The generated C module of one program.
 
     ``c_source`` is a self-contained translation unit (all constants
-    are literals); ``entry_names`` maps each node's entry meta state to
-    its exported function name. Only text travels through the compile
-    cache — compiling and dlopening is :mod:`repro.simd.nativert`'s
-    job, keyed by :meth:`digest` plus the compiler identity.
+    are literals); ``entry_index`` maps each node's entry meta state to
+    its index ``k`` in ``msc_node(ctx, k)`` and in the loop's tables
+    (nodes :func:`repro.codegen.kir.lower_program` skipped have none).
+    ``loop`` records whether ``msc_run`` was printed. Only text travels
+    through the compile cache — compiling and dlopening is
+    :mod:`repro.simd.nativert`'s job, keyed by :meth:`digest` plus the
+    compiler identity.
     """
 
     c_source: str
-    entry_names: dict
+    entry_index: dict
     costs: object
     n_poly: int
+    loop: bool = False
     version: int = NATIVE_VERSION
+    #: :meth:`digest`, memoized; never pickled or compared.
+    _digest: str | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def entry_names(self) -> dict:
+        """Entry meta state -> the C name of its node function."""
+        return {key: f"node_{k}" for key, k in self.entry_index.items()}
 
     def digest(self) -> str:
-        """Content address of the generated source."""
-        return hashlib.sha256(self.c_source.encode()).hexdigest()
+        """Content address of the generated source (hashed once)."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.c_source.encode()).hexdigest()
+        return self._digest
 
     def cdef(self) -> str:
-        """cffi declarations for every exported node function."""
-        return "\n".join(
-            CDEF_SIGNATURE.format(name=name)
-            for name in sorted(self.entry_names.values()))
+        """cffi declarations of the library: :data:`CDEF`, the same for
+        every program whatever its node count."""
+        return CDEF
 
     def stats(self) -> dict:
         """Counters for the stage report."""
         return {
-            "native_nodes": len(self.entry_names),
+            "native_nodes": len(self.entry_index),
             "native_bytes": len(self.c_source),
             "native_version": self.version,
         }
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_digest"] = None
+        return state
 
 
 def compile_native(prog) -> NativeProgram | None:
     """Print the native kernel module of ``prog`` (a
     :class:`~repro.codegen.emit.SimdProgram`) from its kernel IR, like
-    :func:`repro.codegen.kernels.compile_kernels`; or ``None`` when the
-    program's static stack depths are unresolvable — the machine then
-    falls back to the Python backends."""
+    :func:`repro.codegen.kernels.compile_kernels`, plus the dispatcher
+    and, when the program allows it (:func:`_loopable`), the loop; or
+    ``None`` when the program's static stack depths are unresolvable —
+    the machine then falls back to the Python backends."""
     lowered = prog.lowering()
     if lowered is None:
         return None
-    chunks = [_C_HEADER.format(version=NATIVE_VERSION)]
-    entry_names: dict = {}
+    chunks = [_C_HEADER.format(version=NATIVE_VERSION, ctx=_CTX)]
+    entry_index: dict = {}
     for i, key, node in lowered:
-        entry_names[key] = f"node_{i}"
+        entry_index[key] = i
         chunks.append(_Printer(prog.n_poly).node(i, f"node_{i}", node))
+    names = ["0"] * len(prog.nodes)
+    for i in entry_index.values():
+        names[i] = f"node_{i}"
+    chunks.append(_C_DISPATCH.format(params=_PARAMS, n=len(names),
+                                     names=", ".join(names)))
+    loop = _loopable(prog, entry_index)
+    if loop:
+        chunks.append(_loop_source(prog, entry_index))
     return NativeProgram(c_source="\n".join(chunks),
-                         entry_names=entry_names,
+                         entry_index=entry_index,
                          costs=prog.costs,
-                         n_poly=prog.n_poly)
+                         n_poly=prog.n_poly,
+                         loop=loop)
+
+
+def _loopable(prog, entry_index: dict) -> bool:
+    """Whether ``msc_run`` can hold ``prog``: every node has a C
+    function and the aggregates fit a ``u64`` (:data:`LOOP_MAX_BIDS`)."""
+    return (len(entry_index) == len(prog.nodes)
+            and prog.plan().n_bids <= LOOP_MAX_BIDS)
+
+
+def _loop_source(prog, index: dict) -> str:
+    """The transition tables of ``prog`` (node ``k``'s row at ``k``,
+    successors as indices) and the fixed loop over them. ``index``
+    lists every node, in index order."""
+    rows: list[str] = []
+    jump: list[int] = []
+    for key in index:
+        node = prog.nodes[key]
+        single = (index[node.single_target]
+                  if node.single_target is not None else -1)
+        barrier = (index[node.barrier_target]
+                   if node.barrier_target is not None else -1)
+        kind, off, fn = -1, 0, None
+        if node.encoding is not None:
+            fn = node.encoding.fn
+            kind, off = _HASH_KINDS.index(fn.kind), len(jump)
+            jump += [-1 if t is None else index[t]
+                     for t in node.encoding.table]
+        s, t, mask, mod = ((fn.s, fn.t, fn.mask, fn.mod) if fn is not None
+                           else (0, 0, 0, 1))
+        rows.append(f"    {{{single}, {barrier}, {kind}, {off}, "
+                    f"{s}, {t}, {mask}, {mod}}},")
+    costs = prog.costs
+    return _C_LOOP.format(
+        n=len(rows), rows="\n".join(rows), njump=max(1, len(jump)),
+        jump=", ".join(map(str, jump or [-1])),
+        barriers=f"0x{key_of_members(prog.barrier_ids):x}ULL",
+        start=index[prog.start], go=costs.globalor_cost,
+        gd=costs.globalor_cost + costs.dispatch_cost, br=costs.branch_cost,
+        e_steps=E_STEPS, e_unencoded=E_UNENCODED)
+
+
+#: The per-node dispatcher: ``msc_node(ctx, k)`` runs node ``k`` on the
+#: bound context (a null slot is a node with no C function, which the
+#: runtime never calls).
+_C_DISPATCH = """\
+typedef i64 (*msc_fn)({params});
+static const msc_fn msc_nodes[{n}] = {{{names}}};
+
+i64 msc_node(msc_ctx *c, i64 k)
+{{
+    return msc_nodes[k](c->pc, c->n, c->stack, c->s_str, c->s_rows, c->sp,
+                        c->rstack, c->r_str, c->r_rows, c->rsp, c->poly,
+                        c->p_str, c->mono, c->pids, c->npes, c->pc0, c->out);
+}}
+"""
+
+#: The meta-step loop: ``SimdMachine._loop`` in the same order, over
+#: one transition row per node (single and barrier targets, the hash
+#: kind, its jump-table offset, then ``s, t, mask, mod``; -1 = none).
+_C_LOOP = """\
+typedef struct {{ i64 single, barrier, kind, off; u64 s, t, mask, mod; }} msc_tr;
+static const msc_tr msc_trs[{n}] = {{
+{rows}
+}};
+static const i64 msc_jump[{njump}] = {{{jump}}};
+
+/* globalor: the OR of 1 << pc over the live lanes. */
+static u64 msc_globalor(const i64 *pc, i64 n)
+{{
+    u64 apc = 0;
+    for (i64 i = 0; i < n; i++)
+        if (pc[i] >= 0) apc |= (u64)1 << pc[i];
+    return apc;
+}}
+
+/* HashFn.apply for a 64-bit aggregate. */
+static u64 msc_hash(const msc_tr *r, u64 key)
+{{
+    u64 v;
+    switch (r->kind) {{
+    case 0: return 0;                        /* const */
+    case 1: v = key >> r->s; break;          /* mask */
+    case 2: v = ~key >> r->s; break;         /* notmask */
+    case 3: v = (key >> r->s) ^ key; break;  /* xor */
+    case 4: v = (key >> r->s) + key; break;  /* add */
+    default: return key % r->mod;            /* mod */
+    }}
+    return (v >> r->t) & r->mask;
+}}
+
+/* The whole run: acc = {{cycles, body_cycles, transition_cycles,
+ * enabled_pe_cycles, meta_transitions}}; visits[k] counts node k. */
+i64 msc_run(msc_ctx *c, i64 max_steps, i64 *acc, i64 *visits)
+{{
+    const u64 barriers = {barriers};
+    i64 cycles = 0, body = 0, tcost = 0, enabled = 0, transitions = 0;
+    i64 k = {start}, rc = 0;
+    for (i64 steps = 1;; steps++) {{
+        if (steps > max_steps) {{ rc = {e_steps}; break; }}
+        visits[k]++;
+        rc = msc_node(c, k);
+        if (rc) break;
+        cycles += c->out[0] + c->out[1];
+        body += c->out[0];
+        tcost += c->out[1];
+        enabled += c->out[2];
+        if (c->out[3]) break;
+        transitions++;
+        const msc_tr *r = &msc_trs[k];
+        u64 apc = 0;
+        if (r->barrier >= 0) {{
+            /* compressed graphs: the all-at-barrier entry (3.2.4) */
+            apc = msc_globalor(c->pc, c->n);
+            cycles += {go}; tcost += {go};
+            if (!apc) break;
+            if (!(apc & ~barriers)) {{ k = r->barrier; continue; }}
+        }}
+        if (r->kind >= 0) {{
+            if (r->barrier < 0) apc = msc_globalor(c->pc, c->n);
+            cycles += {gd}; tcost += {gd};
+            if (!apc) break;
+            /* parked barrier bits drop out unless everyone is parked */
+            u64 key = (apc & ~barriers) ? (apc & ~barriers) : apc;
+            k = msc_jump[r->off + (i64)msc_hash(r, key)];
+            if (k < 0) {{ rc = {e_unencoded}; break; }}
+        }} else if (r->single >= 0) {{
+            cycles += {br}; tcost += {br};
+            k = r->single;
+        }} else {{
+            break;  /* terminal node: everyone returned */
+        }}
+    }}
+    acc[0] = cycles; acc[1] = body; acc[2] = tcost; acc[3] = enabled;
+    acc[4] = transitions;
+    return rc;
+}}
+"""
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +519,7 @@ class _Printer:
         self.consts: list[str] = []
         w = _CWriter()
         w.put(f"/* node {idx}: {node.name} */")
-        w.put(f"i64 {name}({_PARAMS})")
+        w.put(f"static i64 {name}({_PARAMS})")
         w.open("{")
         w.put("i64 body = 0, tcost = 0, enabled = 0, exited = 0, rc = 0;")
         w.put("(void)stack; (void)s_str; (void)s_rows; (void)sp;")

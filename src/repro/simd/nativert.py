@@ -1,7 +1,7 @@
-"""Runtime loader for the native C kernels.
+"""Runtime loader and runner for the native C kernels.
 
 :mod:`repro.codegen.native` generates one C translation unit per
-program; this module turns that text into callable per-node functions:
+program; this module builds it, loads it, and calls it:
 
 - **content-addressed builds** — the shared library lands in
   ``<cache root>/native/<key>.so`` where the key hashes the generated
@@ -13,8 +13,10 @@ program; this module turns that text into callable per-node functions:
   relocatable: nothing in the key or the artifact mentions absolute
   paths, only content.
 - **cffi ABI mode** — ``ffi.cdef`` + ``ffi.dlopen``; no ``Python.h``
-  and no compile-against-CPython step. Crucially, cffi releases the
-  GIL for the duration of every C call, which is what lets sharded
+  and no compile-against-CPython step. Every library exports the same
+  two entry points (:data:`repro.codegen.native.CDEF`), so one ``FFI``
+  parses the declarations once per process. cffi releases the GIL for
+  the duration of every C call, which is what lets sharded
   ``backend=native`` runs execute shard loops genuinely in parallel on
   one interpreter (see :mod:`repro.simd.shards`).
 - **graceful degradation** — :func:`unavailable_reason` is the single
@@ -26,13 +28,18 @@ program; this module turns that text into callable per-node functions:
   existing artifact that fails to load is deleted and rebuilt once;
   only a fresh build that still fails to load raises.
 
-A wrapper call hands the C function raw array pointers (row strides in
-elements), so a :class:`~repro.simd.shards.ShardView` — whose column
-slices keep the full-array row stride — works exactly like the full
-state. A nonzero return code raises :class:`NativeKernelError`; the
-machine replays the run on the ``kernels`` backend to reconstruct the
-exact :class:`~repro.errors.MachineError` (simulation is
-deterministic, and state is discarded on error).
+Arguments are bound once, not per call: :func:`bind` fills one
+``msc_ctx`` struct with the raw array pointers, the row strides (in
+elements) and a ``pc0`` scratch of its own, for one run's state or one
+:class:`~repro.simd.shards.ShardView` (whose column slices keep the
+full-array row stride, so a view works exactly like the full state).
+A serial run then makes one C call for the whole automaton
+(:func:`run_program`); the per-node callables of :func:`load_native`
+take a binding and make one call per meta step. A nonzero return code
+raises :class:`NativeKernelError`; the machine replays the run on the
+``kernels`` backend to reconstruct the exact
+:class:`~repro.errors.MachineError` (simulation is deterministic, and
+state is discarded on error).
 """
 
 from __future__ import annotations
@@ -42,11 +49,12 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from repro.codegen.native import NATIVE_ERROR_MESSAGES, NATIVE_VERSION
+from repro.codegen.native import CDEF, NATIVE_ERROR_MESSAGES, NATIVE_VERSION
 
 #: Compile flags (part of the shared-library cache key). ``-fwrapv``
 #: pins signed-integer wraparound to the two's-complement behavior the
@@ -72,12 +80,16 @@ class NativeKernelError(Exception):
         super().__init__(f"native kernel error {self.code}: {msg}")
 
 
+#: The compiler path, found once per process.
+_cc: str | None = None
+
+
 def _find_cc() -> str | None:
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
+    global _cc
+    if _cc is None:
+        _cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))),
+                   None)
+    return _cc
 
 
 def unavailable_reason() -> str | None:
@@ -174,25 +186,46 @@ def build_shared(nat) -> Path:
     return so_path
 
 
-#: digest -> (ffi, lib, fns): keeps the dlopen'd library alive for the
+_ffi = None
+_ffi_lock = threading.Lock()
+
+
+def _get_ffi():
+    """The process's one ``FFI``: every library shares its
+    declarations, and a binding must come from the ``FFI`` that loaded
+    the library it is passed to."""
+    global _ffi
+    with _ffi_lock:
+        if _ffi is None:
+            import cffi
+
+            ffi = cffi.FFI()
+            ffi.cdef(CDEF)
+            _ffi = ffi
+    return _ffi
+
+
+#: digest -> (lib, fns): keeps the dlopen'd library alive for the
 #: process and avoids re-opening per machine.
 _loaded: dict = {}
 
 
 def load_native(nat) -> dict:
-    """``entry meta state -> callable`` for every node of ``nat``,
-    building and/or dlopening the shared library on first use. The
-    callables have the kernel signature ``fn(pc, st) -> (body_cycles,
-    transition_cycles, enabled_pe_cycles, exited)`` and release the GIL
-    while the C code runs."""
+    """``entry meta state -> callable`` for every node of ``nat`` that
+    has a C function, building and/or dlopening the shared library on
+    first use. A callable has the kernel signature with the run's
+    binding in place of the state, ``fn(pc, bound) -> (body_cycles,
+    transition_cycles, enabled_pe_cycles, exited)`` (``pc`` is already
+    in ``bound``), and releases the GIL while the C code runs."""
+    return _load(nat)[1]
+
+
+def _load(nat) -> tuple:
     cached = _loaded.get(nat.digest())
     if cached is not None:
-        return cached[2]
-    import cffi
-
+        return cached
+    ffi = _get_ffi()
     so_path = build_shared(nat)
-    ffi = cffi.FFI()
-    ffi.cdef(nat.cdef())
     try:
         lib = ffi.dlopen(str(so_path))
     except OSError:
@@ -206,39 +239,86 @@ def load_native(nat) -> dict:
         except OSError as err:
             raise NativeBuildError(
                 f"cannot load rebuilt {so_path.name}: {err}") from err
-    fns = {key: _make_wrapper(ffi, getattr(lib, name))
-           for key, name in nat.entry_names.items()}
-    _loaded[nat.digest()] = (ffi, lib, fns)
-    return fns
+    node, unpack = lib.msc_node, ffi.unpack
+    fns = {key: _node_call(node, k, unpack)
+           for key, k in nat.entry_index.items()}
+    cached = _loaded[nat.digest()] = (lib, fns)
+    return cached
 
 
-def _make_wrapper(ffi, cfn):
-    cast = ffi.cast
-
-    def call(pc, st):
-        n = pc.shape[0]
-        # Per-call scratch: sharded runs call wrappers concurrently, so
-        # nothing here may be shared across threads.
-        scratch = np.empty(n, dtype=np.int64)
-        out = np.empty(4, dtype=np.int64)
-        rc = cfn(
-            cast("int64_t *", pc.ctypes.data), n,
-            cast("double *", st.stack.ctypes.data),
-            st.stack.strides[0] // 8, st.stack.shape[0],
-            cast("int64_t *", st.sp.ctypes.data),
-            cast("double *", st.rstack.ctypes.data),
-            st.rstack.strides[0] // 8, st.rstack.shape[0],
-            cast("int64_t *", st.rsp.ctypes.data),
-            cast("double *", st.poly.ctypes.data),
-            st.poly.strides[0] // 8,
-            cast("double *", st.mono.ctypes.data),
-            cast("double *", st.pids.ctypes.data),
-            st.npes,
-            cast("int64_t *", scratch.ctypes.data),
-            cast("int64_t *", out.ctypes.data),
-        )
+def _node_call(node, k: int, unpack):
+    def call(pc, bound):
+        rc = node(bound.ctx, k)
         if rc:
             raise NativeKernelError(rc)
-        return int(out[0]), int(out[1]), int(out[2]), bool(out[3])
+        body, tcost, enabled, exited = unpack(bound.out, 4)
+        return body, tcost, enabled, exited != 0
 
     return call
+
+
+class Binding:
+    """One run's (or one shard view's) C arguments: the ``msc_ctx``
+    struct, its ``out`` counters, and the arrays they point into (held
+    so the pointers stay valid). Nothing in it is shared with another
+    binding, so concurrent shards and runs need no locking."""
+
+    __slots__ = ("ctx", "out", "_arrays")
+
+    def __init__(self, ctx, arrays):
+        self.ctx = ctx
+        self.out = ctx.out
+        self._arrays = arrays
+
+
+def bind(pc: np.ndarray, st) -> Binding:
+    """Bind ``pc`` and ``st`` (a :class:`~repro.simd.vecops.PeState` or
+    a :class:`~repro.simd.shards.ShardView`) for the C functions, with
+    a ``pc0`` scratch of their width."""
+    typed = [(a, np.int64) for a in (pc, st.sp, st.rsp)] + [
+        (a, np.float64)
+        for a in (st.stack, st.rstack, st.poly, st.mono, st.pids)]
+    if any(a.dtype != dt or (a.size and a.strides[-1] != 8)
+           for a, dt in typed):
+        raise ValueError("native kernels need int64 / float64 state "
+                         "arrays with adjacent lanes")
+    ffi = _get_ffi()
+    cast = ffi.cast
+    ctx = ffi.new("msc_ctx *")
+    scratch = np.empty(pc.shape[0], dtype=np.int64)
+    ctx.pc = cast("int64_t *", pc.ctypes.data)
+    ctx.n = pc.shape[0]
+    ctx.stack = cast("double *", st.stack.ctypes.data)
+    ctx.s_str = st.stack.strides[0] // 8
+    ctx.s_rows = st.stack.shape[0]
+    ctx.sp = cast("int64_t *", st.sp.ctypes.data)
+    ctx.rstack = cast("double *", st.rstack.ctypes.data)
+    ctx.r_str = st.rstack.strides[0] // 8
+    ctx.r_rows = st.rstack.shape[0]
+    ctx.rsp = cast("int64_t *", st.rsp.ctypes.data)
+    ctx.poly = cast("double *", st.poly.ctypes.data)
+    ctx.p_str = st.poly.strides[0] // 8
+    ctx.mono = cast("double *", st.mono.ctypes.data)
+    ctx.pids = cast("double *", st.pids.ctypes.data)
+    ctx.npes = st.npes
+    ctx.pc0 = cast("int64_t *", scratch.ctypes.data)
+    return Binding(ctx, (pc, st, scratch))
+
+
+def run_program(nat, pc: np.ndarray, st, max_steps: int) -> tuple:
+    """Run the whole automaton of ``nat`` (which must have
+    :attr:`~repro.codegen.native.NativeProgram.loop`) on ``pc`` and
+    ``st`` in one C call: ``((cycles, body_cycles, transition_cycles,
+    enabled_pe_cycles, meta_transitions), visits)`` with ``visits[k]``
+    the step count of node ``k``. A fault, the step budget and an
+    unencoded aggregate raise :class:`NativeKernelError`."""
+    lib = _load(nat)[0]
+    ffi = _get_ffi()
+    bound = bind(pc, st)
+    acc = ffi.new("int64_t[5]")
+    n = len(nat.entry_index)
+    visits = ffi.new("int64_t[]", n)
+    rc = lib.msc_run(bound.ctx, min(max_steps, 2**63 - 1), acc, visits)
+    if rc:
+        raise NativeKernelError(rc)
+    return tuple(ffi.unpack(acc, 5)), ffi.unpack(visits, n)

@@ -193,10 +193,13 @@ class ShardFan:
 
     Built once per run over the shared state: per-shard
     :class:`ShardView`\\ s and ``pc`` slices, plus the persistent pool
-    for the shard count. Calling it runs a node callable with the
-    kernel convention ``fn(pc, st) -> (body, transition, enabled,
-    exited)`` on every shard and combines the shard results into
-    exactly the serial ones:
+    for the shard count. Given ``bind`` (native runs:
+    :func:`repro.simd.nativert.bind`), each view is bound once here,
+    with its own scratch, and the callables take the binding in place
+    of the view. Calling it runs a node callable with the kernel
+    convention ``fn(pc, st) -> (body, transition, enabled, exited)`` on
+    every shard and combines the shard results into exactly the serial
+    ones:
 
     - per-segment control-unit cycles are lane-count independent, and
       (absent spawn) a shard's live set within a node only shrinks, so
@@ -209,10 +212,12 @@ class ShardFan:
     """
 
     def __init__(self, st, pc: np.ndarray, nshards: int,
-                 bit_weights: np.ndarray):
-        bounds = shard_bounds(st.npes, nshards)
-        self.shards = [(pc[lo:hi], ShardView(st, lo, hi))
-                       for lo, hi in bounds]
+                 bit_weights: np.ndarray, bind=None):
+        self.shards = []
+        for lo, hi in shard_bounds(st.npes, nshards):
+            spc, view = pc[lo:hi], ShardView(st, lo, hi)
+            self.shards.append(
+                (spc, view if bind is None else bind(spc, view)))
         self.pool = get_pool(nshards)
         self.bit_weights = bit_weights
 

@@ -10,6 +10,7 @@ library is content-addressed so warm runs never re-invoke the
 compiler.
 """
 
+import itertools
 import pickle
 import shutil
 import subprocess
@@ -20,8 +21,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.codegen.native import NATIVE_VERSION, NativeProgram, compile_native
-from repro.errors import MachineError
+from repro.codegen.native import (E_STEPS, NATIVE_VERSION, NativeProgram,
+                                  compile_native)
+from repro.errors import ConversionError, MachineError
+from repro.hashenc.search import BranchEncoding, HashFn
 from repro.pipeline import ConversionOptions, convert_source
 from repro.simd import nativert
 from repro.simd.machine import SimdMachine
@@ -34,10 +37,12 @@ requires_toolchain = pytest.mark.skipif(
     reason=nativert.unavailable_reason() or "")
 
 
-def run_native(result, npes, backend="native", active=None, shards=None):
+def run_native(result, npes, backend="native", active=None, shards=None,
+               max_steps=1_000_000):
     machine = SimdMachine(npes=npes, costs=result.options.costs,
                           backend=backend, shards=shards)
-    return machine.run(result.simd_program(), active=active)
+    return machine.run(result.simd_program(), active=active,
+                       max_steps=max_steps)
 
 
 @requires_toolchain
@@ -97,32 +102,301 @@ class TestErrorReconstruction:
         assert str(sharded.value) == str(serial.value)
 
 
+#: Faults that fire only after some 30 loop iterations, with the
+#: message they raise: an integer division by zero, and a router read
+#: past the last PE.
+LATE_FAULTS = {
+    "div": ("main() { poly int i, x; x = 0; "
+            "for (i = 0; i < 40; i = i + 1) "
+            "{ x = x + 100 / (procnum + 30 - i); } return (x); }",
+            "integer division or remainder by zero"),
+    "router": ("main() { poly int i, x, y; y = procnum; x = 0; "
+               "for (i = 0; i < 40; i = i + 1) "
+               "{ x = x + y[[i / 30 * 1000]]; } return (x); }",
+               "parallel read from out-of-range PE"),
+}
+
+#: The mixed-run sweep, less the two programs whose C takes cc longest
+#: (collatz_depth has 512 nodes and divergent_phases 64 uncompressed).
+MIXED = [(name, compress) for name in sorted(STANDARD)
+         for compress in (False, True)
+         if compress or name not in ("collatz_depth", "divergent_phases")]
+
+
+def hash_family(kind: str, n: int):
+    """Hash functions of ``kind`` for ``n`` keys, smallest table first."""
+    if kind == "mod":
+        return (HashFn("mod", mod=p) for p in itertools.count(n))
+    bits = (n - 1).bit_length()
+    return (HashFn(kind, s=s, t=t, mask=(1 << b) - 1)
+            for b in range(bits, bits + 3) for t in range(4)
+            for s in range(63))
+
+
+def reencode(prog, family) -> int:
+    """Re-encode each multiway node of ``prog`` with the first hash of
+    ``family(len(cases))`` that separates its keys; how many were."""
+    done = 0
+    for node in prog.nodes.values():
+        cases = node.encoding.cases if node.encoding else None
+        if cases is None:
+            continue
+        fn = next((f for f in family(len(cases))
+                   if len({f.apply(k) for k in cases}) == len(cases)), None)
+        if fn is None:
+            continue
+        table = [None] * fn.table_size
+        for key, target in cases.items():
+            table[fn.apply(key)] = target
+        node.encoding = BranchEncoding(fn, table, cases)
+        done += 1
+    return done
+
+
+@requires_toolchain
+class TestWholeRunLoop:
+    """A serial native run is one C call (``msc_run``); sharded runs and
+    programs the loop cannot hold call one C function per node, with
+    arguments bound once per run and per shard."""
+
+    def test_loop_decided_by_program(self):
+        from repro.workloads import barrier_phases
+
+        prog = convert_source(STANDARD["odd_even_sort"]()).simd_program()
+        assert prog.native().loop
+        wide = convert_source(barrier_phases(6, n_phases=22)).simd_program()
+        assert wide.plan().n_bids > 63
+        assert not wide.native().loop
+        assert "i64 msc_run(" not in wide.native().c_source
+
+    def test_serial_run_crosses_the_ffi_once(self, monkeypatch):
+        result = convert_source(STANDARD["odd_even_sort"]())
+        calls = {"node": 0, "run": 0}
+        load_native, run_program = nativert.load_native, nativert.run_program
+
+        def counting_load(nat):
+            def counted(fn):
+                def call(pc, bound):
+                    calls["node"] += 1
+                    return fn(pc, bound)
+                return call
+            return {key: counted(fn) for key, fn in load_native(nat).items()}
+
+        def counting_run(*args):
+            calls["run"] += 1
+            return run_program(*args)
+
+        monkeypatch.setattr(nativert, "load_native", counting_load)
+        monkeypatch.setattr(nativert, "run_program", counting_run)
+        res = run_native(result, 16, shards=1)
+        assert calls == {"node": 0, "run": 1}
+        assert res.meta_transitions > 100
+        ref = run_native(result, 16, backend="interp")
+        assert_identical(res, ref, "one call")
+
+    def test_sharded_run_binds_each_shard_once(self, monkeypatch):
+        result = convert_source(STANDARD["divergent_loops"]())
+        binds: list = []
+        bind = nativert.bind
+
+        def counting_bind(pc, st):
+            binds.append(pc.shape[0])
+            return bind(pc, st)
+
+        monkeypatch.setattr(nativert, "bind", counting_bind)
+        res = run_native(result, 33, shards=4)
+        assert res.shards == 4
+        # The full state (for cross-lane nodes), then each shard view.
+        assert binds == [33, 9, 8, 8, 8]
+        assert sum(res.node_visits.values()) > len(binds)
+
+    def test_step_budget_matches_kernels(self, monkeypatch):
+        result = convert_source(STANDARD["odd_even_sort"]())
+        codes: list = []
+        run_program = nativert.run_program
+
+        def spy(*args):
+            try:
+                return run_program(*args)
+            except nativert.NativeKernelError as err:
+                codes.append(err.code)
+                raise
+
+        monkeypatch.setattr(nativert, "run_program", spy)
+        msgs = {}
+        for backend in ("kernels", "native"):
+            with pytest.raises(MachineError) as exc:
+                run_native(result, 8, backend, shards=1, max_steps=50)
+            msgs[backend] = str(exc.value)
+        assert msgs["native"] == msgs["kernels"] \
+            == "SIMD run exceeded 50 meta steps"
+        assert codes == [E_STEPS]
+
+    @pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
+    def test_late_fault_exact_message(self, fault):
+        src, want = LATE_FAULTS[fault]
+        result = convert_source(src)
+        assert result.simd_program().native().loop
+
+        def message(backend, shards=1, max_steps=1_000_000):
+            with pytest.raises(MachineError) as exc:
+                run_native(result, 8, backend, shards=shards,
+                           max_steps=max_steps)
+            return str(exc.value)
+
+        # The fault is late: twenty meta steps run clean into the budget.
+        assert message("native", max_steps=20) \
+            == "SIMD run exceeded 20 meta steps"
+        assert message("kernels") == want
+        for shards in (1, 4):
+            assert message("native", shards) == want, shards
+
+    def test_unencoded_aggregate_replays_to_conversion_error(self):
+        result = convert_source(STANDARD["divergent_loops"]())
+        prog = result.simd_program()
+        emptied = 0
+        for node in prog.nodes.values():
+            if node.encoding is not None:
+                node.encoding.table = [None] * len(node.encoding.table)
+                emptied += 1
+        assert emptied
+        prog._native = compile_native(prog)
+        assert prog.native().loop
+        msgs = {}
+        for backend in ("kernels", "native"):
+            with pytest.raises(ConversionError) as exc:
+                run_native(result, 8, backend, shards=1)
+            msgs[backend] = str(exc.value)
+        assert msgs["native"] == msgs["kernels"]
+        assert "unencoded transition" in msgs["native"]
+
+    def test_parked_barrier_bits_are_masked(self):
+        # odd_even_sort's aggregates carry parked barrier bits at some
+        # multiway nodes, but its searched hashes happen to ignore those
+        # bits. A division hash by an odd modulus does not, so every
+        # node dispatches right only if the barrier bits are masked out
+        # first (section 3.2.4), on both native paths.
+        result = convert_source(STANDARD["odd_even_sort"]())
+        prog = result.simd_program()
+        assert reencode(prog, lambda n: (HashFn("mod", mod=p) for p in
+                                         itertools.count(n | 1, 2)))
+        prog._native = compile_native(prog)
+        assert prog.native().loop
+        ref = run_native(result, 8, backend="interp")
+        for shards in (1, 3):
+            assert_identical(run_native(result, 8, shards=shards), ref,
+                             ("masked", shards))
+
+    @pytest.mark.parametrize("kind", ("mask", "notmask", "xor", "add",
+                                      "mod"))
+    def test_every_hash_kind_dispatches(self, kind):
+        # The library's searched hashes use only mask, xor and add; the
+        # loop's evaluator must agree with HashFn.apply on every kind.
+        result = convert_source(STANDARD["odd_even_sort"]())
+        prog = result.simd_program()
+        assert reencode(prog, lambda n: hash_family(kind, n))
+        prog._native = compile_native(prog)
+        ref = run_native(result, 8, backend="interp")
+        assert_identical(run_native(result, 8, shards=1), ref, kind)
+
+    @pytest.mark.parametrize("name,compress", MIXED)
+    def test_mixed_run_bit_identical(self, name, compress, monkeypatch):
+        # Every other node loses its C function, as when the lowering
+        # skips a node no printer handles, so the run takes the
+        # per-node path and C nodes and interp walks alternate and hand
+        # the stack pointers to each other.
+        from repro.codegen import kir
+
+        src = STANDARD[name]()
+        result = convert_source(src, ConversionOptions(compress=compress))
+        prog = result.simd_program()
+        lower_program = kir.lower_program
+
+        def skipping(p):
+            lowered = lower_program(p)
+            drop = set(range(1, len(lowered), 2)) or {0}
+            return [entry for entry in lowered if entry[0] not in drop]
+
+        monkeypatch.setattr(kir, "lower_program", skipping)
+        prog._native = compile_native(prog)
+        nat = prog.native()
+        assert len(nat.entry_index) < len(prog.nodes)
+        assert not nat.loop
+        for npes in (8, 33):
+            active = npes // 2 if "spawn" in src else None
+            ref = SimdMachine(npes=npes, costs=result.options.costs,
+                              backend="interp").run(prog, active=active)
+            for shards in (1, 3):
+                res = run_native(result, npes, active=active, shards=shards)
+                assert res.backend_used == "native"
+                assert res.shards == shards
+                assert_identical(res, ref, (name, compress, npes, shards))
+
+
 @requires_toolchain
 class TestConcurrentRuns:
+    """Each run() resolves its own callables, so a second thread
+    resolving on the same machine cannot swap a running loop's native
+    code for another executor under the native label: every
+    native-labelled run executes native code, and no step runs on
+    another executor."""
+
     def test_threads_sharing_a_machine_keep_their_executor(
             self, monkeypatch):
-        # Each run() resolves its own callables, so a second thread
-        # resolving on the same machine cannot swap a running loop's
-        # native kernels for another executor under the native label.
+        # A serial run is one whole-run C call, counted once per run.
+        runs, run_calls, node_calls = self.hammer(monkeypatch, shards=1)
+        per_run: dict = {}
+        for me, _ in runs:
+            per_run[me] = per_run.get(me, 0) + 1
+        assert run_calls == per_run
+        assert node_calls == {}
+
+    def test_threads_sharing_a_sharded_machine_keep_their_executor(
+            self, monkeypatch):
+        # A sharded run calls one C function per node; shard 0 and the
+        # full-width nodes run on the calling thread, so its count is
+        # one call per meta step.
+        runs, run_calls, node_calls = self.hammer(monkeypatch, shards=2)
+        per_step: dict = {}
+        for me, steps in runs:
+            per_step[me] = per_step.get(me, 0) + steps
+        assert run_calls == {}
+        assert {me: node_calls.get(me) for me in per_step} == per_step
+
+    @staticmethod
+    def hammer(monkeypatch, shards):
+        """Eight threads x 60 runs on one machine; ``(thread, meta
+        steps)`` per run, and whole-run and per-node C calls per
+        thread."""
         result = convert_source(STANDARD["divergent_loops"]())
         prog = result.simd_program()
         lock = threading.Lock()
-        calls: dict = {}
+        node_calls: dict = {}
+        run_calls: dict = {}
         load_native = nativert.load_native
+        run_program = nativert.run_program
+
+        def count(table):
+            me = threading.get_ident()
+            with lock:
+                table[me] = table.get(me, 0) + 1
 
         def counting_load(nat):
             def counted(fn):
                 def call(pc, st):
-                    me = threading.get_ident()
-                    with lock:
-                        calls[me] = calls.get(me, 0) + 1
+                    count(node_calls)
                     return fn(pc, st)
                 return call
             return {key: counted(fn) for key, fn in load_native(nat).items()}
 
+        def counting_run(*args):
+            count(run_calls)
+            return run_program(*args)
+
         monkeypatch.setattr(nativert, "load_native", counting_load)
+        monkeypatch.setattr(nativert, "run_program", counting_run)
         machine = SimdMachine(npes=2, costs=result.options.costs,
-                              backend="native", shards=1)
+                              backend="native", shards=shards)
         runs: list = []
 
         def worker():
@@ -130,7 +404,8 @@ class TestConcurrentRuns:
                 res = machine.run(prog)
                 with lock:
                     runs.append((threading.get_ident(), res.backend_used,
-                                 sum(res.node_visits.values())))
+                                 res.shards, sum(res.node_visits.values()),
+                                 (res.cycles, res.poly.tobytes())))
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -144,12 +419,12 @@ class TestConcurrentRuns:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert len(runs) == 8 * 60
-        assert {used for _, used, _ in runs} == {"native"}
-        # One native call per meta step: no step ran on another executor.
-        steps: dict = {}
-        for me, _, n in runs:
-            steps[me] = steps.get(me, 0) + n
-        assert calls == steps
+        assert {(used, n) for _, used, n, _, _ in runs} \
+            == {("native", shards)}
+        # Concurrent runs share no scratch: every run computes the same.
+        assert len({out for *_, out in runs}) == 1
+        return [(me, steps) for me, _, _, steps, _ in runs], run_calls, \
+            node_calls
 
 
 class TestFallbacks:
@@ -320,6 +595,22 @@ class TestNativeProgram:
         b = compile_native(convert_source(src).simd_program())
         assert a.digest() == b.digest()
         assert a.c_source == b.c_source
+
+    def test_cdef_does_not_grow_with_the_program(self):
+        small, big = (
+            convert_source(STANDARD["collatz_depth"](), ConversionOptions(
+                compress=compress)).simd_program()
+            for compress in (True, False))
+        assert (small.node_count(), big.node_count()) == (2, 512)
+        assert len(small.native().cdef()) == len(big.native().cdef())
+
+    def test_digest_memo_is_not_pickled(self):
+        nat = convert_source(STANDARD["mandelbrot"]()).simd_program().native()
+        digest = nat.digest()
+        clone = pickle.loads(pickle.dumps(nat))
+        assert clone._digest is None
+        assert clone == nat
+        assert clone.digest() == digest
 
     def test_version_stamped(self):
         nat = convert_source(STANDARD["divergent_loops"]()) \

@@ -53,7 +53,9 @@ class TestPlanStructure:
         ref = run("interp")
         runs = [("kernels", 1), ("kernels", 3)]
         if nativert.unavailable_reason() is None:
-            runs.append(("native", 1))
+            # 73 ids is past the C loop: both runs call per node.
+            assert not prog.native().loop
+            runs += [("native", 1), ("native", 3)]
         for backend, shards in runs:
             res = run(backend, shards)
             assert res.shards == shards
