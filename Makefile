@@ -9,7 +9,8 @@ test:
 
 props:
 	$(PY) -m pytest tests/test_properties.py tests/test_csi_exact.py \
-		tests/test_lazy.py::TestGeneratedPrograms -q
+		tests/test_lazy.py::TestGeneratedPrograms \
+		tests/test_lazy.py::TestResolution::test_generated_programs -q
 
 # Backend benchmark (all three executors on one shard, plus kernels and
 # native at 4 shards, over the workload library + the 16K-PE scaling

@@ -256,7 +256,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if getattr(result.options, "lazy", False):
         stats = result.lazy_program().stats()
         print(f"lazy: {stats['lazy_discovered']} states discovered, "
-              f"{stats['lazy_expanded']} expanded, "
+              f"{stats['lazy_expanded']} prepared, "
+              f"{stats['lazy_resolved']} arcs resolved, "
               f"{stats['lazy_materialized']} compiled "
               f"({stats['lazy_resident']} resident, "
               f"{stats['lazy_evictions']} evicted)")

@@ -19,22 +19,32 @@ dispatch between them disappears.
 
 Lazy conversion builds one node at a time (:func:`compile_node`) and
 prints no switch, so its multiway transitions dispatch through the
-transition row itself (:class:`RowDispatch`); the hash encoding is
-what eager emission prints.
+arcs of the transition row resolved so far (:class:`RowDispatch`),
+resolving a new aggregate through the conversion engine on a miss; the
+hash encoding is what eager emission prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.metastate import MetaStateGraph, format_members
 from repro.csi.dag import ThreadCode
 from repro.csi.schedule import Schedule, csi_schedule, serial_schedule
 from repro.errors import ConversionError
-from repro.hashenc.search import BranchEncoding, encode_branch, key_of_members
+from repro.hashenc.search import (
+    BranchEncoding,
+    encode_branch,
+    key_of_members,
+    members_of_key,
+)
 from repro.ir.block import Terminator
 from repro.ir.cfg import Cfg
 from repro.ir.instr import DEFAULT_COSTS, CostModel
+
+if TYPE_CHECKING:
+    from repro.core.convert import ConversionEngine
 
 
 @dataclass
@@ -57,18 +67,21 @@ class Segment:
 
 @dataclass
 class RowDispatch:
-    """A lazy node's multiway transition: its transition-table row,
-    ``{aggregate key: successor}``. An aggregate outside the row raises,
-    as an empty jump-table slot does."""
+    """A lazy node's multiway transition: the arcs of its transition
+    row resolved so far, ``{aggregate key: successor}``. A miss asks
+    ``miss`` for the successor (the conversion engine resolves the
+    aggregate by the full row's rules and records the arc) and keeps
+    it; an aggregate outside the full row raises
+    :class:`~repro.errors.ConversionError`, as an empty jump-table slot
+    does."""
 
     cases: dict[int, frozenset]
+    miss: Callable[[int], frozenset]
 
     def lookup(self, key: int) -> frozenset:
         target = self.cases.get(key)
         if target is None:
-            raise ConversionError(
-                f"aggregate {key:#x} reached an unencoded transition"
-            )
+            target = self.cases[key] = self.miss(key)
         return target
 
 
@@ -264,7 +277,7 @@ def encode_program(cfg: Cfg, graph,
                     for m in chain]
         name = "+".join(format_members(m) for m in chain)
         node = MetaNode(name=name, segments=segments)
-        _set_transition(node, graph, chain[-1], encode_branch)
+        _set_transition(node, graph, chain[-1])
         nodes[chain[0]] = node
 
     prog = SimdProgram(
@@ -281,7 +294,7 @@ def encode_program(cfg: Cfg, graph,
     return prog
 
 
-def compile_node(cfg: Cfg, graph: MetaStateGraph, members: frozenset,
+def compile_node(cfg: Cfg, engine: ConversionEngine, members: frozenset,
                  costs: CostModel = DEFAULT_COSTS,
                  use_csi: bool = True) -> MetaNode:
     """Emit the single-state :class:`MetaNode` for ``members`` — the
@@ -291,30 +304,41 @@ def compile_node(cfg: Cfg, graph: MetaStateGraph, members: frozenset,
     Single-state means the trivial (``-O0``) chain layout: one segment,
     no straightening (chain merging needs global predecessor counts,
     which a partial automaton cannot know yet). ``members`` must
-    already be expanded in ``graph`` (its ``table`` row recorded).
+    already be prepared or expanded in ``engine``, which decided its
+    transition kind.
 
-    A multiway transition dispatches through that row
-    (:class:`RowDispatch`) instead of a searched hash: the machine
-    charges the same flat ``dispatch_cost`` either way, and lazy mode
-    prints no switch.
+    A multiway transition dispatches through the arcs recorded so far
+    (:class:`RowDispatch`) instead of a searched hash, and a miss
+    resolves the aggregate through the engine: the machine charges the
+    same flat ``dispatch_cost`` either way, and lazy mode prints no
+    switch.
     """
+    graph = engine.graph
     node = MetaNode(
         name=format_members(members),
         segments=[_make_segment(cfg, graph, members, costs, use_csi)],
     )
-    _set_transition(node, graph, members, RowDispatch)
+    row = graph.table.get(members, {})
+    if members in engine.multiway:
+        node.encoding = RowDispatch(
+            {key_of_members(key): target for key, target in row.items()},
+            lambda key: engine.resolve(members, members_of_key(key)),
+        )
+    elif row:
+        (node.single_target,) = row.values()
+    node.barrier_target = graph.barrier_entry.get(members)
     return node
 
 
 def _set_transition(node: MetaNode, graph: MetaStateGraph,
-                    last: frozenset, encode) -> None:
+                    last: frozenset) -> None:
     """Attach the transition out of ``last``, the node's final state:
-    ``encode`` builds the multiway dispatch from
-    ``{aggregate key: successor}`` when the row has several cases."""
+    the Listing 5 hash of ``{aggregate key: successor}`` when the row
+    has several cases."""
     table = graph.table.get(last, {})
     distinct_targets = set(table.values())
     if len(table) > 1:
-        node.encoding = encode({
+        node.encoding = encode_branch({
             key_of_members(key): target for key, target in table.items()
         })
     elif len(distinct_targets) == 1:

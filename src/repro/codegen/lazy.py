@@ -9,12 +9,15 @@ hands the runtime a *partial* program plus the live
 machine's miss-handler protocol: right before each meta step the
 machine calls :meth:`fetch`, which
 
-1. **expands** — asks the engine to (re)expand the state when its
-   transition row is missing or stale (barrier parking grew), and
-   invalidates every compiled artifact the growth staled;
+1. **prepares** — asks the engine to (re)prepare the state when it is
+   new or stale (barrier parking grew): the engine decides its
+   transition kind without expanding its row, and every compiled
+   artifact the growth staled is invalidated;
 2. **compiles** — JITs the state's :class:`~repro.codegen.emit.
-   MetaNode` (trivial one-state layout, dispatching through its
-   transition row), its :class:`~repro.codegen.plan.NodePlan`, and —
+   MetaNode` (trivial one-state layout; a multiway transition
+   dispatches through the arcs resolved so far and resolves a new
+   aggregate through the engine on a miss), its
+   :class:`~repro.codegen.plan.NodePlan`, and —
    on the kernel backends — its fused kernel, registering all three
    into the same dispatch dicts the machine loops read
    (``program.nodes`` / ``plan.nodes`` / :attr:`kfns`), so the step
@@ -22,10 +25,10 @@ machine calls :meth:`fetch`, which
 3. **bounds residency** — with ``max_resident_meta`` set, an LRU of
    compiled nodes is maintained and the least-recently-dispatched
    node's artifacts are dropped. The engine's graph keeps the state's
-   members, parked set, and table row, so re-entering the node simply
-   re-runs step 2 — deterministically: the schedule, row dispatch,
-   plan, and kernel depend only on the CFG, the members and their
-   row, and the cost model.
+   members, parked set, and resolved arcs, so re-entering the node
+   simply re-runs step 2 — deterministically: the schedule, row
+   dispatch, plan, and kernel depend only on the CFG, the members and
+   their arcs, and the cost model.
 
 The native C backend does not participate: compiling one shared
 library per just-discovered node would put the C compiler on the hot
@@ -43,7 +46,8 @@ twin of a lazy run — what the differential tests compare against.
 A :class:`LazyProgram` is rebuilt cheaply from a pickled engine
 (the content-addressed cache stores the engine snapshot instead of an
 eager program — see :mod:`repro.stages.driver`), so a warm compile
-resumes with every previously discovered state already expanded.
+resumes with every previously visited state prepared and every
+previously taken arc resolved.
 """
 
 from __future__ import annotations
@@ -121,14 +125,12 @@ class LazyProgram:
         node. Mutates ``program.nodes`` / ``plan.nodes`` / ``kfns`` in
         place — the machine's loops re-read them every step."""
         engine = self.engine
-        was_fresh = engine.fresh(key)
-        engine.ensure(key)
+        if engine.prepare(key):
+            # Any artifact compiled before this (re)preparation baked in
+            # the old transition kind and row.
+            self._drop(key)
         for stale in engine.take_dirty():
             self._drop(stale)
-        if not was_fresh:
-            # Any artifact compiled before this (re)expansion baked in
-            # the old transition row.
-            self._drop(key)
         node = self.program.nodes.get(key)
         if node is None or (want_kernel and self.supports_kernels
                             and key not in self.kfns
@@ -139,10 +141,15 @@ class LazyProgram:
 
     def stats(self) -> dict:
         """Discovered-vs-materialized accounting for the stage report
-        and ``--timings``."""
+        and ``--timings``. ``lazy_discovered`` counts the states
+        registered by resolved arcs and by full-row expansions (the
+        compile-time start state, the frontier verifier);
+        ``lazy_expanded`` the states with a recorded row, prepared or
+        expanded; ``lazy_resolved`` the arcs resolved on demand."""
         return {
             "lazy_discovered": len(self.graph.states),
             "lazy_expanded": len(self.graph.table),
+            "lazy_resolved": self.engine.resolved,
             "lazy_materialized": self.materialized,
             "lazy_resident": len(self.program.nodes),
             "lazy_evictions": self.evictions,
@@ -152,7 +159,7 @@ class LazyProgram:
 
     # ------------------------------------------------------------------
     def _materialize(self, key, want_kernel: bool) -> MetaNode:
-        node = compile_node(self.cfg, self.graph, key, self.costs,
+        node = compile_node(self.cfg, self.engine, key, self.costs,
                             self.use_csi)
         nplan = compile_node_plan(node, self.plan.n_bids,
                                   self.plan.static_depths)

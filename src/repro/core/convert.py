@@ -143,31 +143,38 @@ class ConversionEngine:
 
     The engine owns the worklist, the :class:`_ConvertMemo`, the
     parked-set bookkeeping, and the barrier logic of sections
-    2.3/2.5/2.6, and exposes them one meta state at a time:
+    2.3/2.5/2.6, and exposes them one meta state at a time, in two
+    modes that share one per-union successor rule (:meth:`_arcs`):
 
-    - :meth:`expand` processes a single meta state against its current
-      parked-possible set, records its transition-table row in
-      ``self.graph``, and returns the successor states it registered;
-    - :meth:`drain` runs the classic eager fixpoint to completion —
-      :func:`convert` is now exactly "construct an engine and drain
-      it";
-    - lazy mode (:class:`repro.codegen.lazy.LazyProgram`) hands the
-      engine to the runtime and calls :meth:`ensure` right before each
-      meta state is dispatched, so only the aggregates a run actually
-      visits are ever converted.
+    - full rows: :meth:`expand` processes a single meta state against
+      its current parked-possible set, records its whole
+      transition-table row in ``self.graph``, and returns the successor
+      states it registered; :meth:`drain` runs the classic eager
+      fixpoint to completion — :func:`convert` is exactly "construct an
+      engine and drain it" — and :meth:`ensure` expands one state until
+      its row is fresh (the frontier verifier and the compile-time
+      start state of a lazy compile use it);
+    - demand: lazy mode (:class:`repro.codegen.lazy.LazyProgram`) calls
+      :meth:`prepare` right before each meta state is dispatched. It
+      decides the state's transition kind and exit flag from the member
+      choices alone, and :meth:`resolve` then enters only the successor
+      of each aggregate the run observes, recording that one arc of the
+      row. A run therefore discovers the states its arcs reach, not
+      every state of the rows it visits.
 
     Parked-possible sets grow monotonically. When registering a
     successor grows the parked set of a state that was *already*
-    expanded, that state's table row may be stale (new all-at-barrier
-    targets can appear), so the engine re-enqueues it and records it
-    in the *dirty* set; an incremental consumer calls
+    expanded or prepared, that state's table row may be stale (new
+    all-at-barrier targets can appear), so the engine re-enqueues it
+    and records it in the *dirty* set; an incremental consumer calls
     :meth:`take_dirty` to invalidate whatever it compiled from the old
-    row, and :meth:`ensure` re-expands the state before its next
-    dispatch. Soundness of on-demand expansion follows from the same
-    monotonicity: every state is expanded no earlier than the arc that
-    reaches it at runtime is recorded, so its parked-possible set at
-    expansion time already covers every barrier the executed path can
-    have parked PEs at.
+    row, and :meth:`ensure` / :meth:`prepare` redo the state before its
+    next dispatch (re-preparing re-enters every resolved arc with the
+    grown set, as re-expansion would). Soundness of on-demand expansion
+    follows from the same monotonicity: every arc is resolved no
+    earlier than the run takes it, against the parked set of a state
+    prepared at that step, so a successor's parked-possible set covers
+    every barrier the executed path can have parked PEs at.
     """
 
     def __init__(self, cfg: Cfg, options: ConvertOptions | None = None):
@@ -193,19 +200,28 @@ class ConversionEngine:
         self.processed_with: dict[frozenset, frozenset] = {}
         self.memo = _ConvertMemo(cfg)
         self.passes = 0
-        #: Already-expanded states whose parked set has grown since
-        #: their last expansion: their recorded table rows (and any
-        #: artifact compiled from them) are stale.
+        #: Already-expanded (or prepared) states whose parked set has
+        #: grown since: their recorded table rows (and any artifact
+        #: compiled from them) are stale.
         self.dirty: set[frozenset] = set()
+        #: Prepared states whose ``graph.table`` row holds only the arcs
+        #: resolved so far.
+        self.partial: set[frozenset] = set()
+        #: States whose full row has several keys: their transition is
+        #: a multiway dispatch, whichever mode recorded the row.
+        self.multiway: set[frozenset] = set()
+        #: Arcs recorded by :meth:`resolve`.
+        self.resolved = 0
 
-    def expanded(self, m: frozenset) -> bool:
-        """Whether ``m`` has ever been expanded."""
-        return m in self.processed_with
+    def current(self, m: frozenset) -> bool:
+        """Whether ``m`` was expanded or prepared against its current
+        parked set."""
+        return self.processed_with.get(m) == self.graph.parked_possible[m]
 
     def fresh(self, m: frozenset) -> bool:
-        """Whether ``m``'s table row reflects its current parked set."""
-        return (m in self.processed_with
-                and self.processed_with[m] == self.graph.parked_possible[m])
+        """Whether ``m``'s whole table row reflects its current parked
+        set."""
+        return m not in self.partial and self.current(m)
 
     def expand(self, m: frozenset) -> set[frozenset]:
         """Process ``m`` against its current parked set and return its
@@ -219,6 +235,7 @@ class ConversionEngine:
         parked = graph.parked_possible[m]
         self.processed_with[m] = parked
         self.dirty.discard(m)
+        self.partial.discard(m)
         self.passes += 1
         graph.barrier_entry.pop(m, None)
         graph.invalidate_caches()
@@ -231,54 +248,46 @@ class ConversionEngine:
         table: dict[frozenset, frozenset] = {}
         exits = False
         for union in self.memo.unions(m, False):
-            if not union:
-                # Every member finished simultaneously. If no PE can be
-                # parked at a barrier the aggregate is empty and
-                # execution ends (no arc). Otherwise the parked PEs are
-                # now the only live ones — they are all at barriers, so
-                # the transition enters the all-at-barrier meta state.
-                exits = True
-                if len(parked) > self.options.max_parked:
-                    raise ConversionError(
-                        f"more than {self.options.max_parked} simultaneously "
-                        "parked barrier states"
-                    )
-                for extra in _subsets(parked):
-                    if extra:
-                        self._enter(extra, frozenset())
-                        table[extra] = extra
-                continue
-            waits = union & self.barrier_ids
-            if waits and waits != union:
-                # Not everyone reached the barrier: the barrier states
-                # are removed from the meta state; the PEs that reached
-                # them are parked there.
-                active = union - waits
-                key = active  # the encoded transition key masks barriers
-                new_parked = parked | waits
-                self._enter(active, new_parked)
-                table[key] = active
-            elif waits:
-                # union is entirely barrier states. At runtime the
-                # aggregate also contains every parked pc, so the
-                # all-at-barrier meta state is union plus any subset of
-                # the possibly-parked set that is actually occupied.
-                if len(parked) > self.options.max_parked:
-                    raise ConversionError(
-                        f"more than {self.options.max_parked} simultaneously "
-                        "parked barrier states"
-                    )
-                for extra in _subsets(parked - union):
-                    target = union | extra
-                    self._enter(target, frozenset())
-                    table[target] = target
-            else:
-                self._enter(union, parked)
-                table[union] = union
+            exits = exits or not union
+            lo, hi, into = self._arcs(union, parked)
+            for key in _keys(lo, hi):
+                self._enter(key, into)
+                table[key] = key
         graph.table[m] = table
+        if len(table) > 1:
+            self.multiway.add(m)
         if exits:
             graph.can_exit.add(m)
         return graph.successors(m)
+
+    def _arcs(self, union: frozenset, parked: frozenset
+              ) -> tuple[frozenset, frozenset, frozenset]:
+        """The per-union successor rule that :meth:`expand` and
+        :meth:`resolve` share. A candidate union produces every nonempty
+        key ``k`` with ``lo <= k <= hi``; each key is its own target,
+        entered with parked set ``into``."""
+        waits = union & self.barrier_ids
+        if waits == union:
+            # Either every member finished (the empty union), or the
+            # union is entirely barrier states. At runtime the aggregate
+            # also contains every parked pc that is actually occupied,
+            # so the key is the union plus any subset of the parked set:
+            # the parked PEs are now the only live ones, or have all
+            # reached the barrier too, and the target starts unparked.
+            self._check_parked(parked)
+            return union, union | parked, frozenset()
+        # Not everyone reached the barrier: the barrier states are
+        # removed from the meta state (the encoded key masks them out);
+        # the PEs that reached them are parked there.
+        active = union - waits
+        return active, active, parked | waits
+
+    def _check_parked(self, parked: frozenset) -> None:
+        if len(parked) > self.options.max_parked:
+            raise ConversionError(
+                f"more than {self.options.max_parked} simultaneously "
+                "parked barrier states"
+            )
 
     def ensure(self, m: frozenset) -> bool:
         """Expand ``m`` until its row is fresh (expansion can grow the
@@ -289,6 +298,111 @@ class ConversionEngine:
             self.expand(m)
             ran = True
         return ran
+
+    def prepare(self, m: frozenset) -> bool:
+        """Ready ``m`` for dispatch against its current parked set
+        without expanding its row: record whether it can exit, run the
+        ``max_parked`` check, re-enter its resolved arcs, and decide its
+        transition kind as the full row would — no arc, one arc
+        (resolved here), or a multiway dispatch whose arcs
+        :meth:`resolve` adds as the run observes them. A compressed
+        state has one candidate union, so it is expanded whole. Returns
+        True when any work ran."""
+        if self.options.compress:
+            return self.ensure(m)
+        graph = self.graph
+        ran = False
+        while not self.current(m):
+            ran = True
+            parked = graph.parked_possible[m]
+            self.processed_with[m] = parked
+            self.dirty.discard(m)
+            self.partial.add(m)
+            choices = [self.memo.choices(b, False) for b in m]
+            if all(frozenset() in c for c in choices):
+                graph.can_exit.add(m)
+            count, key = self._row_shape(choices, parked)
+            row = graph.table.setdefault(m, {})
+            # Parked growth: re-enter the resolved successors with the
+            # grown set, as re-expanding the row would.
+            for known in list(row):
+                self.resolve(m, known)
+            if count == 1:
+                self.resolve(m, key)
+            elif count:
+                self.multiway.add(m)
+        return ran
+
+    def _row_shape(self, choices: list[list[frozenset]], parked: frozenset
+                   ) -> tuple[int, frozenset | None]:
+        """How many keys the full row of a state whose members have
+        ``choices`` has (capped at 2), and the key when it has one —
+        read off the choices without the union product, running the
+        same ``max_parked`` check :meth:`expand` would. Unions with a
+        non-barrier bit are keyed by that active part; all-barrier (or
+        empty) unions by the union plus any occupied part of the parked
+        set."""
+        bars = self.barrier_ids
+        parts = [{c - bars for c in cs} for cs in choices]
+        if not all(frozenset() in p for p in parts):
+            # Every union has an active part; none is all barrier.
+            active = _unique_union(parts)
+            return (2, None) if active is None else (1, active)
+        # Every member has a barrier-only choice, so each nonempty part
+        # is the active part of a union on its own, and every active
+        # part is a union of such parts.
+        found = {p for ps in parts for p in ps if p}
+        union = _unique_union([[c for c in cs if c <= bars]
+                               for cs in choices])
+        if union is None:
+            self._check_parked(parked)
+            return 2, None
+        lo, hi, _ = self._arcs(union, parked)
+        found.update(itertools.islice(_keys(lo, hi), 2))
+        if len(found) == 1:
+            return 1, next(iter(found))
+        return min(len(found), 2), None
+
+    def resolve(self, m: frozenset, key: frozenset) -> frozenset:
+        """One arc of ``m``'s full row: the successor of the observed
+        aggregate ``key`` (parked barrier bits already masked, as the
+        machine dispatches it), entered with the parked set the full
+        row would give it and recorded in ``graph.table[m]``. Raises
+        :class:`~repro.errors.ConversionError` when no candidate union
+        of ``m`` produces ``key``."""
+        union = self._witness(m, key)
+        if union is not None:
+            lo, hi, into = self._arcs(union, self.graph.parked_possible[m])
+            if key and lo <= key <= hi:
+                self._enter(key, into)
+                row = self.graph.table.setdefault(m, {})
+                if key not in row:
+                    row[key] = key
+                    self.resolved += 1
+                    self.graph.invalidate_caches()
+                return key
+        raise ConversionError(
+            f"aggregate {sorted(key)} is not a transition of meta state "
+            f"{sorted(m)}"
+        )
+
+    def _witness(self, m: frozenset, key: frozenset) -> frozenset | None:
+        """The largest candidate union of ``m`` that fits ``key`` (its
+        non-barrier bits within the key, and all its bits within an
+        all-barrier key), or None when some member has no such choice.
+        Each member's choices are closed under union, so taking every
+        choice that fits gives a candidate union: it produces ``key``
+        whenever any union does, and its barrier part holds the waits
+        of every union with this key."""
+        bars = self.barrier_ids
+        fits = key if key <= bars else key | bars
+        union = frozenset()
+        for bid in m:
+            fit = [c for c in self.memo.choices(bid, False) if c <= fits]
+            if not fit:
+                return None
+            union = union.union(*fit)
+        return union
 
     def drain(self) -> MetaStateGraph:
         """Run the eager worklist fixpoint to completion, then verify
@@ -362,7 +476,8 @@ class ConversionEngine:
 
     def _enter(self, members: frozenset, parked: frozenset) -> None:
         """Register ``members`` as a meta state, growing its parked
-        set; dirty it when the growth stales an expanded row."""
+        set; dirty it when the growth stales an expanded or prepared
+        row."""
         graph = self.graph
         if members not in graph.states:
             graph.states.add(members)
@@ -394,6 +509,25 @@ def convert(cfg: Cfg, options: ConvertOptions | None = None) -> MetaStateGraph:
     worklist fixpoint.
     """
     return ConversionEngine(cfg, options).drain()
+
+
+def _unique_union(families) -> frozenset | None:
+    """The union of one set from each family when every pick gives the
+    same union, else None. Every union lies between the bits some
+    family forces (has in all of its sets) and the bits any set adds,
+    and a bit in the second but not the first tells two picks apart."""
+    forced = most = frozenset()
+    for sets in families:
+        forced |= frozenset.intersection(*sets)
+        most |= frozenset.union(*sets)
+    return most if forced == most else None
+
+
+def _keys(lo: frozenset, hi: frozenset):
+    """The nonempty keys ``k`` with ``lo <= k <= hi``, in subset order."""
+    if lo == hi:
+        return (lo,) if lo else ()
+    return (lo | extra for extra in _subsets(hi - lo) if lo | extra)
 
 
 def _subsets(s: frozenset):

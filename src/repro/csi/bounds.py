@@ -7,10 +7,8 @@ bound on execution time" (section 3.1).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from repro.ir.instr import DEFAULT_COSTS, CostModel, Instr
-from repro.csi.dag import ThreadCode
+from repro.csi.dag import OpTable, ThreadCode
 
 
 def operation_classes(threads: list[ThreadCode]) -> dict[Instr, list[tuple[int, int]]]:
@@ -49,17 +47,5 @@ def lower_bound_cost(threads: list[ThreadCode],
       instruction at least as many times as the thread that uses it
       most (a supersequence argument).
     """
-    if not threads:
-        return 0
-    critical = max(
-        sum(costs.cost(i) for i in t.code) for t in threads
-    )
-    per_thread_counts: list[Counter] = [Counter(t.code) for t in threads]
-    class_bound = 0
-    all_instrs = set()
-    for c in per_thread_counts:
-        all_instrs.update(c)
-    for instr in all_instrs:
-        need = max(c.get(instr, 0) for c in per_thread_counts)
-        class_bound += need * costs.cost(instr)
-    return max(critical, class_bound)
+    table = OpTable(costs)
+    return table.lower_bound(table.intern(threads))

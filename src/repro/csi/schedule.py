@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConversionError
 from repro.ir.instr import DEFAULT_COSTS, CostModel, Instr
-from repro.csi.bounds import lower_bound_cost
-from repro.csi.dag import ThreadCode, build_guarded_dag
+from repro.csi.dag import OpTable, ThreadCode, greedy_merge
 
 
 @dataclass(frozen=True)
@@ -67,73 +67,105 @@ class Schedule:
 # ----------------------------------------------------------------------
 # initial schedules
 # ----------------------------------------------------------------------
+# The schedulers below run over an OpTable: a schedule is a list of
+# (op id, guard mask) slots, turned into ScheduleEntry objects once, by
+# _entries, when a Schedule is returned.
+
+def _entries(table: OpTable,
+             slots: list[tuple[int, int]]) -> list[ScheduleEntry]:
+    return [ScheduleEntry(table.instrs[k], table.guards(mask))
+            for k, mask in slots]
+
+
+def _schedule(table: OpTable, slots: list[tuple[int, int]],
+              serial_cost: int = 0, lower_bound: int = 0) -> Schedule:
+    return Schedule(entries=_entries(table, slots), serial_cost=serial_cost,
+                    lower_bound=lower_bound, cost=_cost(table, slots))
+
+
+def _cost(table: OpTable, slots: list[tuple[int, int]]) -> int:
+    cost = table.cost
+    return sum(cost[k] for k, _ in slots)
+
+
 def serial_schedule(threads: list[ThreadCode],
                     costs: CostModel = DEFAULT_COSTS) -> Schedule:
     """No sharing at all: concatenate the threads (what a SIMD machine
     would do with plain serialization)."""
-    entries = [
-        ScheduleEntry(instr, frozenset((t.thread,)))
-        for t in threads
-        for instr in t.code
-    ]
-    s = Schedule(entries=entries,
-                 serial_cost=sum(costs.cost(e.instr) for e in entries),
-                 lower_bound=lower_bound_cost(threads, costs))
-    s.recompute_cost(costs)
-    return s
+    table = OpTable(costs)
+    seqs = table.intern(threads)
+    serial_cost = sum(table.cost[k] for _, ops in seqs for k in ops)
+    return Schedule(
+        entries=[ScheduleEntry(instr, frozenset((t.thread,)))
+                 for t in threads for instr in t.code],
+        serial_cost=serial_cost, lower_bound=table.lower_bound(seqs),
+        cost=serial_cost)
+
+
+def _greedy(table: OpTable, seqs: list[tuple[int, list[int]]]
+            ) -> list[tuple[int, int]]:
+    slots = []
+    for k, xs, _ in greedy_merge(table, seqs):
+        mask = 0
+        for x in xs:
+            mask |= seqs[x][0]
+        slots.append((k, mask))
+    return slots
 
 
 def greedy_schedule(threads: list[ThreadCode],
                     costs: CostModel = DEFAULT_COSTS) -> Schedule:
     """The cheap approximate search: widest-sharing-first multiway merge
     (this is exactly the guarded-DAG construction order)."""
-    nodes = build_guarded_dag(threads)
-    entries = [ScheduleEntry(n.instr, n.guards) for n in nodes]
-    s = Schedule(entries=entries)
-    s.recompute_cost(costs)
-    return s
+    table = OpTable(costs)
+    return _schedule(table, _greedy(table, table.intern(threads)))
 
 
-def _pairwise_scs(a: list[ScheduleEntry], b: list[ScheduleEntry],
-                  costs: CostModel) -> list[ScheduleEntry]:
+def _pairwise_scs(a: list[tuple[int, int]], b: list[tuple[int, int]],
+                  cost: list[int]) -> list[tuple[int, int]]:
     """Optimal weighted shortest common supersequence of two guarded
-    sequences (classic O(n*m) dynamic program). Entries merge when
-    their instructions are identical; guards union."""
+    slot sequences (classic O(n*m) dynamic program). Slots merge when
+    their ops are identical; guards union."""
     n, m = len(a), len(b)
-    INF = float("inf")
+    ka = [k for k, _ in a]
+    kb = [k for k, _ in b]
+    ca = [cost[k] for k in ka]
+    cb = [cost[k] for k in kb]
     # f[i][j]: min cost to cover a[i:], b[j:].
-    f = [[INF] * (m + 1) for _ in range(n + 1)]
-    f[n][m] = 0
+    f = [[0] * (m + 1) for _ in range(n + 1)]
+    row = f[n]
     for j in range(m - 1, -1, -1):
-        f[n][j] = f[n][j + 1] + costs.cost(b[j].instr)
+        row[j] = row[j + 1] + cb[j]
     for i in range(n - 1, -1, -1):
-        f[i][m] = f[i + 1][m] + costs.cost(a[i].instr)
+        row1 = row
         row = f[i]
-        row1 = f[i + 1]
+        ki = ka[i]
+        ci = ca[i]
+        row[m] = row1[m] + ci
         for j in range(m - 1, -1, -1):
-            best = row1[j] + costs.cost(a[i].instr)
-            alt = row[j + 1] + costs.cost(b[j].instr)
+            best = row1[j] + ci
+            alt = row[j + 1] + cb[j]
             if alt < best:
                 best = alt
-            if a[i].instr == b[j].instr:
-                alt = row1[j + 1] + costs.cost(a[i].instr)
+            if ki == kb[j]:
+                alt = row1[j + 1] + ci
                 if alt < best:
                     best = alt
             row[j] = best
     # Reconstruct.
-    out: list[ScheduleEntry] = []
+    out: list[tuple[int, int]] = []
     i = j = 0
     while i < n or j < m:
         if (
             i < n
             and j < m
-            and a[i].instr == b[j].instr
-            and f[i][j] == f[i + 1][j + 1] + costs.cost(a[i].instr)
+            and ka[i] == kb[j]
+            and f[i][j] == f[i + 1][j + 1] + ca[i]
         ):
-            out.append(ScheduleEntry(a[i].instr, a[i].guards | b[j].guards))
+            out.append((ka[i], a[i][1] | b[j][1]))
             i += 1
             j += 1
-        elif i < n and f[i][j] == f[i + 1][j] + costs.cost(a[i].instr):
+        elif i < n and f[i][j] == f[i + 1][j] + ca[i]:
             out.append(a[i])
             i += 1
         else:
@@ -142,81 +174,86 @@ def _pairwise_scs(a: list[ScheduleEntry], b: list[ScheduleEntry],
     return out
 
 
+def _pairwise(table: OpTable, seqs: list[tuple[int, list[int]]]
+              ) -> list[tuple[int, int]]:
+    cost = table.cost
+    # Most expensive first, so the long sequences align first.
+    ordered = sorted(seqs, key=lambda s: sum(cost[k] for k in s[1]),
+                     reverse=True)
+    merged: list[tuple[int, int]] = []
+    for bit, ops in ordered:
+        seq = [(k, bit) for k in ops]
+        merged = _pairwise_scs(merged, seq, cost) if merged else seq
+    return merged
+
+
 def pairwise_schedule(threads: list[ThreadCode],
                       costs: CostModel = DEFAULT_COSTS) -> Schedule:
     """Fold the threads through the pairwise-optimal DP, most expensive
     first (so the long sequences align first)."""
-    ordered = sorted(
-        threads,
-        key=lambda t: sum(costs.cost(i) for i in t.code),
-        reverse=True,
-    )
-    merged: list[ScheduleEntry] = []
-    for t in ordered:
-        seq = [ScheduleEntry(i, frozenset((t.thread,))) for i in t.code]
-        merged = _pairwise_scs(merged, seq, costs) if merged else seq
-    s = Schedule(entries=merged)
-    s.recompute_cost(costs)
-    return s
+    table = OpTable(costs)
+    return _schedule(table, _pairwise(table, table.intern(threads)))
 
 
 # ----------------------------------------------------------------------
 # permutation-in-range improvement
 # ----------------------------------------------------------------------
+def _improve(slots: list[tuple[int, int]], max_passes: int = 8
+             ) -> list[tuple[int, int]]:
+    """Permutation-in-range search over guarded slots (see
+    :func:`improve_schedule`). A merged-away slot's mask becomes 0, so
+    it neither blocks a move nor takes part in one."""
+    ops = [k for k, _ in slots]
+    masks = [mask for _, mask in slots]
+    for _ in range(max_passes):
+        merged_any = False
+        # Index slots by op for pair discovery.
+        by_op: dict[int, list[int]] = {}
+        for idx, k in enumerate(ops):
+            by_op.setdefault(k, []).append(idx)
+        for found in by_op.values():
+            if len(found) < 2:
+                continue
+            # Try to merge later occurrences into earlier ones.
+            for ii, i in enumerate(found):
+                for j in found[ii + 1:]:
+                    target = masks[i]
+                    if not target:
+                        break
+                    moved = masks[j]
+                    if not moved or target & moved:
+                        continue
+                    between = 0
+                    for k in range(i + 1, j):
+                        between |= masks[k]
+                    if not between & moved:
+                        # Move j's threads up: merged slot sits at i.
+                        masks[i] = target | moved
+                        masks[j] = 0
+                        merged_any = True
+                    elif not between & target:
+                        # Move i's threads down: merged slot sits at j.
+                        masks[j] = target | moved
+                        masks[i] = 0
+                        merged_any = True
+        if not merged_any:
+            break
+        keep = [x for x, mask in enumerate(masks) if mask]
+        ops = [ops[x] for x in keep]
+        masks = [masks[x] for x in keep]
+    return list(zip(ops, masks))
+
+
 def improve_schedule(s: Schedule, costs: CostModel = DEFAULT_COSTS,
                      max_passes: int = 8) -> Schedule:
     """Permutation-in-range search: repeatedly find a pair of slots
     with identical instructions, disjoint guards, and a legal move
     between them, and merge them. Each merge removes one slot, so the
     search terminates; ``max_passes`` bounds the outer fixpoint loop."""
-    entries = list(s.entries)
-    for _ in range(max_passes):
-        merged_any = False
-        # Index slots by instruction for pair discovery.
-        by_instr: dict[Instr, list[int]] = {}
-        for idx, e in enumerate(entries):
-            by_instr.setdefault(e.instr, []).append(idx)
-        for instr, slots in by_instr.items():
-            if len(slots) < 2:
-                continue
-            # Try to merge later occurrences into earlier ones.
-            for ii in range(len(slots)):
-                i = slots[ii]
-                if entries[i] is None:
-                    continue
-                for jj in range(ii + 1, len(slots)):
-                    j = slots[jj]
-                    if entries[j] is None or entries[i] is None:
-                        continue
-                    if entries[i].guards & entries[j].guards:
-                        continue
-                    live = [k for k in range(min(i, j) + 1, max(i, j))
-                            if entries[k] is not None]
-                    moved = entries[j].guards
-                    target = entries[i].guards
-                    between_ok_j = all(
-                        not (entries[k].guards & moved) for k in live
-                    )
-                    between_ok_i = all(
-                        not (entries[k].guards & target) for k in live
-                    )
-                    if between_ok_j:
-                        # Move j's threads up: merged entry sits at i.
-                        entries[i] = ScheduleEntry(instr, target | moved)
-                        entries[j] = None  # type: ignore[call-overload]
-                        merged_any = True
-                    elif between_ok_i:
-                        # Move i's threads down: merged entry sits at j.
-                        entries[j] = ScheduleEntry(instr, target | moved)
-                        entries[i] = None  # type: ignore[call-overload]
-                        merged_any = True
-        entries = [e for e in entries if e is not None]
-        if not merged_any:
-            break
-    out = Schedule(entries=entries, serial_cost=s.serial_cost,
-                   lower_bound=s.lower_bound)
-    out.recompute_cost(costs)
-    return out
+    table = OpTable(costs)
+    slots = [(table.op(e.instr), table.mask(e.guards)) for e in s.entries]
+    return _schedule(table, _improve(slots, max_passes),
+                     s.serial_cost, s.lower_bound)
 
 
 # ----------------------------------------------------------------------
@@ -226,28 +263,29 @@ def csi_schedule(threads: list[ThreadCode],
                  costs: CostModel = DEFAULT_COSTS) -> Schedule:
     """Full CSI pipeline: best of the greedy and pairwise-DP initial
     schedules, improved by the permutation-in-range search. The result
-    is verified to preserve every thread's sequence."""
+    is verified to preserve every thread's sequence.
+
+    The instructions are interned once (:class:`OpTable`) and every
+    pass runs over op ids and guard masks; threads must have distinct
+    ids."""
     threads = [t for t in threads if t.code]
     if not threads:
         return Schedule()
-    serial = serial_schedule(threads, costs)
     if len(threads) == 1:
-        return serial
-    candidates = [
-        improve_schedule(greedy_schedule(threads, costs), costs),
-        improve_schedule(pairwise_schedule(threads, costs), costs),
-    ]
-    best = min(candidates, key=lambda s: s.cost)
-    best.serial_cost = serial.serial_cost
-    best.lower_bound = serial.lower_bound
-    verify_schedule(threads, best)
-    return best
+        return serial_schedule(threads, costs)
+    table = OpTable(costs)
+    seqs = table.intern(threads)
+    candidates = [_improve(_greedy(table, seqs)),
+                  _improve(_pairwise(table, seqs))]
+    best = min(candidates, key=lambda slots: _cost(table, slots))
+    serial_cost = sum(table.cost[k] for _, ops in seqs for k in ops)
+    out = _schedule(table, best, serial_cost, table.lower_bound(seqs))
+    verify_schedule(threads, out)
+    return out
 
 
 def verify_schedule(threads: list[ThreadCode], s: Schedule) -> None:
     """Assert ``s`` executes exactly each thread's code in order."""
-    from repro.errors import ConversionError
-
     for t in threads:
         got = [e.instr for e in s.entries if t.thread in e.guards]
         if got != list(t.code):

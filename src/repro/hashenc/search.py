@@ -144,6 +144,13 @@ def key_of_members(members, *, barrier_ids=frozenset()) -> int:
     return key
 
 
+def members_of_key(key: int) -> frozenset:
+    """The MIMD state ids whose bits are set in an aggregate-pc
+    integer — the inverse of :func:`key_of_members`."""
+    return frozenset(bid for bid in range(key.bit_length())
+                     if key >> bid & 1)
+
+
 def find_hash(keys: list[int], *, width: int | None = None,
               max_table_factor: int = 4) -> HashFn:
     """Find a collision-free hash for ``keys`` with a small table.

@@ -1,5 +1,7 @@
 """Unit tests for common subexpression induction (section 3.1)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,3 +206,97 @@ class TestScheduleProperties:
         threads = [ThreadCode.of(tid, base) for tid in range(k)]
         s = csi_schedule(threads)
         assert s.cost == sum(DEFAULT_COSTS.cost(i) for i in base)
+
+
+# ----------------------------------------------------------------------
+# Pinned schedules: every CSI result of the library and the explosion
+# workloads, digested
+# ----------------------------------------------------------------------
+
+def _schedules_digest(nodes) -> str:
+    """A digest of every segment schedule of ``nodes`` (entry members ->
+    MetaNode): entries in order with their guards, plus ``cost``,
+    ``serial_cost`` and ``lower_bound``."""
+    h = hashlib.sha256()
+    for _, node in sorted(nodes.items(), key=lambda kv: sorted(kv[0])):
+        for seg in node.segments:
+            s = seg.schedule
+            h.update(repr((
+                sorted(seg.members),
+                [(e.instr.op.value, repr(e.instr.arg), repr(e.instr.arg2),
+                  sorted(e.guards)) for e in s.entries],
+                s.cost, s.serial_cost, s.lower_bound,
+            )).encode())
+    return h.hexdigest()[:16]
+
+
+def _pinned_nodes(case: str):
+    """The emitted nodes of one pinned case: ``<workload>-O<n>-<plain|
+    compress>`` compiles a library program eagerly; ``<name>-lazy`` is
+    the nodes an 8-PE lazy run of an explosion workload materializes."""
+    from repro import ConversionOptions, convert_source, simulate_simd
+    from repro import workloads
+
+    name, _, rest = case.partition("-")
+    if rest == "lazy":
+        src = {"branch_tree": workloads.branch_tree(6),
+               "random_walks": workloads.random_walks(8)}[name]
+        lazy = convert_source(src, ConversionOptions(opt_level=1, lazy=True),
+                              cache=False)
+        simulate_simd(lazy, 8)
+        return lazy.lazy_program().program.nodes
+    level, layout = rest.split("-")
+    opts = ConversionOptions(opt_level=int(level[1:]), lazy=False,
+                             compress=layout == "compress")
+    result = convert_source(workloads.STANDARD[name](), opts, cache=False)
+    return result.simd_program().nodes
+
+
+#: Recorded from the Instr-level CSI (``_schedules_digest`` over
+#: ``_pinned_nodes``) before the scheduler moved to interned op ids.
+PINNED_SCHEDULES = {
+    "barrier_phases-O1-plain": "b86fcd8b1c397ef4",
+    "barrier_phases-O1-compress": "69a4cadb81a1848e",
+    "barrier_phases-O2-plain": "b86fcd8b1c397ef4",
+    "barrier_phases-O2-compress": "69a4cadb81a1848e",
+    "collatz_depth-O1-plain": "348e427dbab6a343",
+    "collatz_depth-O1-compress": "3d83fd1d9e14ed25",
+    "collatz_depth-O2-plain": "348e427dbab6a343",
+    "collatz_depth-O2-compress": "3d83fd1d9e14ed25",
+    "divergent_loops-O1-plain": "334e7eb905c9f6ee",
+    "divergent_loops-O1-compress": "305677747bd8f634",
+    "divergent_loops-O2-plain": "334e7eb905c9f6ee",
+    "divergent_loops-O2-compress": "305677747bd8f634",
+    "divergent_phases-O1-plain": "d4366f47093b3272",
+    "divergent_phases-O1-compress": "3313fa9af402091f",
+    "divergent_phases-O2-plain": "d4366f47093b3272",
+    "divergent_phases-O2-compress": "3313fa9af402091f",
+    "imbalanced_branch-O1-plain": "f431ce0c807eef49",
+    "imbalanced_branch-O1-compress": "da87e102241f1cff",
+    "imbalanced_branch-O2-plain": "f431ce0c807eef49",
+    "imbalanced_branch-O2-compress": "da87e102241f1cff",
+    "mandelbrot-O1-plain": "3659b8f6516573c7",
+    "mandelbrot-O1-compress": "8fd1adf084726902",
+    "mandelbrot-O2-plain": "31f8814fed919745",
+    "mandelbrot-O2-compress": "69fcc9932ef22f5a",
+    "odd_even_sort-O1-plain": "eb2cd189ac39cb31",
+    "odd_even_sort-O1-compress": "11757e6d006f9ac2",
+    "odd_even_sort-O2-plain": "e9180fefdb6f6f1d",
+    "odd_even_sort-O2-compress": "54abdbca2e77510a",
+    "spawn_waves-O1-plain": "9806b6a1985d6746",
+    "spawn_waves-O1-compress": "61a56884bb3999c7",
+    "spawn_waves-O2-plain": "d0b3f9f3e8d10430",
+    "spawn_waves-O2-compress": "61a56884bb3999c7",
+    "tree_reduction-O1-plain": "917ded36bf852894",
+    "tree_reduction-O1-compress": "6bde9bd795cd401b",
+    "tree_reduction-O2-plain": "107916b15e9ed2df",
+    "tree_reduction-O2-compress": "ce01463a1ba82eb7",
+    "branch_tree-lazy": "60626e3b670b1ad8",
+    "random_walks-lazy": "f878b3bd304f7cc0",
+}
+
+
+class TestPinnedSchedules:
+    @pytest.mark.parametrize("case", sorted(PINNED_SCHEDULES))
+    def test_schedules_match_recorded_digest(self, case):
+        assert _schedules_digest(_pinned_nodes(case)) == PINNED_SCHEDULES[case]

@@ -14,6 +14,12 @@ The contract has two tiers (docs/internals.md section 14):
   partial automaton is constrained to.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +36,7 @@ from repro.core.convert import (
     convert,
 )
 from repro.errors import ConversionError
-from repro.hashenc.search import key_of_members
+from repro.hashenc.search import key_of_members, members_of_key
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse
 from repro.lang.sema import analyze
@@ -41,6 +47,7 @@ from tests.helpers import LISTING3_SHAPE, assert_equivalent
 from tests.test_properties import COMMON_SETTINGS, programs, shared_programs
 
 NPES = 8
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def lower(src: str):
@@ -182,12 +189,16 @@ class TestRowDispatch:
                               ConversionOptions(lazy=True), cache=False)
         simulate_simd(lazy, NPES)
         mgr = lazy.lazy_program()
+        # The nodes hold only the arcs the run resolved: check them
+        # against the full rows of a drained engine.
+        drained = ConversionEngine(lazy.cfg,
+                                   lazy.options.convert_options()).drain()
         multiway = [(key, node) for key, node in mgr.program.nodes.items()
                     if node.encoding is not None]
         assert multiway
         for key, node in multiway:
             row = {key_of_members(union): target
-                   for union, target in mgr.graph.table[key].items()}
+                   for union, target in drained.table[key].items()}
             aliased = []
             for probe in range(1, 2**12):
                 try:
@@ -198,6 +209,160 @@ class TestRowDispatch:
                 if row.get(probe) != target:
                     aliased.append(probe)
             assert aliased == [], node.name
+            assert len(node.encoding.cases) == len(row)
+
+
+# ----------------------------------------------------------------------
+# Demand resolution reproduces the full row
+# ----------------------------------------------------------------------
+
+def _probe_engine(cfg, options, members, parked):
+    """A fresh engine that holds ``members`` at ``parked``."""
+    engine = ConversionEngine(cfg, options)
+    engine.graph.states.add(members)
+    engine.graph.parked_possible[members] = parked
+    return engine
+
+
+#: Every aggregate over the first 12 MIMD states.
+PROBES = [members_of_key(probe) for probe in range(1, 2**12)]
+
+
+def _resolution_mismatches(cfg, options):
+    """Drain ``cfg`` and, for every state at its fixpoint parked set,
+    compare demand preparation and resolution against a full-row
+    expansion: same kind and exit flag, same target and parked growth
+    for every row key, and a ConversionError for every other probe."""
+    graph = ConversionEngine(cfg, options).drain()
+    # Past the highest block id, every probe names a state that does
+    # not exist.
+    probes = PROBES[:2 ** min(12, max(cfg.blocks) + 1) - 1]
+    bad = []
+    for m in sorted(graph.states, key=sorted):
+        parked = graph.parked_possible[m]
+        full = _probe_engine(cfg, options, m, parked)
+        full.expand(m)
+        row = full.graph.table[m]
+        demand = _probe_engine(cfg, options, m, parked)
+        demand.prepare(m)
+        if (m in demand.graph.can_exit) != (m in full.graph.can_exit):
+            bad.append((m, "can_exit"))
+        if (m in demand.multiway) != (len(row) > 1):
+            bad.append((m, "multiway"))
+        if len(row) <= 1 and demand.graph.table[m] != row:
+            bad.append((m, "single arc"))
+        for key, target in row.items():
+            if demand.resolve(m, key) != target:
+                bad.append((m, key))
+        if demand.graph.parked_possible != full.graph.parked_possible:
+            bad.append((m, "parked growth"))
+        for key in probes:
+            if key in row:
+                continue
+            try:
+                demand.resolve(m, key)
+            except ConversionError:
+                continue
+            bad.append((m, key))
+    return bad
+
+
+class TestResolution:
+    @pytest.mark.parametrize("name", sorted(workloads.STANDARD))
+    def test_resolve_matches_full_row(self, name):
+        cfg = lower(workloads.STANDARD[name]())
+        assert _resolution_mismatches(cfg, ConvertOptions()) == []
+
+    @pytest.mark.parametrize("name", sorted(workloads.STANDARD))
+    def test_compressed_prepare_expands_whole_row(self, name):
+        cfg = lower(workloads.STANDARD[name]())
+        options = ConvertOptions(compress=True)
+        graph = ConversionEngine(cfg, options).drain()
+        for m in graph.states:
+            demand = _probe_engine(cfg, options, m, graph.parked_possible[m])
+            demand.prepare(m)
+            assert demand.fresh(m)
+            assert demand.graph.table[m] == graph.table[m]
+            assert demand.graph.barrier_entry.get(m) == \
+                graph.barrier_entry.get(m)
+
+    @given(src=st.one_of(programs(), shared_programs()))
+    @settings(max_examples=30, **COMMON_SETTINGS)
+    def test_generated_programs(self, src):
+        cfg = lower(src)
+        try:
+            mismatches = _resolution_mismatches(
+                cfg, ConvertOptions(max_meta_states=200))
+        except ConversionError:
+            assume(False)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("name", sorted(workloads.STANDARD))
+    def test_parked_growth_reenters_resolved_arcs(self, name):
+        # Resolve a state's row with nothing parked, then grow its
+        # parked set to the fixpoint's: re-preparing must hand the
+        # growth to every resolved successor, as re-expanding does.
+        cfg = lower(workloads.STANDARD[name]())
+        options = ConvertOptions()
+        graph = ConversionEngine(cfg, options).drain()
+        for m in graph.states:
+            parked = graph.parked_possible[m]
+            if not parked:
+                continue
+            full = _probe_engine(cfg, options, m, frozenset())
+            demand = _probe_engine(cfg, options, m, frozenset())
+            full.expand(m)
+            demand.prepare(m)
+            for key in full.graph.table[m]:
+                demand.resolve(m, key)
+            for engine in (full, demand):
+                engine._enter(m, parked)
+                assert m in engine.take_dirty()
+            full.ensure(m)
+            demand.prepare(m)
+            for key in demand.graph.table[m]:
+                assert (demand.graph.parked_possible[key]
+                        == full.graph.parked_possible[key]), (m, key)
+
+    def test_parked_cap_boundary(self):
+        # LISTING3_SHAPE parks PEs at one barrier: at cap 1 preparing
+        # and resolving run clean, at cap 0 they raise exactly where a
+        # full-row expansion does.
+        cfg = lower(LISTING3_SHAPE)
+        graph = ConversionEngine(cfg, ConvertOptions(max_parked=1)).drain()
+        raised = 0
+        for cap in (0, 1):
+            options = ConvertOptions(max_parked=cap)
+            for m in graph.states:
+                parked = graph.parked_possible[m]
+                try:
+                    _probe_engine(cfg, options, m, parked).expand(m)
+                    full_raises = False
+                except ConversionError:
+                    full_raises = True
+                demand = _probe_engine(cfg, options, m, parked)
+                if full_raises:
+                    with pytest.raises(ConversionError, match="parked"):
+                        demand.prepare(m)
+                    raised += 1
+                else:
+                    demand.prepare(m)
+                    for key in graph.table[m]:
+                        demand.resolve(m, key)
+        assert raised > 0
+        assert not any(len(p) > 1 for p in graph.parked_possible.values())
+
+    def test_lazy_run_records_resolved_arcs(self):
+        lazy = convert_source(workloads.divergent_loops(3),
+                              ConversionOptions(lazy=True), cache=False)
+        simulate_simd(lazy, NPES)
+        stats = lazy.lazy_program().stats()
+        rec = next(r for r in lazy.report.records if r.name == "lazy-exec")
+        assert rec.counters["lazy_resolved"] == stats["lazy_resolved"] > 0
+        # The arcs sit in the engine's graph, so a warm process that
+        # loads the snapshot dispatches them without resolving again.
+        arcs = sum(len(row) for row in lazy.graph.table.values())
+        assert stats["lazy_resolved"] <= arcs
 
 
 # ----------------------------------------------------------------------
@@ -218,13 +383,48 @@ class TestExplosionWorkloads:
         simd = simulate_simd(lazy, NPES)
         mimd = simulate_mimd(lazy, nprocs=NPES)
         assert_equivalent(simd, mimd)
-        stats = lazy.lazy_program().stats()
-        # The point of laziness: far fewer states materialized than
-        # discovered (the frontier alone is orders of magnitude wider).
-        assert stats["lazy_materialized"] * 10 < stats["lazy_discovered"]
+        mgr = lazy.lazy_program()
+        stats = mgr.stats()
+        # Discovery follows the run: every state the engine registered
+        # is the start, in the start row the compile stage expands,
+        # visited by the run, or the one successor of a visited
+        # single-successor node.
+        graph = mgr.graph
+        reached = set(simd.node_visits) | {graph.start}
+        reached |= set(graph.table[graph.start].values())
+        reached |= {node.single_target for node in mgr.program.nodes.values()
+                    if node.single_target is not None}
+        assert graph.states <= reached
+        assert stats["lazy_discovered"] == len(graph.states)
         # The high-water mark is an observed peak, not the configured
         # cap (which is 0 here — unbounded).
         assert stats["lazy_max_resident"] >= stats["lazy_resident"] > 0
+
+    def test_wide_aggregate_runs_in_bounded_memory(self):
+        # At 16 PEs branch_tree reaches states whose full row is a
+        # union product too large to build; resolving the observed
+        # aggregate costs O(members). A child process with a ~2 GB
+        # address-space cap keeps a regression from exhausting the host.
+        code = textwrap.dedent("""
+            import resource
+            cap = 2 << 30
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+            from repro import (ConversionOptions, convert_source,
+                               simulate_mimd, simulate_simd, workloads)
+            from tests.helpers import assert_equivalent
+            lazy = convert_source(workloads.branch_tree(6),
+                                  ConversionOptions(lazy=True), cache=False)
+            assert_equivalent(simulate_simd(lazy, 16),
+                              simulate_mimd(lazy, nprocs=16))
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(ROOT / "src"), str(ROOT),
+                                     os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], cwd=str(ROOT),
+                              env=env, capture_output=True, text=True,
+                              timeout=180)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_bounded_residency_is_bit_identical(self):
         src = workloads.branch_tree(6)
