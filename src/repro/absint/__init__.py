@@ -1,18 +1,25 @@
-"""Abstract interpretation over the MIMDC CFG.
+"""Abstract interpretation over the MIMDC CFG — the analysis core.
 
 The frontier verifier (:mod:`repro.verify.frontier`) checks the
 *concrete* meta graph and must truncate explosion-prone programs at
 ``--verify-budget`` (MSC050) — exactly the programs meta-state
 conversion was invented for go unverified.  This package trades
-enumeration for symbolic facts: a generic worklist fixpoint solver over
-the MIMDC CFG (:mod:`repro.absint.solver`) runs pluggable lattice
-domains (:mod:`repro.absint.domains`) — per-slot value intervals fed by
-PE-id structure, and a must-initialize set — and combines them with the
-uniform/varying classification of :mod:`repro.lint.dataflow` into
-:class:`~repro.absint.facts.AbsintFacts`: whole-program guarantees in
-time polynomial in blocks, not ``3^n``.
+enumeration for symbolic facts, and holds every CFG analysis the
+analyzers (:mod:`repro.lint`) and the ``-O2`` optimizer share:
 
-Consumers:
+- :mod:`repro.absint.graph` — predecessor lists, postdominators,
+  control dependence, barrier-free regions, and the arm walk;
+- :mod:`repro.absint.solver` — one generic worklist fixpoint solver;
+- :mod:`repro.absint.domains` — the lattice domains it runs: per-slot
+  value intervals fed by PE-id structure, and a must-initialize set;
+- :mod:`repro.absint.uniformity` — the uniform/varying classification,
+  a third domain on the same solver;
+- :mod:`repro.absint.facts` — :class:`~repro.absint.facts.AbsintFacts`,
+  block footprints with the one conflict rule, and the race-/deadlock-
+  freedom certificates: whole-program guarantees in time polynomial in
+  blocks, not ``3^n``.
+
+None of these modules imports :mod:`repro.lint`.  Consumers:
 
 - the ``absint`` analyzer (:mod:`repro.absint.analyzers`) turns the
   facts into MSC06x diagnostics and the ``certify`` analyzer into
@@ -25,13 +32,9 @@ Consumers:
   divergent execution of a provably-uniform branch could reach.
 """
 
-from typing import TYPE_CHECKING, Any
-
 from repro.absint.domains import Interval
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only re-exports
-    from repro.absint.facts import AbsintFacts, certificates, compute_facts
-    from repro.absint.solver import FixpointResult, solve
+from repro.absint.facts import AbsintFacts, certificates, compute_facts
+from repro.absint.solver import FixpointResult, solve
 
 __all__ = [
     "AbsintFacts",
@@ -41,24 +44,3 @@ __all__ = [
     "compute_facts",
     "solve",
 ]
-
-#: Lazy re-exports (PEP 562).  ``domains`` is dependency-free and loads
-#: eagerly, but ``facts``/``solver`` import :mod:`repro.lint.dataflow`,
-#: which itself compiles blocks via :mod:`repro.absint.domains` — the
-#: deferred load keeps that mutual reference acyclic.
-_LAZY = {
-    "AbsintFacts": "repro.absint.facts",
-    "certificates": "repro.absint.facts",
-    "compute_facts": "repro.absint.facts",
-    "FixpointResult": "repro.absint.solver",
-    "solve": "repro.absint.solver",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)

@@ -34,9 +34,9 @@ from repro.absint.facts import (
     certificates,
     compute_facts,
 )
+from repro.absint.graph import barrier_free_regions
 from repro.ir.block import CondBr
 from repro.ir.cfg import Cfg
-from repro.lint.dataflow import uniformity_for
 from repro.lint.diagnostics import Diagnostic, Severity, Span
 from repro.lint.driver import LintContext
 
@@ -61,7 +61,7 @@ def analyze_absint(ctx: LintContext) -> list[Diagnostic]:
     """Run the fixpoint domains; report MSC060-MSC063."""
     cfg = ctx.cfg
     assert cfg is not None
-    facts = compute_facts(cfg, uniformity=uniformity_for(ctx))
+    facts = compute_facts(cfg, uniformity=ctx.uniformity())
     ctx.scratch["absint"] = facts
     ctx.scratch["certificates"] = facts.certificates
     publish_fact_counters(ctx, "absint", facts.counters())
@@ -161,8 +161,6 @@ def _worst_region_branches(
     cfg: Cfg, facts: AbsintFacts, compressed: bool
 ) -> list[int]:
     """Branch blocks of the region achieving the tightened bound."""
-    from repro.lint.explosion import barrier_free_regions
-
     best_est = 0
     best: list[int] = []
     for region in barrier_free_regions(cfg):
@@ -192,7 +190,7 @@ def analyze_certify(ctx: LintContext) -> list[Diagnostic]:
     else:
         # absint deselected, or a driver without a cross-phase scratch:
         # recompute the (cheap, interval-free) subset.
-        certs = certificates(cfg, uniformity_for(ctx))
+        certs = certificates(cfg, ctx.uniformity())
     ctx.scratch["certificates"] = certs
     publish_fact_counters(ctx, "certify", {
         "race_free": int(bool(certs.race_free)),

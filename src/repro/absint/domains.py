@@ -1,6 +1,7 @@
 """Lattice domains for the absint solver.
 
-Two domains run over the MIMDC CFG:
+Two value domains run over the MIMDC CFG (the third, uniform/varying
+divergence, lives in :mod:`repro.absint.uniformity`):
 
 :class:`IntervalDomain`
     Per-poly-slot value ranges.  A state maps every poly slot to an
@@ -290,12 +291,13 @@ def compile_code(code: list[Instr]) -> list[MicroOp]:
 
     Enum dispatch, ``int(ins.arg or 0)`` decoding, and constant
     interval construction happen once here; every abstract executor
-    (the interval transfer, the init gen sets, the fact scans, and the
-    uniformity scan in :mod:`repro.lint.dataflow`) then runs over the
-    same pre-decoded tuples.  Uniformity relies on one encoding detail:
-    the varying value sources (``ProcNum``, ``RPop``) compile to a
-    ``_U_PUSH`` of the :data:`PE_ID` singleton, everything else pushes
-    a different object.
+    (the interval transfer, the init gen sets, the fact scans, the
+    block footprints, and the uniformity scan in
+    :mod:`repro.absint.uniformity`) then runs over the same pre-decoded
+    tuples.  ``RPush`` compiles to nothing.  Uniformity relies on one
+    encoding detail: the varying value sources (``ProcNum``, ``RPop``)
+    compile to a ``_U_PUSH`` of the :data:`PE_ID` singleton, everything
+    else pushes a different object.
     """
     out: list[MicroOp] = []
     for ins in code:

@@ -24,34 +24,35 @@ Two certificate routes exist, both polynomial:
     race) and asymmetric barrier arrival (MSC01x) are impossible.
 
 ``no-conflicts`` / ``no-barriers``
-    A universal pairwise check over *all* block effect footprints: when
-    no two blocks conflict on a mono slot or router-shared poly slot,
-    no reachable meta state can exhibit a race regardless of which
-    aggregates are realizable.  Deadlock-freedom holds trivially when
-    the program has no ``wait`` at all.
+    :data:`CONFLICT_RULE` asked of *every* two distinct reachable
+    blocks: when no two conflict on a mono slot or router-shared poly
+    slot, no reachable meta state can exhibit a race regardless of
+    which aggregates are realizable.  Deadlock-freedom holds trivially
+    when the program has no ``wait`` at all.
 
-Like the race analyzer, the race-free certificate speaks about
+The race analyzer (:mod:`repro.lint.races`) applies the same rule to
+the block pairs that can share a meta state, so the certificate and
+the MSC020/MSC021 findings cannot drift apart.  Both speak about
 conflicts between *distinct* co-resident blocks — the pairwise sense
 of Attie's normal form (PAPERS.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.ir.block import CondBr, SpawnT
-from repro.ir.cfg import Cfg
-from repro.lint.dataflow import (
-    UniformityInfo,
-    analyze_uniformity,
-    predecessor_map,
-)
 from repro.absint.domains import (
     _U_LD,
     _U_LDI,
+    _U_LDM,
+    _U_LDMI,
     _U_LDR,
+    _U_PUSH,
     _U_ST,
     _U_STI,
+    _U_STM,
+    _U_STMI,
     _U_STR,
     ZERO,
     InitDomain,
@@ -59,7 +60,11 @@ from repro.absint.domains import (
     IntervalDomain,
     MicroOp,
 )
+from repro.absint.graph import predecessor_map
 from repro.absint.solver import _reverse_postorder, solve
+from repro.absint.uniformity import UniformityInfo, analyze_uniformity
+from repro.ir.block import CondBr, SpawnT
+from repro.ir.cfg import Cfg
 
 
 @dataclass(frozen=True)
@@ -150,55 +155,145 @@ def _poly_name(cfg: Cfg, slot: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# certificates
+# shared-memory footprints and the conflict rule
 # ----------------------------------------------------------------------
-def _shared_conflicts(cfg: Cfg, reachable: set[int]) -> bool:
-    """Could *any* two distinct blocks race on shared state?
+#: Stand-in for "some non-constant value" among a mono slot's stores.
+_UNKNOWN = object()
 
-    Universal over block pairs — no reachability reasoning — so a
-    ``False`` answer certifies race-freedom for every meta state any
-    execution could ever aggregate, truncated frontier or not.
+
+@dataclass
+class Footprint:
+    """Shared-memory footprint of one basic block.
+
+    Mono slots have one copy machine-wide.  Poly slots are accessed
+    through the router (``LdR``/``StR`` reach *other* PEs' copies) or
+    locally (the executing PE's own copy).
     """
-    from repro.lint.races import block_effects
 
-    mono_writers: dict[int, set[int]] = {}
-    mono_readers: dict[int, set[int]] = {}
-    remote_writers: dict[int, set[int]] = {}
-    touchers: dict[int, set[int]] = {}
-    remote_readers: dict[int, set[int]] = {}
-    local_writers: dict[int, set[int]] = {}
-    for bid in reachable:
-        eff = block_effects(cfg.blocks[bid].code)
-        for s in eff.mono_writes:
-            mono_writers.setdefault(s, set()).add(bid)
-        for s in eff.mono_reads:
-            mono_readers.setdefault(s, set()).add(bid)
-        for s in eff.remote_writes:
-            remote_writers.setdefault(s, set()).add(bid)
-        for s in eff.remote_reads:
-            remote_readers.setdefault(s, set()).add(bid)
-        for s in eff.local_writes:
-            local_writers.setdefault(s, set()).add(bid)
-        for s in (eff.remote_writes | eff.remote_reads
-                  | eff.local_writes | eff.local_reads):
-            touchers.setdefault(s, set()).add(bid)
-        # Early exit on the slots this block touched: the maps only
-        # ever grow, so a conflict visible now stays a conflict.
-        for s in set(eff.mono_writes) | eff.mono_reads:
-            writers = mono_writers.get(s)
-            if writers and len(writers | mono_readers.get(s, set())) >= 2:
-                return True
-        for s in (eff.remote_writes | eff.remote_reads
-                  | eff.local_writes | eff.local_reads):
-            if remote_writers.get(s) and len(touchers[s]) >= 2:
-                return True
-            readers = remote_readers.get(s)
-            writers = local_writers.get(s)
-            if readers and writers and len(readers | writers) >= 2:
-                return True
+    mono_writes: set[int] = field(default_factory=set)
+    mono_reads: set[int] = field(default_factory=set)
+    remote_writes: set[int] = field(default_factory=set)
+    remote_reads: set[int] = field(default_factory=set)
+    local_writes: set[int] = field(default_factory=set)
+    local_reads: set[int] = field(default_factory=set)
+    #: mono slot -> stored values: the constant of the push just before
+    #: an ``StM``, else ``_UNKNOWN``.
+    mono_values: dict[int, set[object]] = field(default_factory=dict)
+
+
+def block_footprint(ops: list[MicroOp]) -> Footprint:
+    """The footprint of one block's micro-ops
+    (:func:`repro.absint.domains.compile_code`)."""
+    fp = Footprint()
+    prev: MicroOp | None = None
+    for op in ops:
+        tag, a1, a2 = op
+        if tag == _U_STM:
+            value: object = _UNKNOWN
+            if prev is not None and prev[0] == _U_PUSH \
+                    and prev[1].lo == prev[1].hi:
+                value = prev[1].lo
+            fp.mono_writes.add(a1)
+            fp.mono_values.setdefault(a1, set()).add(value)
+        elif tag == _U_STMI:
+            for s in range(a1, a1 + a2):
+                fp.mono_writes.add(s)
+                fp.mono_values.setdefault(s, set()).add(_UNKNOWN)
+        elif tag == _U_LDM:
+            fp.mono_reads.add(a1)
+        elif tag == _U_LDMI:
+            fp.mono_reads.update(range(a1, a1 + a2))
+        elif tag == _U_STR:
+            fp.remote_writes.add(a1)
+        elif tag == _U_LDR:
+            fp.remote_reads.add(a1)
+        elif tag == _U_ST:
+            fp.local_writes.add(a1)
+        elif tag == _U_STI:
+            fp.local_writes.update(range(a1, a1 + a2))
+        elif tag == _U_LD:
+            fp.local_reads.add(a1)
+        elif tag == _U_LDI:
+            fp.local_reads.update(range(a1, a1 + a2))
+        prev = op
+    return fp
+
+
+#: The conflict rule between two distinct blocks ``a`` and ``b``: each
+#: row is a conflict kind (``ww`` write-write, ``rw`` read-write), a
+#: storage class, and the ``(access of a, access of b)`` pairs whose
+#: common slots conflict.  Every mono access reaches the one shared
+#: copy; a router access can touch any PE's copy, so a remote write
+#: conflicts with any access of the slot and a remote read with any
+#: write.  Local-local pairs never conflict: each PE touches only its
+#: own copy and executes one member block at a time.
+CONFLICT_RULE: tuple[tuple[str, str, tuple[tuple[str, str], ...]], ...] = (
+    ("ww", "mono", (("mono_writes", "mono_writes"),)),
+    ("rw", "mono", (("mono_writes", "mono_reads"),)),
+    ("rw", "mono", (("mono_reads", "mono_writes"),)),
+    ("ww", "poly", (("remote_writes", "remote_writes"),
+                    ("remote_writes", "local_writes"))),
+    ("ww", "poly", (("local_writes", "remote_writes"),)),
+    ("rw", "poly", (("remote_writes", "remote_reads"),
+                    ("remote_writes", "local_reads"))),
+    ("rw", "poly", (("remote_reads", "remote_writes"),
+                    ("local_reads", "remote_writes"))),
+    ("rw", "poly", (("remote_reads", "local_writes"),
+                    ("local_writes", "remote_reads"))),
+)
+
+#: Every access kind the rule reads.
+_ACCESSES = sorted({x for _k, _s, pairs in CONFLICT_RULE
+                    for pair in pairs for x in pair})
+
+
+def pair_conflicts(
+    a: Footprint, b: Footprint
+) -> list[tuple[str, int, str, bool]]:
+    """:data:`CONFLICT_RULE` applied to two blocks' footprints.
+
+    Returns ``(kind, slot, storage, benign)`` tuples, rule row by rule
+    row, slots ascending.  A mono write-write conflict is benign when
+    both blocks store the same single compile-time constant: the merged
+    schedule stores that value whatever the order.
+    """
+    out: list[tuple[str, int, str, bool]] = []
+    for kind, storage, accesses in CONFLICT_RULE:
+        slots: set[int] = set()
+        for x, y in accesses:
+            slots |= getattr(a, x) & getattr(b, y)
+        for slot in sorted(slots):
+            benign = False
+            if kind == "ww" and storage == "mono":
+                va, vb = a.mono_values[slot], b.mono_values[slot]
+                benign = len(va) == 1 and va == vb and _UNKNOWN not in va
+            out.append((kind, slot, storage, benign))
+    return out
+
+
+def any_conflict(footprints: Iterable[tuple[int, Footprint]]) -> bool:
+    """Do any two distinct blocks conflict under :data:`CONFLICT_RULE`?
+
+    Indexes the blocks by access and slot, so the answer costs one pass
+    over the footprints rather than one rule check per block pair.
+    """
+    index: dict[str, dict[int, set[int]]] = {a: {} for a in _ACCESSES}
+    for bid, fp in footprints:
+        for access, slots in index.items():
+            for slot in getattr(fp, access):
+                slots.setdefault(slot, set()).add(bid)
+    for _kind, _storage, accesses in CONFLICT_RULE:
+        for x, y in accesses:
+            for slot, blocks in index[x].items():
+                other = index[y].get(slot)
+                if other and len(blocks | other) >= 2:
+                    return True
     return False
 
 
+# ----------------------------------------------------------------------
+# certificates
+# ----------------------------------------------------------------------
 def certificates(cfg: Cfg, uniformity: UniformityInfo) -> Certificates:
     """Race-/deadlock-freedom certificates (see module docstring)."""
     reachable = set(uniformity.entry_depths)
@@ -216,7 +311,9 @@ def certificates(cfg: Cfg, uniformity: UniformityInfo) -> Certificates:
                "aggregate is a singleton")
         race = f"lockstep: {why} — distinct blocks are never co-resident"
         deadlock = f"lockstep: {why} — all PEs reach each barrier together"
-    if race is None and not _shared_conflicts(cfg, reachable):
+    if race is None and not any_conflict(
+            (b, block_footprint(uniformity.compiled[b]))
+            for b in sorted(reachable)):
         race = ("no-conflicts: no two blocks conflict on a mono slot or "
                 "router-shared poly slot, so no aggregate can race")
     if deadlock is None and not has_barrier:

@@ -4,7 +4,7 @@ One solver, many lattices: a :class:`Domain` packages the abstract
 state (entry value, join, widening, per-block transfer), and
 :func:`solve` iterates block-level transfer functions to a fixpoint
 over the reachable subgraph, joining over the predecessor lists of
-:func:`repro.lint.dataflow.predecessor_map`.  Blocks are seeded in
+:func:`repro.absint.graph.predecessor_map`.  Blocks are seeded in
 reverse postorder so acyclic stretches converge in one sweep; loops
 re-enqueue successors until their entry states stabilize, with
 widening applied after :data:`WIDEN_AFTER` visits of the same block so
@@ -12,10 +12,11 @@ interval chains cannot climb forever.
 
 Domains may also carry *flow-insensitive* shared facts (the interval
 domain keeps one global cell per mono slot and per router-escaped poly
-slot — any PE can observe those at any program point).  A transfer
-that grows a shared cell flips the domain's dirty flag; the solver
-polls it after each drain and restarts the sweep, so per-block states
-absorb the enlarged globals before the result is declared stable.
+slot — any PE can observe those at any program point; the uniformity
+domain keeps nothing but shared facts).  A transfer that grows a
+shared fact flips the domain's dirty flag; the solver polls it after
+each drain and restarts the sweep, so per-block states absorb the
+enlarged globals before the result is declared stable.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generic, Protocol, TypeVar
 
+from repro.absint.graph import predecessor_map
 from repro.ir.cfg import Cfg
-from repro.lint.dataflow import predecessor_map
 
 S = TypeVar("S")
 

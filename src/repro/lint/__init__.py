@@ -14,11 +14,14 @@ conversion explode or the program compute schedule-dependent answers.
 
 Analyzers run over the artifacts the pipeline already produces (AST,
 CFG, :class:`~repro.core.metastate.MetaStateGraph`, ``SimdProgram``,
-``ProgramPlan``); they are registered in an
-:class:`~repro.lint.driver.AnalyzerRegistry` and dispatched by an
-:class:`~repro.lint.driver.AnalysisDriver` which, like
-:class:`repro.opt.manager.PassManager`, times every analyzer and
-collects counters so ``--timings`` shows per-analyzer rows.
+``ProgramPlan``); :func:`~repro.lint.driver.default_analyzers` lists
+them as one tuple of :class:`~repro.lint.driver.Analyzer` records, and
+an :class:`~repro.lint.driver.AnalysisDriver` runs a phase's share of
+it which, like :class:`repro.opt.manager.PassManager`, times every
+analyzer and collects counters so ``--timings`` shows per-analyzer
+rows.  The CFG analysis the analyzers share with the ``-O2``
+optimizer — uniformity, postdominators, footprints and the conflict
+rule, the arm walk — lives in :mod:`repro.absint`.
 
 See ``docs/diagnostics.md`` for the full code catalogue.
 """
@@ -35,21 +38,19 @@ from repro.lint.diagnostics import (
 from repro.lint.driver import (
     AnalysisDriver,
     Analyzer,
-    AnalyzerRegistry,
     LintContext,
-    default_registry,
+    default_analyzers,
 )
 
 __all__ = [
     "AnalysisDriver",
     "Analyzer",
-    "AnalyzerRegistry",
     "Diagnostic",
     "LintContext",
     "LintResult",
     "Severity",
     "Span",
-    "default_registry",
+    "default_analyzers",
     "lint_source",
     "render_json",
     "render_source_error",

@@ -1,30 +1,29 @@
 """One-call lint entry point: run the analyzer suite over a source
 string without caching or code emission side effects.
 
-``lint_source`` drives the same ``_stage_*`` functions the compiler
-pipeline uses (parse → sema → lower → opt-cfg), runs the pre-convert
-(``cfg``-phase) analyzers, and — only when they found no
-error-severity diagnostics — continues through convert/opt-meta/
-encode/plan so the ``meta``-phase analyzers (races, program/plan
-verifier) can run over the real converted artifacts.  Front-end
-failures (parse or semantic errors) propagate as the usual
+``lint_source`` runs the compiler's own stage list
+(:func:`repro.stages.driver.stages_for`) with ``analyze`` on and stops
+before ``kernels``: parse → sema → lower → opt-cfg, the pre-convert
+(``cfg``-phase) analyzers, then convert → opt-meta → encode → plan and
+the ``meta``-phase analyzers (races, program/plan verifier) over the
+real converted artifacts.  An error-severity finding ends the run the
+way it ends a compile, through :class:`~repro.errors.LintError`, so
+the eager back half never runs on, say, an MSC030 explosion.
+Front-end failures (parse or semantic errors) propagate as the usual
 :class:`~repro.errors.SourceError` subclasses; the ``repro lint`` CLI
 renders them with their source span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Sequence
 
 from repro.lint.diagnostics import Diagnostic, Severity
-from repro.lint.driver import (
-    AnalysisDriver,
-    LintContext,
-    default_registry,
-    has_errors,
-)
 from repro.stages.report import StageRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.pipeline import ConversionOptions
 
 
 @dataclass
@@ -61,13 +60,9 @@ class LintResult:
         return not (werror and self.warnings)
 
 
-_FRONT_STAGES = ("parse", "sema", "lower", "opt-cfg")
-_BACK_STAGES = ("convert", "opt-meta", "encode", "plan")
-
-
 def lint_source(
     source: str,
-    options: object = None,
+    options: "ConversionOptions | None" = None,
     *,
     filename: str = "<source>",
     select: Sequence[str] = (),
@@ -84,85 +79,41 @@ def lint_source(
     MIMD oracle can reproduce is written there as a replayable
     ``.mimdc`` counterexample (see :mod:`repro.verify.witness`).
     """
+    from repro.errors import LintError
     from repro.pipeline import ConversionOptions
-    from repro.stages import driver as stage_driver
+    from repro.stages.driver import CompileContext, stages_for
 
-    if options is None:
-        options = ConversionOptions()
-
-    cctx = stage_driver.CompileContext(source=source, options=options)
-    stage_fns = {
-        "parse": stage_driver._stage_parse,
-        "sema": stage_driver._stage_sema,
-        "lower": stage_driver._stage_lower,
-        "opt-cfg": stage_driver._stage_opt_cfg,
-        "convert": stage_driver._stage_convert,
-        "convert-lazy": stage_driver._stage_convert_lazy,
-        "opt-meta": stage_driver._stage_opt_meta,
-        "encode": stage_driver._stage_encode,
-        "plan": stage_driver._stage_plan,
-    }
-
+    options = replace(options or ConversionOptions(), analyze=True,
+                      lint_select=tuple(select), lint_ignore=tuple(ignore))
+    ctx = CompileContext(source=source, options=options)
     stages_run: list[str] = []
-    for name in _FRONT_STAGES:
-        stage_fns[name](cctx)
-        stages_run.append(name)
-
-    analysis = AnalysisDriver(default_registry(),
-                              select=tuple(select), ignore=tuple(ignore))
-    lctx = LintContext(source=source, options=options, filename=filename,
-                       ast=cctx.ast, sema=cctx.sema, cfg=cctx.cfg)
-    found, records = analysis.run_phase(lctx, "cfg")
-
-    # Error-severity findings (e.g. an MSC030 explosion bound) mean the
-    # eager back half must not run — that is the point of linting
-    # first.  Lazy compiles take the incremental route instead: build
-    # the conversion engine only, and let the meta-phase frontier
-    # analyzer drive it under its state budget, so even explosion-bound
-    # programs (MSC030 downgrades to a warning under --lazy) get meta
-    # diagnostics for the subgraph an execution would discover.
-    if not has_errors(found):
-        if getattr(options, "lazy", False):
-            stage_fns["convert-lazy"](cctx, options.convert_options())
-            stages_run.append("convert")
-            lctx.cfg = cctx.cfg
-            lctx.graph = cctx.graph
-            lctx.engine = cctx.engine
-            _, meta_records = analysis.run_phase(lctx, "meta")
-            records.extend(meta_records)
-        else:
-            for name in _BACK_STAGES:
-                stage_fns[name](cctx)
-                stages_run.append(name)
-            # Time splitting may have replaced the CFG during convert.
-            lctx.cfg = cctx.cfg
-            lctx.graph = cctx.graph
-            lctx.program = cctx.program
-            lctx.plan = cctx.plan
-            _, meta_records = analysis.run_phase(lctx, "meta")
-            records.extend(meta_records)
-
-    result = LintResult(diagnostics=list(lctx.diagnostics),
-                        records=records, stages_run=stages_run)
-    if emit_witness_dir is not None and lctx.cfg is not None:
+    try:
+        for stage in stages_for(options):
+            if stage.name == "kernels":
+                break
+            stages_run.append(stage.name)
+            stage.run(ctx)
+    except LintError:
+        pass  # error-severity findings end the run, as in a compile
+    result = LintResult(
+        diagnostics=list(ctx.diagnostics),
+        records=[*ctx.pass_records.get("analyze", ()),
+                 *ctx.pass_records.get("analyze-meta", ())],
+        stages_run=stages_run,
+    )
+    if emit_witness_dir is not None and ctx.cfg is not None:
         from pathlib import Path
 
         from repro.verify.witness import emit_witnesses
 
         result.witnesses = emit_witnesses(
             source,
-            lctx.cfg,
-            lctx.scratch.get("witness_seeds", []),
+            ctx.cfg,
+            ctx.lint_scratch.get("witness_seeds", []),
             emit_witness_dir,
             stem=Path(filename).stem if filename != "<source>" else "witness",
-            frontier=lctx.scratch.get("frontier"),
-            costs=getattr(options, "costs", None) or _default_costs(),
-            opt_level=int(getattr(options, "opt_level", 1)),
+            frontier=ctx.lint_scratch.get("frontier"),
+            costs=options.costs,
+            opt_level=options.opt_level,
         )
     return result
-
-
-def _default_costs():
-    from repro.ir.instr import DEFAULT_COSTS
-
-    return DEFAULT_COSTS

@@ -25,15 +25,15 @@ while the parent continues — that is the paper's own idiom (Listing 2).
 
 from __future__ import annotations
 
-from repro.ir.block import CondBr, Halt, Return
-from repro.ir.cfg import Cfg
-from repro.lint.dataflow import (
+from repro.absint.graph import (
     EXIT,
     backward_closure,
+    fold_arm,
     immediate_postdominator,
     predecessor_map,
-    uniformity_for,
 )
+from repro.ir.block import CondBr, Halt, Return
+from repro.ir.cfg import Cfg
 from repro.lint.diagnostics import Diagnostic, Severity, Span
 from repro.lint.driver import LintContext
 from repro.verify.witness import WitnessSeed
@@ -42,85 +42,29 @@ from repro.verify.witness import WitnessSeed
 #: the mismatch check gives up (keeps the DP linear).
 _MAX_COUNTS = 8
 
-
-def _arm_region(cfg: Cfg, start: int, join: int,
-                reachable: set[int]) -> set[int] | None:
-    """Blocks on paths from ``start`` up to (excluding) ``join``.
-
-    Returns ``None`` when the region contains a cycle (a loop inside
-    the arm makes static barrier counts unbounded, so MSC011 skips it).
-    """
-    if start == join:
-        return set()
-    region: set[int] = set()
-    work = [start]
-    while work:
-        bid = work.pop()
-        if bid == join or bid in region or bid not in reachable:
-            continue
-        region.add(bid)
-        work.extend(cfg.blocks[bid].successors())
-    # Cycle check: DFS color marking over the region subgraph.
-    color: dict[int, int] = {}
-
-    def has_cycle(bid: int) -> bool:
-        color[bid] = 1
-        for s in cfg.blocks[bid].successors():
-            if s not in region:
-                continue
-            c = color.get(s, 0)
-            if c == 1:
-                return True
-            if c == 0 and has_cycle(s):
-                return True
-        color[bid] = 2
-        return False
-
-    for bid in region:
-        if color.get(bid, 0) == 0 and has_cycle(bid):
-            return None
-    return region
+#: The count set at the join: no further barriers before rejoining.
+_NO_BARRIERS = frozenset({0})
 
 
-def _barrier_counts(cfg: Cfg, start: int, join: int,
-                    region: set[int]) -> set[int] | None:
-    """Set of static barrier counts along paths ``start -> join``
-    through an acyclic ``region``; ``None`` when unbounded/overflowing."""
-    memo: dict[int, set[int] | None] = {}
+def _arm_counts(cfg: Cfg, start: int, join: int,
+                reachable: set[int]) -> frozenset[int] | None:
+    """Static barrier counts along the paths ``start -> join`` (a path
+    that exits inside the arm counts the barriers it passed); ``None``
+    when the arm has a loop or more than :data:`_MAX_COUNTS` counts."""
 
-    def counts(bid: int) -> set[int] | None:
-        if bid == join or bid not in region:
-            return {0}
-        if bid in memo:
-            return memo[bid]
-        memo[bid] = None  # acyclic, so never revisited on a live path
+    def step(bid: int, subs: list[frozenset[int]]) -> frozenset[int] | None:
         here = 1 if cfg.blocks[bid].is_barrier_wait else 0
-        out: set[int] = set()
-        succs = cfg.blocks[bid].successors()
-        if not succs:
-            # The path exits inside the arm; it executes `here` more
-            # barriers and never rejoins.
-            out.add(here)
-        for s in succs:
-            sub = counts(s)
-            if sub is None:
-                memo[bid] = None
-                return None
-            out.update(here + c for c in sub)
-        if len(out) > _MAX_COUNTS:
-            memo[bid] = None
-            return None
-        memo[bid] = out
-        return out
+        out = frozenset(here + c for sub in subs for c in sub)
+        return out if len(out) <= _MAX_COUNTS else None
 
-    return counts(start)
+    return fold_arm(cfg, start, join, reachable, _NO_BARRIERS, step)
 
 
 def analyze_barriers(ctx: LintContext) -> list[Diagnostic]:
     """MSC010 (deadlock) and MSC011 (count mismatch) over the CFG."""
     cfg = ctx.cfg
     assert cfg is not None
-    uni = uniformity_for(ctx)
+    uni = ctx.uniformity()
     reachable = set(uni.entry_depths)
     if not any(cfg.blocks[b].is_barrier_wait for b in reachable):
         return []
@@ -174,12 +118,8 @@ def analyze_barriers(ctx: LintContext) -> list[Diagnostic]:
         join = immediate_postdominator(uni.pdom, bid)
         if join == EXIT:
             continue
-        region_t = _arm_region(cfg, t, join, reachable)
-        region_f = _arm_region(cfg, f, join, reachable)
-        if region_t is None or region_f is None:
-            continue
-        counts_t = _barrier_counts(cfg, t, join, region_t)
-        counts_f = _barrier_counts(cfg, f, join, region_f)
+        counts_t = _arm_counts(cfg, t, join, reachable)
+        counts_f = _arm_counts(cfg, f, join, reachable)
         if counts_t is None or counts_f is None:
             continue
         if len(counts_t) == 1 and len(counts_f) == 1:

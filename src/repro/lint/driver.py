@@ -1,12 +1,13 @@
-"""Analyzer registry and dispatch, modeled on :mod:`repro.opt.manager`.
+"""Analyzer dispatch, modeled on :mod:`repro.opt.manager`.
 
 An :class:`Analyzer` is a named function over a :class:`LintContext`
-returning diagnostics.  The :class:`AnalysisDriver` runs the analyzers
-registered for a phase, times each one, applies the ``--select`` /
-``--ignore`` code filters, and returns per-analyzer
-:class:`~repro.stages.report.StageRecord` rows — exactly the shape the
-``opt-*`` stages use, so ``--timings`` and ``--report-json`` show one
-indented row per analyzer with no extra plumbing.
+returning diagnostics.  The :class:`AnalysisDriver` runs a phase's
+analyzers from a tuple (:func:`default_analyzers`), times each one,
+applies the ``--select`` / ``--ignore`` code filters, and returns
+per-analyzer :class:`~repro.stages.report.StageRecord` rows — exactly
+the shape the ``opt-*`` stages use, so ``--timings`` and
+``--report-json`` show one indented row per analyzer with no extra
+plumbing.
 
 Two phases exist:
 
@@ -16,20 +17,26 @@ Two phases exist:
     source-level lints.  Running *before* conversion lets the explosion
     estimator stop a ``3^n`` bomb from ever reaching ``reach``.
 ``meta``
-    After ``plan``: the meta-graph/program/plan verifier and the
-    meta-state race detector, which need the converted graph.
+    After ``plan``: the frontier exploration, the certificates, the
+    meta-graph/program/plan verifier and the meta-state race detector,
+    which need the converted graph.
+
+Both phases run as stages of the compiler pipeline
+(:func:`repro.stages.driver.stages_for`); ``repro lint`` runs the same
+stage list and stops before ``kernels``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable
 
-from repro.lint.diagnostics import Diagnostic, Severity, filter_diagnostics
+from repro.lint.diagnostics import Diagnostic, filter_diagnostics
 from repro.stages.report import StageRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.absint.uniformity import UniformityInfo
     from repro.codegen.emit import SimdProgram
     from repro.codegen.plan import ProgramPlan
     from repro.core.convert import ConversionEngine
@@ -38,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.lang.ast import Program
     from repro.lang.sema import SemaInfo
     from repro.pipeline import ConversionOptions
+    from repro.verify.frontier import FrontierResult
 
 
 @dataclass
@@ -53,7 +61,6 @@ class LintContext:
 
     source: str
     options: "ConversionOptions"
-    filename: str = "<source>"
     ast: "Program | None" = None
     sema: "SemaInfo | None" = None
     cfg: "Cfg | None" = None
@@ -67,6 +74,53 @@ class LintContext:
     #: Cross-analyzer memo (entry depths, postdominator sets, ...) so
     #: analyzers sharing a phase don't recompute each other's inputs.
     scratch: dict = field(default_factory=dict)
+
+    def uniformity(self) -> "UniformityInfo":
+        """The uniform/varying classification of the current CFG,
+        computed once and cached in the scratch (the absint, barrier,
+        and explosion analyzers all key off it)."""
+        from repro.absint.uniformity import analyze_uniformity
+
+        cfg = self.cfg
+        assert cfg is not None
+        tag = self.scratch.get("uniformity_cfg")
+        if tag is cfg:
+            cached: UniformityInfo = self.scratch["uniformity"]
+            return cached
+        if tag is not None:
+            # The scratch outlives CFG swaps (time splitting replaces
+            # the graph between the analyze phases): drop derived
+            # caches.
+            self.scratch.pop("entry_depths", None)
+            self.scratch.pop("pdom", None)
+        info = analyze_uniformity(
+            cfg, entry_depths=self.scratch.get("entry_depths"),
+            pdom=self.scratch.get("pdom"))
+        self.scratch["uniformity"] = info
+        self.scratch["uniformity_cfg"] = cfg
+        self.scratch.setdefault("entry_depths", info.entry_depths)
+        self.scratch.setdefault("pdom", info.pdom)
+        return info
+
+    def frontier(self) -> "FrontierResult":
+        """The phase's one explored meta frontier, computed on first use
+        and cached in the scratch, so the verifier and the race
+        detector query one exploration instead of re-walking the graph
+        each.  Under ``--lazy`` the exploration drives the live
+        conversion engine, bounded by ``verify_budget``."""
+        from repro.verify.frontier import FrontierResult, explore
+
+        got = self.scratch.get("frontier")
+        if isinstance(got, FrontierResult):
+            return got
+        assert self.graph is not None
+        if self.engine is not None and getattr(self.options, "lazy", False):
+            budget = int(getattr(self.options, "verify_budget", 0)) or None
+            result = explore(self.graph, engine=self.engine, budget=budget)
+        else:
+            result = explore(self.graph)
+        self.scratch["frontier"] = result
+        return result
 
 
 @dataclass(frozen=True)
@@ -84,40 +138,18 @@ class Analyzer:
     description: str = ""
 
 
-class AnalyzerRegistry:
-    """An ordered collection of analyzers, keyed by phase."""
-
-    def __init__(self, analyzers: Sequence[Analyzer] = ()) -> None:
-        self._analyzers: list[Analyzer] = list(analyzers)
-
-    def register(self, analyzer: Analyzer) -> None:
-        self._analyzers.append(analyzer)
-
-    def for_phase(self, phase: str) -> list[Analyzer]:
-        return [a for a in self._analyzers if a.phase == phase]
-
-    def names(self) -> list[str]:
-        return [a.name for a in self._analyzers]
-
-    def __iter__(self) -> Iterator[Analyzer]:
-        return iter(self._analyzers)
-
-    def __len__(self) -> int:
-        return len(self._analyzers)
-
-
 @dataclass
 class AnalysisDriver:
     """Run a phase's analyzers over a context, timed and filtered."""
 
-    registry: AnalyzerRegistry
+    analyzers: tuple[Analyzer, ...]
     select: tuple[str, ...] = ()
     ignore: tuple[str, ...] = ()
 
     def run_phase(
         self, ctx: LintContext, phase: str
     ) -> tuple[list[Diagnostic], list[StageRecord]]:
-        """Execute every analyzer registered for ``phase``.
+        """Execute every analyzer of ``phase``, in tuple order.
 
         Diagnostics surviving the ``select`` / ``ignore`` filters are
         appended to ``ctx.diagnostics`` and returned, together with one
@@ -126,7 +158,9 @@ class AnalysisDriver:
         """
         found: list[Diagnostic] = []
         records: list[StageRecord] = []
-        for analyzer in self.registry.for_phase(phase):
+        for analyzer in self.analyzers:
+            if analyzer.phase != phase:
+                continue
             t0 = time.perf_counter()
             raw = analyzer.run(ctx)
             seconds = time.perf_counter() - t0
@@ -155,17 +189,21 @@ class AnalysisDriver:
         return found, records
 
 
-def default_registry() -> AnalyzerRegistry:
-    """The standard analyzer suite, pipeline order within each phase."""
+def default_analyzers() -> tuple[Analyzer, ...]:
+    """The standard analyzer suite, pipeline order within each phase.
+
+    Built on call rather than at import: the analyzer modules import
+    this one, and they load NumPy and the verifier, which
+    ``import repro.lint`` (the CLI's error rendering) does without.
+    """
     from repro.absint.analyzers import analyze_absint, analyze_certify
     from repro.lint.barrier import analyze_barriers
-    from repro.lint.explore import analyze_frontier
     from repro.lint.explosion import analyze_explosion
     from repro.lint.races import analyze_races
     from repro.lint.srclint import analyze_source
-    from repro.lint.verifier import verify_cfg, verify_meta
+    from repro.lint.verifier import analyze_frontier, verify_cfg, verify_meta
 
-    return AnalyzerRegistry([
+    return (
         Analyzer("verify-cfg", "cfg", verify_cfg,
                  "re-check CFG structural invariants (MSC001)"),
         Analyzer("absint", "cfg", analyze_absint,
@@ -184,13 +222,4 @@ def default_registry() -> AnalyzerRegistry:
                  "meta graph / program / plan invariants (MSC002, MSC003)"),
         Analyzer("races", "meta", analyze_races,
                  "meta-state slot races (MSC020, MSC021)"),
-    ])
-
-
-def has_errors(diagnostics: Sequence[Diagnostic]) -> bool:
-    return any(d.severity == Severity.ERROR for d in diagnostics)
-
-
-def has_warnings_or_errors(diagnostics: Sequence[Diagnostic]) -> bool:
-    return any(Severity.rank(d.severity) >= Severity.rank(Severity.WARNING)
-               for d in diagnostics)
+    )

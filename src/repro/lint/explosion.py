@@ -21,16 +21,16 @@ exists for — so the lint only points at where the option would help.
 
 from __future__ import annotations
 
-from repro.ir.block import CondBr
-from repro.ir.cfg import Cfg
-from repro.ir.instr import CostModel
-from repro.ir.timing import block_time
-from repro.lint.dataflow import (
+from repro.absint.graph import (
     EXIT,
+    barrier_free_regions,
+    fold_arm,
     immediate_postdominator,
     postdominator_sets,
-    uniformity_for,
 )
+from repro.ir.block import CondBr
+from repro.ir.cfg import Cfg
+from repro.ir.timing import block_time
 from repro.lint.diagnostics import Diagnostic, Severity, Span
 from repro.lint.driver import LintContext
 
@@ -39,34 +39,6 @@ SOFT_THRESHOLD = 50_000
 
 #: Hard floor for the error bound (scaled by the state cap, below).
 HARD_FLOOR = 1_000_000
-
-
-def barrier_free_regions(cfg: Cfg) -> list[set[int]]:
-    """Weakly-connected components of the barrier-free subgraph."""
-    reachable = cfg.reachable()
-    nodes = [b for b in reachable if not cfg.blocks[b].is_barrier_wait]
-    adj: dict[int, set[int]] = {b: set() for b in nodes}
-    for bid in nodes:
-        for s in cfg.blocks[bid].successors():
-            if s in adj:
-                adj[bid].add(s)
-                adj[s].add(bid)
-    regions: list[set[int]] = []
-    seen: set[int] = set()
-    for bid in nodes:
-        if bid in seen:
-            continue
-        comp: set[int] = set()
-        work = [bid]
-        while work:
-            b = work.pop()
-            if b in comp:
-                continue
-            comp.add(b)
-            work.extend(adj[b] - comp)
-        seen |= comp
-        regions.append(comp)
-    return regions
 
 
 def estimate_states(
@@ -115,7 +87,7 @@ def analyze_explosion(ctx: LintContext) -> list[Diagnostic]:
         # uniform-branch tightening earlier in this phase.
         bound, branches, regions = cached[2]
     else:
-        uni = uniformity_for(ctx)
+        uni = ctx.uniformity()
         uniform_branches = frozenset(
             b for b in uni.entry_depths
             if isinstance(cfg.blocks[b].terminator, CondBr)
@@ -198,21 +170,31 @@ def _unbalanced_blocks(ctx: LintContext, cfg: Cfg) -> list[Diagnostic]:
     reachable = cfg.reachable()
     out: list[Diagnostic] = []
     times: dict[int, int] = {}  # block self-costs, shared across arms
+
+    def longest(bid: int, subs: list[int]) -> int:
+        """Block ``bid``'s cost plus its costliest continuation."""
+        if bid not in times:
+            times[bid] = (block_time(cfg, bid, costs) if costs is not None
+                          else block_time(cfg, bid))
+        return times[bid] + max(subs)
+
     for bid in sorted(reachable):
         blk = cfg.blocks[bid]
         if not isinstance(blk.terminator, CondBr):
             continue
-        arm_costs = []
-        for arm in (blk.terminator.on_true, blk.terminator.on_false):
-            cost = _max_path_cost(cfg, arm,
-                                  immediate_postdominator(pdom, bid),
-                                  reachable, costs, times)
-            if cost is None:
-                break
-            arm_costs.append(cost)
-        if len(arm_costs) != 2:
+        # Max cost over the acyclic paths of each arm; an arm with a
+        # loop, or a branch that only rejoins at exit, has no static
+        # arm cost.
+        join = immediate_postdominator(pdom, bid)
+        if join == EXIT:
             continue
-        tmin, tmax = sorted(arm_costs)
+        cost_t = fold_arm(cfg, blk.terminator.on_true, join, reachable,
+                          0, longest)
+        cost_f = fold_arm(cfg, blk.terminator.on_false, join, reachable,
+                          0, longest)
+        if cost_t is None or cost_f is None:
+            continue
+        tmin, tmax = sorted((cost_t, cost_f))
         # The time splitter's own gates (timesplit.py): skip noise and
         # well-utilized pairs.
         if tmin + delta > tmax:
@@ -232,46 +214,3 @@ def _unbalanced_blocks(ctx: LintContext, cfg: Cfg) -> list[Diagnostic]:
                  "pieces (paper Figures 3-5)",
         ))
     return out
-
-
-def _max_path_cost(cfg: Cfg, start: int, join: int, reachable: set[int],
-                   costs: CostModel | None,
-                   times: dict[int, int] | None = None) -> int | None:
-    """Max cost over acyclic paths ``start -> join``; ``None`` when the
-    arm region has a cycle (loops make static arm cost unbounded).
-
-    ``times`` memoizes per-block self-costs across calls (the path memo
-    is join-dependent and stays local, the block cost is not)."""
-    memo: dict[int, int | None] = {}
-    on_path: set[int] = set()
-    if times is None:
-        times = {}
-
-    def walk(bid: int) -> int | None:
-        if bid == join or bid not in reachable:
-            return 0
-        if bid in on_path:
-            return None
-        if bid in memo:
-            return memo[bid]
-        on_path.add(bid)
-        here = times.get(bid)
-        if here is None:
-            here = (block_time(cfg, bid, costs) if costs is not None
-                    else block_time(cfg, bid))
-            times[bid] = here
-        best = 0
-        for s in cfg.blocks[bid].successors():
-            sub = walk(s)
-            if sub is None:
-                on_path.discard(bid)
-                memo[bid] = None
-                return None
-            best = max(best, sub)
-        on_path.discard(bid)
-        memo[bid] = here + best
-        return memo[bid]
-
-    if join == EXIT:
-        return None
-    return walk(start)

@@ -16,97 +16,26 @@ exact-parked lockstep walk, so the analyzer scales to frontiers the
 old nested per-state member loops could not touch and reports over
 exactly the subgraph an incremental (``--lazy``) verification explored.
 
-Shared locations are mono slots (one copy machine-wide) and poly slots
-accessed through the router (``LdR``/``StR`` reach *other* PEs'
-copies).  Purely local poly accesses (``Ld``/``St``) from two blocks
-never conflict — each PE only touches its own copy, and one PE
-executes one member block at a time.
-
-A write-write conflict where both blocks store the same compile-time
-constant is classified benign (severity *info*): the merged schedule
-stores the same value regardless of order.
+Each pair is judged by :data:`repro.absint.facts.CONFLICT_RULE` over
+the blocks' shared-memory footprints, the rule the race-free
+certificate asks of every block pair.  Shared locations are mono slots
+(one copy machine-wide) and poly slots accessed through the router
+(``LdR``/``StR`` reach *other* PEs' copies); purely local poly
+accesses from two blocks never conflict.  A write-write conflict where
+both blocks store the same compile-time constant is classified benign
+(severity *info*): the merged schedule stores the same value
+regardless of order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro.absint.domains import compile_code
+from repro.absint.facts import Footprint, block_footprint, pair_conflicts
 from repro.ir.cfg import Cfg
-from repro.ir.instr import Instr, Op
 from repro.lint.diagnostics import Diagnostic, Severity, Span
 from repro.lint.driver import LintContext
-from repro.lint.explore import frontier_for
 from repro.verify.frontier import lockstep_pairs
 from repro.verify.witness import WitnessSeed
-
-#: Sentinel for "some non-constant value" in mono-write value sets.
-_UNKNOWN = object()
-
-
-@dataclass
-class BlockEffects:
-    """Shared-memory footprint of one basic block."""
-
-    #: mono slot -> set of stored values (constants, else ``_UNKNOWN``).
-    mono_writes: dict[int, set[object]] = field(default_factory=dict)
-    mono_reads: set[int] = field(default_factory=set)
-    #: poly slots written through the router (other PEs' copies).
-    remote_writes: set[int] = field(default_factory=set)
-    #: poly slots read through the router.
-    remote_reads: set[int] = field(default_factory=set)
-    #: poly slots accessed locally (own copy only).
-    local_writes: set[int] = field(default_factory=set)
-    local_reads: set[int] = field(default_factory=set)
-
-
-def block_effects(code: list[Instr]) -> BlockEffects:
-    """Extract the shared-memory footprint of a block body.
-
-    Tracks ``Push k`` immediately feeding ``StM`` so benign same-value
-    mono writes can be recognized.
-    """
-    eff = BlockEffects()
-    prev: Instr | None = None
-    for ins in code:
-        op = ins.op
-        if op is Op.STM:
-            value: object = _UNKNOWN
-            if prev is not None and prev.op is Op.PUSH:
-                value = prev.arg
-            eff.mono_writes.setdefault(int(ins.arg or 0), set()).add(value)
-        elif op is Op.STMI:
-            base, size = int(ins.arg or 0), int(ins.arg2 or 1)
-            for s in range(base, base + size):
-                eff.mono_writes.setdefault(s, set()).add(_UNKNOWN)
-        elif op is Op.LDM:
-            eff.mono_reads.add(int(ins.arg or 0))
-        elif op is Op.LDMI:
-            base, size = int(ins.arg or 0), int(ins.arg2 or 1)
-            eff.mono_reads.update(range(base, base + size))
-        elif op is Op.STR:
-            eff.remote_writes.add(int(ins.arg or 0))
-        elif op is Op.LDR:
-            eff.remote_reads.add(int(ins.arg or 0))
-        elif op is Op.ST:
-            eff.local_writes.add(int(ins.arg or 0))
-        elif op is Op.STI:
-            base, size = int(ins.arg or 0), int(ins.arg2 or 1)
-            eff.local_writes.update(range(base, base + size))
-        elif op is Op.LD:
-            eff.local_reads.add(int(ins.arg or 0))
-        elif op is Op.LDI:
-            base, size = int(ins.arg or 0), int(ins.arg2 or 1)
-            eff.local_reads.update(range(base, base + size))
-        prev = ins
-    return eff
-
-
-def co_resident_pairs(cfg: Cfg) -> set[frozenset[int]] | None:
-    """Path-sensitive co-residency refinement; ``None`` when the walk
-    overflows its cap.  Now a thin delegate to the exact-parked
-    lockstep walk in :func:`repro.verify.frontier.lockstep_pairs`,
-    where it is shared with the realizability machinery."""
-    return lockstep_pairs(cfg)
 
 
 def _slot_name(cfg: Cfg, slot: int, storage: str) -> str:
@@ -115,44 +44,6 @@ def _slot_name(cfg: Cfg, slot: int, storage: str) -> str:
         if info.index == slot:
             return f"{storage} slot {slot} ({info.name!r})"
     return f"{storage} slot {slot}"
-
-
-def _pair_conflicts(
-    a: BlockEffects, b: BlockEffects
-) -> list[tuple[str, int, str, bool]]:
-    """Conflicts between two blocks' footprints.
-
-    Returns ``(kind, slot, storage, benign)`` tuples where ``kind`` is
-    ``"ww"`` or ``"rw"``.
-    """
-    out: list[tuple[str, int, str, bool]] = []
-    # Mono slots: every access is to the single shared copy.
-    for slot in sorted(set(a.mono_writes) & set(b.mono_writes)):
-        va, vb = a.mono_writes[slot], b.mono_writes[slot]
-        benign = (
-            len(va) == 1 and va == vb and _UNKNOWN not in va
-        )
-        out.append(("ww", slot, "mono", benign))
-    for slot in sorted(set(a.mono_writes) & b.mono_reads):
-        out.append(("rw", slot, "mono", False))
-    for slot in sorted(a.mono_reads & set(b.mono_writes)):
-        out.append(("rw", slot, "mono", False))
-    # Poly slots through the router: a remote access can touch any PE's
-    # copy, so it conflicts with remote *and* local accesses from the
-    # other block.  Local-local pairs never conflict.
-    for slot in sorted(a.remote_writes & (b.remote_writes
-                                          | b.local_writes)):
-        out.append(("ww", slot, "poly", False))
-    for slot in sorted(b.remote_writes & a.local_writes):
-        out.append(("ww", slot, "poly", False))
-    for slot in sorted(a.remote_writes & (b.remote_reads | b.local_reads)):
-        out.append(("rw", slot, "poly", False))
-    for slot in sorted(b.remote_writes & (a.remote_reads | a.local_reads)):
-        out.append(("rw", slot, "poly", False))
-    for slot in sorted((a.remote_reads & b.local_writes)
-                       | (b.remote_reads & a.local_writes)):
-        out.append(("rw", slot, "poly", False))
-    return out
 
 
 def analyze_races(ctx: LintContext) -> list[Diagnostic]:
@@ -168,15 +59,16 @@ def analyze_races(ctx: LintContext) -> list[Diagnostic]:
     if certs is not None and getattr(certs, "race_free", None):
         counters["suppressed_by_certificate"] = 1
         return []
-    effects: dict[int, BlockEffects] = {}
+    footprints: dict[int, Footprint] = {}
 
-    def eff(bid: int) -> BlockEffects:
-        if bid not in effects:
-            effects[bid] = block_effects(cfg.blocks[bid].code)
-        return effects[bid]
+    def footprint(bid: int) -> Footprint:
+        if bid not in footprints:
+            footprints[bid] = block_footprint(
+                compile_code(cfg.blocks[bid].code))
+        return footprints[bid]
 
-    pairs = frontier_for(ctx).block_pairs(valid_blocks=set(cfg.blocks))
-    realizable = co_resident_pairs(cfg)
+    pairs = ctx.frontier().block_pairs(valid_blocks=set(cfg.blocks))
+    realizable = lockstep_pairs(cfg)
     if realizable is not None:
         pairs &= realizable
     counters["pairs_checked"] = len(pairs)
@@ -185,8 +77,8 @@ def analyze_races(ctx: LintContext) -> list[Diagnostic]:
     reported: set[tuple[str, int, str, frozenset[int]]] = set()
     for pair in sorted(pairs, key=sorted):
         bid_a, bid_b = sorted(pair)
-        for kind, slot, storage, benign in _pair_conflicts(
-                eff(bid_a), eff(bid_b)):
+        for kind, slot, storage, benign in pair_conflicts(
+                footprint(bid_a), footprint(bid_b)):
             key = (kind, slot, storage, pair)
             if key in reported:
                 continue

@@ -1,7 +1,17 @@
-"""IR / meta-graph / plan verifier analyzers (MSC001/MSC002/MSC003).
+"""Verifier analyzers: IR / meta-graph / plan invariants
+(MSC001/MSC002/MSC003) and the frontier exploration (MSC050).
 
-These re-check, as lint findings, the invariants the pipeline asserts
-internally: the CFG structural verifier (terminator targets, two-arc
+``frontier`` runs first among the ``meta``-phase analyzers and
+publishes the phase's explored frontier (:meth:`LintContext.frontier`)
+for the certificates and the race detector.  Under ``--lazy`` the
+exploration drives the live conversion engine, bounded by
+``ConversionOptions.verify_budget`` — that is what makes
+``repro lint --lazy`` finish on explosion-scale programs: the
+diagnostics then cover the explored subgraph, and MSC050 (info) says
+so.
+
+The others re-check, as lint findings, the invariants the pipeline
+asserts internally: the CFG structural verifier (terminator targets, two-arc
 precondition, static stack depths), the meta-graph and emitted-program
 consistency checks, the execution plan's alignment with the program it
 was compiled from, and the injectivity of every customized hash
@@ -31,6 +41,36 @@ from repro.errors import ConversionError
 from repro.ir.block import CondBr, Fall, Halt, Return, SpawnT, Terminator
 from repro.lint.diagnostics import Diagnostic, Severity, Span
 from repro.lint.driver import LintContext
+
+
+def analyze_frontier(ctx: LintContext) -> list[Diagnostic]:
+    """Explore the meta graph; MSC050 when the exploration truncated."""
+    result = ctx.frontier()
+    ctx.scratch.setdefault("fact_counters", {})["frontier"] = {
+        "explored": result.explored,
+        "discovered": result.discovered,
+        "truncated": int(result.truncated),
+    }
+    if not result.truncated:
+        return []
+    detail = f"explored {result.explored} of {result.discovered} " \
+             f"discovered meta states"
+    if result.aborted is not None:
+        detail += f"; conversion stopped: {result.aborted}"
+    elif result.skipped_wide:
+        detail += (
+            f"; {result.skipped_wide} state(s) left unexpanded past the "
+            f"per-state expansion bound"
+        )
+    return [Diagnostic(
+        code="MSC050",
+        severity=Severity.INFO,
+        message=(
+            f"incremental verification truncated: {detail}; meta-phase "
+            f"diagnostics cover the explored subgraph only"
+        ),
+        hint="raise --verify-budget to widen the explored frontier",
+    )]
 
 
 def verify_cfg(ctx: LintContext) -> list[Diagnostic]:

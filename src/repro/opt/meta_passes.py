@@ -200,9 +200,9 @@ def _uniform_branch_pass(ctx: MetaContext) -> dict:
     g = ctx.graph
     if ctx.cfg is None or g.compressed:
         return {"uniform_pruned": 0}
+    from repro.absint.graph import barrier_free_regions
+    from repro.absint.uniformity import analyze_uniformity
     from repro.ir.block import CondBr, SpawnT
-    from repro.lint.dataflow import analyze_uniformity
-    from repro.lint.explosion import barrier_free_regions
     from repro.verify.frontier import realizable_states
 
     cfg = ctx.cfg

@@ -72,10 +72,10 @@ class CompileContext:
     pass_records: dict = field(default_factory=dict)
     #: Lint diagnostics accumulated by the ``analyze`` stages.
     diagnostics: list = field(default_factory=list)
-    #: Cross-phase analyzer memo (uniformity, absint facts, ...):
-    #: ``analyze-meta`` reuses what ``analyze`` computed, mirroring the
-    #: shared :class:`~repro.lint.driver.LintContext` of
-    #: :func:`repro.lint.api.lint_source`.
+    #: Cross-phase analyzer memo (uniformity, absint facts, the
+    #: explored frontier, witness seeds, ...): ``analyze-meta`` reuses
+    #: what ``analyze`` computed, and :func:`repro.lint.api.lint_source`
+    #: reads the witness seeds from it.
     lint_scratch: dict = field(default_factory=dict)
 
 
@@ -274,19 +274,19 @@ def _stage_native(ctx: CompileContext) -> dict:
 # ----------------------------------------------------------------------
 # optional analyze stages (repro.lint)
 # ----------------------------------------------------------------------
-_lint_registry = None
+_analyzers = None
 
 
 def _preload_lint():
-    """Build (once) the analyzer registry outside the timed stage
-    bodies, so the ``analyze`` rows measure analysis rather than
-    first-import and registry-construction cost."""
-    global _lint_registry
-    if _lint_registry is None:
-        from repro.lint.driver import default_registry
+    """Build (once) the analyzer tuple outside the timed stage bodies,
+    so the ``analyze`` rows measure analysis rather than first-import
+    cost."""
+    global _analyzers
+    if _analyzers is None:
+        from repro.lint.driver import default_analyzers
 
-        _lint_registry = default_registry()
-    return _lint_registry
+        _analyzers = default_analyzers()
+    return _analyzers
 
 
 def _lint_driver(options):
@@ -391,7 +391,9 @@ def stages_for(options) -> tuple[Stage, ...]:
     run ``analyze-meta`` too: the meta analyzers then verify the
     engine's discovered frontier incrementally, driven (and bounded)
     by the shared frontier analyzer — see
-    :mod:`repro.lint.explore`."""
+    :meth:`repro.lint.driver.LintContext.frontier`.  ``repro lint``
+    (:func:`repro.lint.api.lint_source`) runs this same list up to
+    ``kernels``."""
     if not getattr(options, "analyze", False):
         return PIPELINE_STAGES
     _preload_lint()

@@ -302,14 +302,6 @@ def all_sources() -> dict[str, str]:
     return {name: make() for name, make in STANDARD.items()}
 
 
-def explosion_sources() -> dict[str, str]:
-    """Materialized ``name -> MIMDC source`` for the explosion-prone
-    workloads — programs whose eager conversion trips the MSC030 hard
-    bound (and genuinely exceeds ``max_meta_states``) but whose
-    runtime-reachable state set is small enough for ``--lazy``."""
-    return {name: make() for name, make in EXPLOSION.items()}
-
-
 def warm_cache(cache=True, options=None) -> list:
     """Compile every standard workload through ``cache`` (default: the
     default on-disk cache) and return the per-compile

@@ -6,6 +6,9 @@ compiles produce bit-identical simulation results on every standard
 workload while the warm compile runs zero stages.
 """
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,27 @@ class TestCorruption:
         r = convert_source(LISTING1_RUNNABLE, cache=cache)
         assert r.report.cache == "miss"
         assert cache.evictions == 1
+
+    def test_concurrent_writers_leave_one_loadable_entry(self, tmp_path):
+        # Four threads compile one source into one cache at once: every
+        # compile succeeds, the racing stores (temp file + os.replace)
+        # leave one entry that loads, and no temp file is left behind.
+        cache = CompileCache(root=tmp_path)
+        start = threading.Barrier(4, timeout=120)
+
+        def compile_once(_):
+            start.wait()
+            return convert_source(LISTING1_RUNNABLE, cache=cache).mpl_text()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            texts = list(pool.map(compile_once, range(4)))
+        assert len(set(texts)) == 1
+        assert [p.name for p in tmp_path.rglob("*.pkl")] == \
+            [cache.path_for(compile_key(LISTING1_RUNNABLE,
+                                        ConversionOptions())).name]
+        assert list(tmp_path.rglob("*.tmp")) == []
+        key = compile_key(LISTING1_RUNNABLE, ConversionOptions())
+        assert CompileCache(root=tmp_path).load(key) is not None
 
     def test_clear_and_count(self, tmp_path):
         cache = CompileCache(root=tmp_path)

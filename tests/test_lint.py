@@ -2,10 +2,12 @@
 
 Covers the diagnostics engine, the five analyzers against the seeded
 ``tests/lint_corpus`` programs, cleanliness of the library workloads,
-pipeline integration (``--analyze`` stages, reports, ``--Werror``),
-the ``repro lint`` CLI, and the <10% analyzer-overhead budget.
+byte-for-byte pinned analyzer output, pipeline integration
+(``--analyze`` stages, reports, ``--Werror``), the ``repro lint`` CLI,
+and the <10% analyzer-overhead budget.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,12 +24,13 @@ from repro.lint import (
     Severity,
     Span,
     lint_source,
+    render_json,
     render_text,
 )
 from repro.lint.diagnostics import filter_diagnostics
-from repro.lint.races import co_resident_pairs
 from repro.stages import STAGE_NAMES
 from repro.stages.cache import CompileCache
+from repro.verify.frontier import lockstep_pairs
 from repro.workloads import all_sources
 
 from tests.helpers import LISTING1_RUNNABLE
@@ -152,11 +155,91 @@ class TestWorkloadsClean:
                 if d.code.startswith("MSC02")] == []
 
 
+#: Corpus programs an eager compile refuses (or converts only at great
+#: cost); their analyzer output is pinned under ``--lazy`` alone.
+EXPLOSION_STEMS = {"explosion_bomb", "explosion_branch_tree",
+                   "explosion_random_walks", "explosion_uniform_tree"}
+
+
+def pinned_programs() -> dict[str, str]:
+    """The lint corpus plus the nine library programs."""
+    out = {p.stem: p.read_text() for p in CORPUS_FILES}
+    out.update(all_sources())
+    return out
+
+
+def pinned_options(name: str) -> list[ConversionOptions]:
+    """``-O1``/``-O2`` x compress x eager/lazy (lazy only for the
+    explosion programs)."""
+    lazies = (True,) if name in EXPLOSION_STEMS else (False, True)
+    return [ConversionOptions(opt_level=level, compress=compress,
+                              lazy=lazy)
+            for level in (1, 2) for compress in (False, True)
+            for lazy in lazies]
+
+
+def analyzer_digest(name: str, source: str) -> str:
+    """Digest of everything the analyzers emit for one program over its
+    pinned configurations: each run's ``render_json`` report, in
+    emission order, and each analyzer record's name and counters (no
+    timings)."""
+    h = hashlib.sha256()
+    for options in pinned_options(name):
+        result = lint_source(source, options)
+        h.update(render_json(result.diagnostics).encode())
+        h.update(json.dumps([[r.name, r.counters] for r in result.records],
+                            sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``analyzer_digest`` per program, recorded before the analysis core
+#: was consolidated (``python -m tests.test_lint`` prints this table).
+PINNED_DIGESTS = {
+    "barrier_deadlock": "d36ee7d54d042832",
+    "barrier_mismatch": "d5c4b2311dd2c7b2",
+    "barrier_phases": "ee2ee08ddd8c2bd7",
+    "benign_race": "8e231fbf60267776",
+    "clean_barrier": "55a3dd64abada03d",
+    "clean_reduce": "d0a4214aadef4d5a",
+    "collatz_depth": "d5d4907a315c9b90",
+    "constant_cond": "54ff25d592e81361",
+    "dead_router_store": "3b6ea59cc6f29841",
+    "divergent_loop_barrier": "2515a6c731db9a27",
+    "divergent_loops": "7a68e952f7df4d5a",
+    "divergent_phases": "9d0545523d51abe3",
+    "explosion_bomb": "71bd8af893985844",
+    "explosion_branch_tree": "bc7ab3d9846b1838",
+    "explosion_random_walks": "53d16a12e35bffa6",
+    "explosion_uniform_tree": "f26eb2a10c6b6ae9",
+    "imbalanced_branch": "a128f8bcc10578fd",
+    "mandelbrot": "29a4a1869b850821",
+    "odd_even_sort": "a4c7b8c87327b817",
+    "read_write_race": "3218386e42cd57d3",
+    "slot_race": "f04c606af8f1d028",
+    "spawn_waves": "a64a959b75b1bf80",
+    "tree_reduction": "1a1073ee06a91a32",
+    "uniform_chain": "7256e9a6b3474278",
+    "uninit_read": "a8894290ef17698b",
+    "unreachable": "cbfbdcba849da154",
+    "unused_var": "6b1513893768e843",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_analyzer_output_unchanged(self, name):
+        source = pinned_programs()[name]
+        assert analyzer_digest(name, source) == PINNED_DIGESTS[name]
+
+    def test_every_program_pinned(self):
+        assert set(PINNED_DIGESTS) == set(pinned_programs())
+
+
 class TestCoResidence:
     def test_divergent_arms_are_co_resident(self):
         r = convert_source(CORPUS.joinpath("slot_race.mimdc").read_text(),
                            cache=None)
-        pairs = co_resident_pairs(r.cfg)
+        pairs = lockstep_pairs(r.cfg)
         assert pairs is not None
         # Some pair of distinct blocks must be realizable (the arms).
         assert any(len(p) == 2 for p in pairs)
@@ -167,7 +250,7 @@ class TestCoResidence:
         src = ("main() { poly int x; x = procnum; wait;\n"
                "         x = x + 1; wait; return (x); }\n")
         r = convert_source(src, cache=None)
-        pairs = co_resident_pairs(r.cfg)
+        pairs = lockstep_pairs(r.cfg)
         assert pairs == set()
 
 
@@ -368,3 +451,8 @@ class TestOverheadBudget:
             total_s = sum(s["seconds"] for s in data["stages"])
             best = min(best, lint_s / total_s)
         assert best < 0.10, f"analyzer overhead {best:.1%}"
+
+
+if __name__ == "__main__":
+    for name, source in sorted(pinned_programs().items()):
+        print(f'    "{name}": "{analyzer_digest(name, source)}",')

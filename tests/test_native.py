@@ -17,6 +17,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -572,6 +573,40 @@ class TestArtifactCache:
         a = nativert.artifact_key(nat)
         monkeypatch.setattr(nativert, "compiler_id", lambda: "other-cc 9")
         assert nativert.artifact_key(nat) != a
+
+    def test_key_includes_native_version(self, monkeypatch):
+        # A stale artifact from an older C ABI must never load: the
+        # version is part of the content address.
+        nat = convert_source(STANDARD["divergent_loops"]()) \
+            .simd_program().native()
+        a = nativert.artifact_key(nat)
+        monkeypatch.setattr(nativert, "NATIVE_VERSION", NATIVE_VERSION + 1)
+        assert nativert.artifact_key(nat) != a
+
+    def test_concurrent_first_loads_share_one_artifact(self):
+        # Two threads run one never-built program at once: both run on
+        # native, and the racing builders (temp files + os.replace)
+        # leave one .so beside its .c source and no temp files.
+        src = "main() { poly int x; x = procnum * 11 + 4; return (x); }"
+        result = convert_source(src)
+        prog = result.simd_program()
+        start = threading.Barrier(2, timeout=120)
+
+        def run(_):
+            start.wait()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return run_native(result, 8)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(run, range(2)))
+        assert [r.backend_used for r in runs] == ["native", "native"]
+        key = nativert.artifact_key(prog.native())
+        assert sorted(p.name for p in nativert.native_cache_dir().iterdir()) \
+            == [f"{key}.c", f"{key}.so"]
+        ref = run_backends(result, 8, backends=("interp",))["interp"]
+        for res in runs:
+            assert_identical(res, ref, "concurrent")
 
 
 class TestNativeProgram:

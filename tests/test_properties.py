@@ -219,6 +219,19 @@ class TestRandomProgramOracle:
         _, simd, mimd, _ = small_machines(src, npes=npes)
         assert_equivalent(simd, mimd)
 
+    @given(src=programs(), compress=st.booleans())
+    @settings(max_examples=40, **COMMON_SETTINGS)
+    def test_o2_matches_oracle(self, src, compress):
+        # -O2 adds the CFG folding passes and the realizability prunes,
+        # among them the uniform-branch pass that drops meta states by
+        # the uniformity facts.  shared_programs() stays out: the MIMD
+        # oracle runs each block atomically, so router races make
+        # those programs differ from it at every -O level.
+        options = ConversionOptions(opt_level=2, compress=compress,
+                                    max_meta_states=400)
+        _, simd, mimd, _ = small_machines(src, options=options)
+        assert_equivalent(simd, mimd)
+
 
 class TestRandomGraphInvariants:
     @given(src=programs())

@@ -113,13 +113,6 @@ class TestLockstep:
         assert pairs is not None and pairs
         assert pairs <= explore(result.graph).block_pairs()
 
-    def test_co_resident_pairs_is_the_same_query(self):
-        from repro.lint.races import co_resident_pairs
-
-        src = (CORPUS / "read_write_race.mimdc").read_text()
-        cfg = eager(src).cfg
-        assert co_resident_pairs(cfg) == lockstep_pairs(cfg)
-
     def test_cap_overflow_returns_none(self):
         src = (CORPUS / "clean_barrier.mimdc").read_text()
         cfg = eager(src).cfg
