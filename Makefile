@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: test bench bench-pytest bench-smoke examples props lint-programs all coverage
+.PHONY: test bench bench-pairs bench-pytest bench-smoke examples props lint-programs all coverage
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -27,6 +27,20 @@ props:
 # bound once per shard.
 bench:
 	$(PY) tools/bench.py --bench-id BENCH_9 --shards 4
+
+# Paired runs of bench/run.py, a base commit against the working tree,
+# alternating which side runs first, one seed per pair; ends with
+# --compare and the pairs each end-to-end metric won (a claimed gain
+# needs 9 of 10); every workload unless WORKLOAD is set. Example:
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=compile_library PAIRS=10
+BASE ?= HEAD
+WORKLOAD ?=
+PAIRS ?= 10
+FIRST_SEED ?= 0
+
+bench-pairs:
+	$(PY) tools/bench_pairs.py --base $(BASE) --pairs $(PAIRS) \
+		--first-seed $(FIRST_SEED) $(if $(WORKLOAD),--workload $(WORKLOAD))
 
 bench-pytest:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q -s

@@ -34,8 +34,6 @@ from repro.absint.facts import (
     certificates,
     compute_facts,
 )
-from repro.absint.graph import barrier_free_regions
-from repro.ir.block import CondBr
 from repro.ir.cfg import Cfg
 from repro.lint.diagnostics import Diagnostic, Severity, Span
 from repro.lint.driver import LintContext
@@ -124,13 +122,10 @@ def _explosion_ranking(
     # The explosion analyzer runs next in the same phase with the same
     # tightened inputs; the cfg tag guards against graph swaps.
     ctx.scratch["explosion_estimate"] = (cfg, compressed, est)
-    bound = est[0]
+    bound, worst, _ = est
     if bound <= SOFT_THRESHOLD:
         return []
-    worst = _worst_region_branches(cfg, facts, compressed)
-    if not worst:
-        return []
-    divergent = [b for b in worst if b in facts.divergent_branches]
+    divergent = [b for b in worst if b not in facts.uniform_branches]
     if not divergent:
         return []
     uniform_n = len(worst) - len(divergent)
@@ -155,26 +150,6 @@ def _explosion_ranking(
         hint="uniform trip counts, --compress, or a wait between the "
              "splitters shrink the dominant factor",
     )]
-
-
-def _worst_region_branches(
-    cfg: Cfg, facts: AbsintFacts, compressed: bool
-) -> list[int]:
-    """Branch blocks of the region achieving the tightened bound."""
-    best_est = 0
-    best: list[int] = []
-    for region in barrier_free_regions(cfg):
-        branches = sorted(
-            b for b in region if isinstance(cfg.blocks[b].terminator, CondBr)
-        )
-        divergent = sum(1 for b in branches
-                        if b in facts.divergent_branches)
-        uniform = len(branches) - divergent
-        est = (2 ** len(branches) if compressed
-               else (3 ** divergent) * (2 ** uniform))
-        if est > best_est:
-            best_est, best = est, branches
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,13 @@ constant-divisor folding. In the generated code
 
 - **stack rows are literals** — the program-level depth dataflow of
   :func:`repro.codegen.plan._program_entry_depths` makes every
-  operand-stack depth a compile-time constant, so ``stack[3, lanes]``
+  operand-stack depth a compile-time constant, so ``stack[3][lanes]``
   replaces depth arithmetic (mixed-depth CSI entries gather through a
-  precomputed per-bid table);
+  precomputed per-bid table). A literal stack or poly row is indexed
+  first and the lanes second: the row is a basic-index view, and the
+  lanes one 1-D fancy index into it, a gather NumPy runs about three
+  times faster than the 2-D ``stack[3, lanes]`` at 64 and at 32,768
+  lanes;
 - **stack traffic mostly disappears** — within a guarded chain the
   lowering executes the stack machine *symbolically*: pushed
   constants become scalar operands numpy broadcasts for free,
@@ -35,10 +39,17 @@ constant-divisor folding. In the generated code
   (the slow path replays the checklist via
   :func:`repro.simd.kernelrt.overflow_scan`), and statically-impossible
   underflows vanish;
-- **one errstate scope** wraps the whole node instead of one per
-  instruction;
+- **no errstate scope of their own** — a kernel runs inside the one
+  ``np.errstate(over="ignore", invalid="ignore")`` scope that
+  :meth:`~repro.simd.machine.SimdMachine._loop` holds for the whole run
+  (and each :class:`~repro.simd.shards.ShardPool` worker thread for its
+  life), instead of entering one per instruction or per node;
+- **method forms** — lanes are scanned with ``(pc == bid).nonzero()[0]``
+  and conditions tested with ``(...).any()``: the array methods skip
+  the Python-level dispatch of the ``np.flatnonzero`` and ``np.any``
+  wrappers, which costs more than the lane work at small widths;
 - **lanes flow forward** — the first segment buckets PEs with one
-  ``np.flatnonzero(pc == bid)`` per member, and interior segments reuse
+  ``(pc == bid).nonzero()[0]`` per member, and interior segments reuse
   the terminator outputs of the previous segment (fall-through arrays,
   conditional splits, spawn children) instead of re-scanning ``pc``;
   only barrier-wait members re-scan, because previously parked PEs may
@@ -69,7 +80,7 @@ warm hit loads the source and compiles it, regenerating nothing.
 
 Generated kernels are **shard-sliceable**: a kernel never indexes the
 PE axis with absolute ids of its own making — lane sets come from
-``np.flatnonzero`` over the ``pc`` array it was handed, widths from
+``nonzero()`` over the ``pc`` array it was handed, widths from
 ``pc.shape[0]``, and PE ids from ``st.pids``. A
 :class:`~repro.codegen.plan.NodePlan.shardable` node's kernel may
 therefore run on a :class:`~repro.simd.shards.ShardView` (a contiguous
@@ -95,7 +106,10 @@ __all__ = ["KERNEL_VERSION", "KernelProgram", "KernelUnsupported",
 
 #: Bump when the generated-code contract with the machine changes.
 #: v2: kernels are certified shard-sliceable (see module docstring).
-KERNEL_VERSION = 2
+#: v3: kernels enter no ``np.errstate`` scope; they rely on the
+#: caller's (the step loop's, or a shard worker's) ignoring ``over``
+#: and ``invalid``.
+KERNEL_VERSION = 3
 
 #: Result expressions over the operands ``{a}`` (next-to-top) and
 #: ``{b}`` (top), or ``{x}``. Div/IDiv/Mod need their zero checks and
@@ -278,12 +292,14 @@ class _Writer:
         return "\n".join(self.lines)
 
 
-def _row(r) -> str:
-    """A stack row: a literal, or an offset from the per-lane depth
-    vector ``dv`` of a mixed-depth entry."""
+def _stack_lanes(r, lv: str) -> str:
+    """The stack cells of lanes ``lv`` at row ``r``: a literal row is
+    indexed first and the lanes second (a 1-D fancy index into the row
+    view); a mixed-depth entry's rows are an offset from its per-lane
+    depth vector ``dv``, one 2-D fancy index."""
     if isinstance(r, int):
-        return str(r)
-    return f"dv - {-r.off}" if r.off else "dv"
+        return f"stack[{r}][{lv}]"
+    return f"stack[dv - {-r.off}, {lv}]" if r.off else f"stack[dv, {lv}]"
 
 
 class _Printer:
@@ -301,8 +317,6 @@ class _Printer:
         w.put("rstack = st.rstack; rsp = st.rsp")
         w.put("poly = st.poly; mono = st.mono; npes = st.npes")
         w.put("body = 0; tcost = 0; enabled = 0")
-        w.put('with np.errstate(over="ignore", invalid="ignore"):')
-        w.indent += 1
         for s, seg in enumerate(node.segments):
             self._segment(w, s, seg)
         w.put("return body, tcost, enabled, False")
@@ -341,7 +355,7 @@ class _Printer:
         w.put(f"# -- segment {s}: members {seg.members} --")
         for j, src in enumerate(seg.sources):
             if src is None:
-                w.put(f"{lanes[j]} = np.flatnonzero(pc == {seg.members[j]})")
+                w.put(f"{lanes[j]} = (pc == {seg.members[j]}).nonzero()[0]")
                 continue
             refs = [f"m{s - 1}_{k}{sfx}" for k, sfx in src]
             w.put(f"{lanes[j]} = " + (
@@ -388,7 +402,7 @@ class _Printer:
         if seg.exit_cost is not None:
             if seg.exit_cost:
                 w.put(f"tcost += {seg.exit_cost}")
-            w.put("if not np.any(pc >= 0):")
+            w.put("if not (pc >= 0).any():")
             w.put("    return body, tcost, enabled, True")
 
     def _stmt(self, w, stmt, lv: str, size: str, sizes) -> None:
@@ -398,15 +412,15 @@ class _Printer:
         if tag == "#":
             w.put(f"# {args}")
         elif tag == "stack":
-            w.put(f"{t} = stack[{_row(args[0])}, {lv}]")
+            w.put(f"{t} = {_stack_lanes(args[0], lv)}")
         elif tag == "poly":
-            w.put(f"{t} = poly[{args[0]}, {lv}]")
+            w.put(f"{t} = poly[{args[0]}][{lv}]")
         elif tag == "mono":
             w.put(f"{t} = mono[{args[0]}]")
         elif tag == "pids":
             w.put(f"{t} = st.pids[{lv}]")
         elif tag == "flush":
-            w.put(f"stack[{_row(args[0])}, {lv}] = {v(args[1])}")
+            w.put(f"{_stack_lanes(args[0], lv)} = {v(args[1])}")
         elif tag == "dv":
             e, table = args
             cname = self._const(f"D{self.s}_{e}", f"np.array("
@@ -419,7 +433,7 @@ class _Printer:
         elif tag is Op.DIV:
             a, b = args
             if b[0] is not CONST or b[1] == 0:
-                w.put(f"if np.any({f(b)} == 0):")
+                w.put(f"if ({f(b)} == 0).any():")
                 w.put('    raise MachineError("float division by zero")')
             w.put(f"{t} = {v(a)} / {v(b)}")
         elif tag is Op.IDIV or tag is Op.MOD:
@@ -435,7 +449,7 @@ class _Printer:
             c, a, b = args
             w.put(f"{t} = np.where({f(c)} != 0, {v(a)}, {v(b)})")
         elif tag is Op.ST:
-            w.put(f"poly[{int(instr.arg)}, {lv}] = {v(args[0])}")
+            w.put(f"poly[{int(instr.arg)}][{lv}] = {v(args[0])}")
         elif tag is Op.STM:
             # Broadcast: the highest-indexed enabled writer wins.
             x = args[0]
@@ -457,7 +471,7 @@ class _Printer:
             src = "q" if op is Op.IDIV else f"(ia - q * {k})"
         else:
             w.put(f"ib = {f(b)}.astype(np.int64)")
-            w.put("if np.any(ib == 0):")
+            w.put("if (ib == 0).any():")
             w.put('    raise MachineError('
                   '"integer division or remainder by zero")')
             w.put(f"ia = {f(a)}.astype(np.int64)")
@@ -494,17 +508,17 @@ class _Printer:
         w.put(f"ei = {ix}.astype(np.int64)")
         if op is Op.LDR or op is Op.STR:
             what = "read from" if op is Op.LDR else "write to"
-            w.put("if np.any((ei < 0) | (ei >= npes)):")
+            w.put("if ((ei < 0) | (ei >= npes)).any():")
             w.put(f'    raise MachineError("parallel {what} out-of-range PE")')
         else:
             size = int(instr.arg2)
             msg = f"array index out of range 0..{size - 1} in {instr}"
-            w.put(f"if np.any((ei < 0) | (ei >= {size})):")
+            w.put(f"if ((ei < 0) | (ei >= {size})).any():")
             w.put(f"    raise MachineError({msg!r})")
         if op is Op.LDR:
-            w.put(f"{t} = poly[{base}, ei]")
+            w.put(f"{t} = poly[{base}][ei]")
         elif op is Op.STR:
-            w.put(f"poly[{base}, ei] = {v(args[0])}")
+            w.put(f"poly[{base}][ei] = {v(args[0])}")
         elif op is Op.LDI:
             w.put(f"{t} = poly[{base} + ei, {lv}]")
         elif op is Op.LDMI:
@@ -554,7 +568,7 @@ class _Printer:
             w.put(f"{lv}c = _E")
             w.put(f"if {sizes[j]}:")
             w.indent += 1
-            w.put("free = np.flatnonzero(pc == -1)")
+            w.put("free = (pc == -1).nonzero()[0]")
             w.put(f"if free.size < {sizes[j]}:")
             w.put("    raise MachineError(")
             w.put('        "spawn: not enough free PEs (section 3.2.5 '
@@ -574,7 +588,7 @@ class _Printer:
             return
         c = term.cond
         if c is None:
-            cexpr = f"stack[{term.fin - 1}, {lv}]"
+            cexpr = f"stack[{term.fin - 1}][{lv}]"
         elif c[0] is ARRAY or not term.split:
             cexpr = self._v(c)
         else:

@@ -24,8 +24,10 @@ NumPy and C kernels, and the meta-step loop of
   CSI entry is shared by members at different depths, a precomputed
   per-bid table — so the kernels never read ``st.sp`` during a body;
 - **bit weights** — the ``bid -> 1 << bid`` table (object dtype once
-  ids exceed an int64 word) making the step loop's ``globalor`` one
-  ``bitwise_or.reduce`` over the live lanes;
+  ids exceed an int64 word), indexed directly by ``pc``: two trailing
+  zeros weigh the ``PC_DONE`` (-2) and ``PC_IDLE`` (-1) sentinels, so
+  the step loop's ``globalor`` is one gather of every lane plus one
+  ``bitwise_or.reduce``, with no live mask;
 - **shardability** — whether a node's work is lane-private, so the
   step loop may fan it out over PE shards (:mod:`repro.simd.shards`).
 
@@ -111,7 +113,9 @@ class ProgramPlan:
     """The compiled plan of a whole program."""
 
     n_bids: int                     # block ids span 0 .. n_bids - 1
-    bit_weights: np.ndarray         # (n_bids,) 1 << bid; object dtype when wide
+    #: ``(n_bids + 2,)``: ``1 << bid``, then 0 at -2 and -1 for the
+    #: sentinel pcs; object dtype when wide.
+    bit_weights: np.ndarray
     nodes: dict = field(default_factory=dict)  # entry meta state -> NodePlan
     #: ``bid -> absolute stack depth at block entry`` resolved by
     #: :func:`_program_entry_depths`, or ``None`` when unresolvable.
@@ -167,11 +171,9 @@ def incremental_plan(cfg) -> ProgramPlan:
 
 
 def _empty_plan(n_bids: int) -> ProgramPlan:
-    if n_bids <= 63:
-        weights = np.array([1 << b for b in range(n_bids)], dtype=np.int64)
-    else:
-        # Aggregates wider than a machine word: keep exact Python ints.
-        weights = np.array([1 << b for b in range(n_bids)], dtype=object)
+    # Aggregates wider than a machine word keep exact Python ints.
+    weights = np.array([1 << b for b in range(n_bids)] + [0, 0],
+                       dtype=np.int64 if n_bids <= 63 else object)
     return ProgramPlan(n_bids=n_bids, bit_weights=weights)
 
 

@@ -44,7 +44,7 @@ HARD_FLOOR = 1_000_000
 def estimate_states(
     cfg: Cfg, compressed: bool,
     uniform_branches: frozenset[int] | set[int] = frozenset(),
-) -> tuple[int, int, int]:
+) -> tuple[int, tuple[int, ...], int]:
     """``(bound, worst_branches, regions)`` for the whole program.
 
     ``bound`` is the largest per-region estimate: ``3^b`` uncompressed
@@ -54,22 +54,25 @@ def estimate_states(
     (proven by the absint uniformity facts to move every PE down one
     arm) never contribute the "both" choice, so uncompressed they
     multiply by 2, not 3 — the estimate tightens without losing
-    soundness.
+    soundness.  ``worst_branches`` lists, ascending, the branch blocks
+    of the first region reaching ``bound`` (empty when no region
+    branches): MSC030 counts them and MSC063 ranks the ones outside
+    ``uniform_branches``.  ``regions`` counts the barrier-free regions.
     """
     bound = 1
-    worst = 0
+    worst: tuple[int, ...] = ()
     regions = barrier_free_regions(cfg)
     for region in regions:
-        branches = [
+        branches = sorted(
             b for b in region if isinstance(cfg.blocks[b].terminator, CondBr)
-        ]
+        )
         if compressed:
             estimate = 2 ** len(branches)
         else:
             uniform = sum(1 for b in branches if b in uniform_branches)
             estimate = (3 ** (len(branches) - uniform)) * (2 ** uniform)
         if estimate > bound:
-            bound, worst = estimate, len(branches)
+            bound, worst = estimate, tuple(branches)
     return bound, worst, len(regions)
 
 
@@ -85,7 +88,7 @@ def analyze_explosion(ctx: LintContext) -> list[Diagnostic]:
             and cached[0] is cfg and cached[1] == compressed):
         # The absint analyzer already estimated with its (identical)
         # uniform-branch tightening earlier in this phase.
-        bound, branches, regions = cached[2]
+        bound, worst, regions = cached[2]
     else:
         uni = ctx.uniformity()
         uniform_branches = frozenset(
@@ -93,8 +96,9 @@ def analyze_explosion(ctx: LintContext) -> list[Diagnostic]:
             if isinstance(cfg.blocks[b].terminator, CondBr)
             and b not in uni.divergent_branches
         )
-        bound, branches, regions = estimate_states(
+        bound, worst, regions = estimate_states(
             cfg, compressed, uniform_branches=uniform_branches)
+    branches = len(worst)
     out: list[Diagnostic] = []
     hard = max(10 * int(getattr(options, "max_meta_states", 0) or 0),
                HARD_FLOOR)

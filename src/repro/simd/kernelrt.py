@@ -5,13 +5,15 @@ The generated modules of :mod:`repro.codegen.kernels` import this as
 instruction semantics themselves (mirroring
 :func:`repro.simd.vecops.exec_instr` expression for expression), and
 only the few helpers that would bloat every generated function live
-here.
+here. Like the kernels, the helpers enter no ``np.errstate`` scope:
+they run inside the caller's (kernel v3 — see
+:mod:`repro.codegen.kernels`).
 
 All helpers are width-agnostic: ``n`` in :func:`union` is whatever
 ``pc.shape[0]`` the kernel was handed, so a shardable kernel running
 on a :class:`~repro.simd.shards.ShardView` slice of the PE axis works
 with shard-local lane indices throughout (the shard-sliceability
-contract of kernel v2 — see :mod:`repro.codegen.kernels`).
+contract since kernel v2).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def union(n: int, *lanes: np.ndarray) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     for l in live:
         mask[l] = True
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 def overflow_scan(depth: int, entries: tuple, sizes: tuple) -> None:

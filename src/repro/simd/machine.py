@@ -382,69 +382,78 @@ class SimdMachine:
 
         current = prog.start
         steps = 0
-        while True:
-            steps += 1
-            if steps > max_steps:
-                raise MachineError(f"SIMD run exceeded {max_steps} meta steps")
-            if miss_handler is not None:
-                miss_handler.fetch(current, want_kernel=fns is not None)
-            node = prog.nodes[current]
-            visits[node.entry_members] = visits.get(node.entry_members, 0) + 1
+        # One floating-point error scope for the whole run: kernels
+        # enter none of their own, and the interp walk's casts of
+        # non-finite router and array indices stay silent until the
+        # range check raises (shard workers hold the same scope).
+        with np.errstate(**vecops.ERRSTATE):
+            while True:
+                steps += 1
+                if steps > max_steps:
+                    raise MachineError(
+                        f"SIMD run exceeded {max_steps} meta steps")
+                if miss_handler is not None:
+                    miss_handler.fetch(current, want_kernel=fns is not None)
+                node = prog.nodes[current]
+                visits[node.entry_members] = \
+                    visits.get(node.entry_members, 0) + 1
 
-            apc = None
-            fn = fns.get(current) if fns is not None else None
-            if fn is None:
-                b, t, e, exited = self._exec_node(node, pc, st, trace, steps)
-            elif fan is None or not plan.nodes[current].shardable:
-                # Full width: serial runs, and the cross-lane nodes
-                # (mono store, router, spawn) of sharded ones.
-                b, t, e, exited = fn(pc, arg)
-            else:
-                b, t, e, exited, apc = fan(
-                    fn, node.barrier_target is not None
-                    or node.encoding is not None)
-            cycles += b + t
-            body_cycles += b
-            transition_cycles += t
-            enabled_pe_cycles += e
-            if exited:
-                break
-
-            transitions += 1
-            if node.barrier_target is not None:
-                # Compressed graphs: the all-at-barrier entry is a
-                # runtime check on the aggregate (section 3.2.4).
-                if apc is None:
-                    apc = self._globalor(pc, plan)
-                cycles += costs.globalor_cost
-                transition_cycles += costs.globalor_cost
-                if apc == 0:
-                    break
-                if apc & ~barrier_mask == 0:
-                    current = node.barrier_target
-                    continue
-            if node.encoding is not None:
-                if apc is None:
-                    apc = self._globalor(pc, plan)
-                cost = costs.globalor_cost + costs.dispatch_cost
-                cycles += cost
-                transition_cycles += cost
-                if apc == 0:
-                    break
-                # Section 3.2.4: unless everyone is at a barrier, the
-                # parked barrier bits are masked out of the aggregate.
-                if apc & ~barrier_mask:
-                    key = apc & ~barrier_mask
+                apc = None
+                fn = fns.get(current) if fns is not None else None
+                if fn is None:
+                    b, t, e, exited = self._exec_node(node, pc, st, trace,
+                                                      steps)
+                elif fan is None or not plan.nodes[current].shardable:
+                    # Full width: serial runs, and the cross-lane nodes
+                    # (mono store, router, spawn) of sharded ones.
+                    b, t, e, exited = fn(pc, arg)
                 else:
-                    key = apc
-                current = node.encoding.lookup(key)
-            elif node.single_target is not None:
-                cycles += costs.branch_cost
-                transition_cycles += costs.branch_cost
-                current = node.single_target
-            else:
-                # Terminal node: everyone returned.
-                break
+                    b, t, e, exited, apc = fan(
+                        fn, node.barrier_target is not None
+                        or node.encoding is not None)
+                cycles += b + t
+                body_cycles += b
+                transition_cycles += t
+                enabled_pe_cycles += e
+                if exited:
+                    break
+
+                transitions += 1
+                if node.barrier_target is not None:
+                    # Compressed graphs: the all-at-barrier entry is a
+                    # runtime check on the aggregate (section 3.2.4).
+                    if apc is None:
+                        apc = self._globalor(pc, plan)
+                    cycles += costs.globalor_cost
+                    transition_cycles += costs.globalor_cost
+                    if apc == 0:
+                        break
+                    if apc & ~barrier_mask == 0:
+                        current = node.barrier_target
+                        continue
+                if node.encoding is not None:
+                    if apc is None:
+                        apc = self._globalor(pc, plan)
+                    cost = costs.globalor_cost + costs.dispatch_cost
+                    cycles += cost
+                    transition_cycles += cost
+                    if apc == 0:
+                        break
+                    # Section 3.2.4: unless everyone is at a barrier,
+                    # the parked barrier bits are masked out of the
+                    # aggregate.
+                    if apc & ~barrier_mask:
+                        key = apc & ~barrier_mask
+                    else:
+                        key = apc
+                    current = node.encoding.lookup(key)
+                elif node.single_target is not None:
+                    cycles += costs.branch_cost
+                    transition_cycles += costs.branch_cost
+                    current = node.single_target
+                else:
+                    # Terminal node: everyone returned.
+                    break
 
         return self._result(prog, st, pc,
                             (cycles, body_cycles, transition_cycles,
@@ -494,7 +503,7 @@ class SimdMachine:
             enabled += e
             if seg.can_exit:
                 tcost += self.costs.globalor_cost
-                if not np.any(pc >= 0):
+                if not (pc >= 0).any():
                     return body, tcost, enabled, True
         return body, tcost, enabled, False
 
@@ -502,17 +511,15 @@ class SimdMachine:
     def _globalor(self, pc: np.ndarray, plan=None) -> int:
         """The hardware ``globalor``: OR of ``1 << pc`` over live PEs.
 
-        With a compiled plan this is one gather through the
-        precomputed bit-weight table plus a ``bitwise_or`` reduction;
-        without one (``interp``) a loop over the distinct live pcs
-        stays as the slow reference."""
-        live = pc[pc >= 0]
-        if live.size == 0:
-            return 0
+        With a compiled plan this is one gather of every lane through
+        the precomputed bit-weight table, whose trailing zeros weigh the
+        ``PC_DONE`` and ``PC_IDLE`` sentinels (no live mask), plus a
+        ``bitwise_or`` reduction; without one (``interp``) a loop over
+        the distinct live pcs stays as the slow reference."""
         if plan is not None:
-            return int(np.bitwise_or.reduce(plan.bit_weights[live]))
+            return shardsmod.shard_globalor(pc, plan.bit_weights)
         apc = 0
-        for bid in np.unique(live):
+        for bid in np.unique(pc[pc >= 0]):
             apc |= 1 << int(bid)
         return apc
 
@@ -526,13 +533,12 @@ class SimdMachine:
         member_list = sorted(seg.members)
         if trace is not None:
             for bid in member_list:
-                for pe in np.flatnonzero(pc == bid):
+                for pe in (pc == bid).nonzero()[0]:
                     trace[int(pe)].append((bid, step))
         # Body: each schedule entry runs once, on the PEs whose pc bit
         # is in its guard.
         for entry in seg.schedule.entries:
-            mask = np.isin(pc, list(entry.guards))
-            idxs = np.flatnonzero(mask)
+            idxs = np.isin(pc, list(entry.guards)).nonzero()[0]
             c = self.costs.cost(entry.instr)
             cycles += c
             enabled += c * idxs.size
@@ -543,7 +549,7 @@ class SimdMachine:
         spawn_requests: list[tuple[np.ndarray, int]] = []
         for bid in member_list:
             term, is_barrier = seg.terminators[bid]
-            idxs = np.flatnonzero(pc == bid)
+            idxs = (pc == bid).nonzero()[0]
             c = self.costs.branch_cost
             cycles += c
             enabled += c * idxs.size
@@ -557,7 +563,7 @@ class SimdMachine:
             elif isinstance(term, Fall):
                 new_pc[idxs] = term.target
             elif isinstance(term, CondBr):
-                if np.any(st.sp[idxs] < 1):
+                if (st.sp[idxs] < 1).any():
                     raise MachineError("branch on empty stack")
                 cond = st.stack[st.sp[idxs] - 1, idxs]
                 st.sp[idxs] -= 1
@@ -576,7 +582,7 @@ class SimdMachine:
         # Spawns activate idle PEs after all pc updates are staged, so a
         # child cannot be re-claimed within the same segment.
         for idxs, child in spawn_requests:
-            free = np.flatnonzero(new_pc == PC_IDLE)
+            free = (new_pc == PC_IDLE).nonzero()[0]
             if free.size < idxs.size:
                 raise MachineError(
                     "spawn: not enough free PEs (section 3.2.5 requires "

@@ -50,6 +50,7 @@ import threading
 import numpy as np
 
 from repro.errors import MachineError
+from repro.simd.vecops import ERRSTATE
 
 #: Measured on the BENCH_9 16K-PE scaling workload: below roughly this
 #: many lanes per shard the pool's publish/wake/join handoff costs more
@@ -156,13 +157,13 @@ class ShardView:
 
 
 def shard_globalor(pc: np.ndarray, bit_weights: np.ndarray) -> int:
-    """Shard-local ``globalor``: OR of ``1 << pc`` over the live lanes
-    of one shard's ``pc`` slice (one gather through the precompiled
-    bit-weight table plus a ``bitwise_or`` reduction)."""
-    live = pc[pc >= 0]
-    if live.size == 0:
-        return 0
-    return int(np.bitwise_or.reduce(bit_weights[live]))
+    """``globalor`` of one ``pc`` slice (a shard's, or the whole
+    machine's): OR of ``1 << pc`` over its live lanes, as one gather of
+    every lane through the plan's bit-weight table plus a
+    ``bitwise_or`` reduction. The table's two trailing zeros weigh the
+    negative sentinel pcs, so no live mask is needed (see
+    :attr:`repro.codegen.plan.ProgramPlan.bit_weights`)."""
+    return int(np.bitwise_or.reduce(bit_weights[pc]))
 
 
 def tree_or(values) -> int:
@@ -309,25 +310,30 @@ class ShardPool:
             self._cv.notify_all()
 
     def _worker(self, idx: int) -> None:
+        # NumPy keeps its error state per context, and a new thread
+        # does not inherit its creator's: hold the step loop's scope
+        # for the thread's life, so a shard task runs under the same
+        # policy as shard 0 on the calling thread.
         seen = 0
-        while True:
-            with self._cv:
-                while self._round == seen and not self._stop:
-                    self._cv.wait()
-                if self._stop:
-                    return
-                seen = self._round
-                tasks = self._tasks
-                results = self._results
-                errors = self._errors
-            try:
-                results[idx + 1] = tasks[idx + 1]()
-            except Exception as exc:
-                errors.append(exc)
-            with self._cv:
-                self._pending -= 1
-                if not self._pending:
-                    self._cv.notify_all()
+        with np.errstate(**ERRSTATE):
+            while True:
+                with self._cv:
+                    while self._round == seen and not self._stop:
+                        self._cv.wait()
+                    if self._stop:
+                        return
+                    seen = self._round
+                    tasks = self._tasks
+                    results = self._results
+                    errors = self._errors
+                try:
+                    results[idx + 1] = tasks[idx + 1]()
+                except Exception as exc:
+                    errors.append(exc)
+                with self._cv:
+                    self._pending -= 1
+                    if not self._pending:
+                        self._cv.notify_all()
 
 
 #: Process-wide pools, keyed by shard count. Worker threads are daemon

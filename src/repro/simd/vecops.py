@@ -26,6 +26,17 @@ import numpy as np
 from repro.errors import MachineError
 from repro.ir.instr import BINARY_OPS, UNARY_OPS, Instr, Op
 
+#: The floating-point error policy of every SIMD executor, as
+#: ``np.errstate`` keywords: IEEE overflow and invalid results (inf,
+#: NaN, casts of non-finite values to int) pass silently, as Python
+#: scalar float arithmetic does (the scalar/vector agreement the
+#: cross-machine oracle rests on). ``SimdMachine._loop`` holds one such
+#: scope per run and each shard worker thread one for its life; the
+#: generated kernels enter none, and :func:`exec_instr` enters its own
+#: around arithmetic, because the MIMD oracle calls it outside the step
+#: loop.
+ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+
 
 class PeState:
     """The per-PE data of a simulated SIMD machine.
@@ -78,12 +89,12 @@ def _binary(op: Op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if op is Op.MUL:
         return a * b
     if op is Op.DIV:
-        if np.any(b == 0):
+        if (b == 0).any():
             raise MachineError("float division by zero")
         return a / b
     if op in (Op.IDIV, Op.MOD):
         ia, ib = _as_int(a), _as_int(b)
-        if np.any(ib == 0):
+        if (ib == 0).any():
             raise MachineError("integer division or remainder by zero")
         q = np.abs(ia) // np.abs(ib)
         q = np.where((ia < 0) != (ib < 0), -q, q)
@@ -142,23 +153,34 @@ def exec_instr(instr: Instr, idxs: np.ndarray, st: PeState) -> None:
 
     The per-PE stack pointers are gathered once; when every enabled PE
     sits at the same depth (always true inside a meta-state guarded
-    group, and the common case for the interpreter) stack rows are
-    addressed by a scalar, turning the two-array fancy index into a
-    plain row gather.
+    group, and the common case for the interpreter) a stack row is
+    indexed first and the lanes second — a 1-D fancy index into the row
+    view, as for poly slots — instead of the two-array fancy index that
+    mixed depths need.
     """
     if idxs.size == 0:
         return
     op = instr.op
     sp = st.sp
     stack = st.stack
+    poly = st.poly
     spi = sp[idxs]
     lo = int(spi.min())
     hi = int(spi.max())
 
-    def row(off):
-        """Stack row index for depth ``sp + off``: a scalar when the
-        enabled PEs agree on the depth, else a per-PE vector."""
-        return lo + off if lo == hi else spi + off
+    if lo == hi:
+        def get(off):
+            """The enabled PEs' stack cells at depth ``sp + off``."""
+            return stack[lo + off][idxs]
+
+        def put(off, values):
+            stack[lo + off][idxs] = values
+    else:
+        def get(off):
+            return stack[spi + off, idxs]
+
+        def put(off, values):
+            stack[spi + off, idxs] = values
 
     def _under():
         raise MachineError(f"operand stack underflow executing {op.value}")
@@ -172,26 +194,24 @@ def exec_instr(instr: Instr, idxs: np.ndarray, st: PeState) -> None:
     if op in BINARY_OPS:
         if lo < 2:
             _under()
-        r2 = row(-2)
-        b = stack[row(-1), idxs]
-        a = stack[r2, idxs]
+        b = get(-1)
+        a = get(-2)
         # Python scalar float arithmetic silently produces inf/nan at
         # the IEEE edges; match it (the scalar/vector agreement is what
         # the cross-machine oracle rests on).
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack[r2, idxs] = _binary(op, a, b)
+        with np.errstate(**ERRSTATE):
+            put(-2, _binary(op, a, b))
         sp[idxs] = spi - 1
         return
     if op in UNARY_OPS:
         if lo < 1:
             _under()
-        r1 = row(-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack[r1, idxs] = _unary(op, stack[r1, idxs])
+        with np.errstate(**ERRSTATE):
+            put(-1, _unary(op, get(-1)))
         return
     if op is Op.PUSH:
         _over(1)
-        stack[row(0), idxs] = float(instr.arg)
+        put(0, float(instr.arg))
         sp[idxs] = spi + 1
         return
     if op is Op.POP:
@@ -203,84 +223,79 @@ def exec_instr(instr: Instr, idxs: np.ndarray, st: PeState) -> None:
     if op is Op.SWAP:
         if lo < 2:
             _under()
-        r1 = row(-1)
-        r2 = row(-2)
-        a = stack[r1, idxs]
-        stack[r1, idxs] = stack[r2, idxs]
-        stack[r2, idxs] = a
+        a = get(-1)
+        put(-1, get(-2))
+        put(-2, a)
         return
     if op is Op.DUP:
         if lo < 1:
             _under()
         _over(1)
-        stack[row(0), idxs] = stack[row(-1), idxs]
+        put(0, get(-1))
         sp[idxs] = spi + 1
         return
     if op is Op.LD:
         _over(1)
-        stack[row(0), idxs] = st.poly[int(instr.arg), idxs]
+        put(0, poly[int(instr.arg)][idxs])
         sp[idxs] = spi + 1
         return
     if op is Op.ST:
         if lo < 1:
             _under()
-        st.poly[int(instr.arg), idxs] = stack[row(-1), idxs]
+        poly[int(instr.arg)][idxs] = get(-1)
         sp[idxs] = spi - 1
         return
     if op is Op.LDM:
         _over(1)
-        stack[row(0), idxs] = st.mono[int(instr.arg)]
+        put(0, st.mono[int(instr.arg)])
         sp[idxs] = spi + 1
         return
     if op is Op.STM:
         if lo < 1:
             _under()
-        values = stack[row(-1), idxs]
         # A mono store broadcasts; with several enabled writers the
         # highest-indexed PE's value wins (deterministic rule).
-        st.mono[int(instr.arg)] = values[-1]
+        st.mono[int(instr.arg)] = get(-1)[-1]
         sp[idxs] = spi - 1
         return
     if op is Op.LDR:
         if lo < 1:
             _under()
-        r1 = row(-1)
-        targets = stack[r1, idxs].astype(np.int64)
-        if np.any((targets < 0) | (targets >= st.npes)):
+        targets = get(-1).astype(np.int64)
+        if ((targets < 0) | (targets >= st.npes)).any():
             raise MachineError("parallel read from out-of-range PE")
-        stack[r1, idxs] = st.poly[int(instr.arg), targets]
+        put(-1, poly[int(instr.arg)][targets])
         return
     if op is Op.STR:
         if lo < 2:
             _under()
-        targets = stack[row(-1), idxs].astype(np.int64)
-        values = stack[row(-2), idxs]
-        if np.any((targets < 0) | (targets >= st.npes)):
+        targets = get(-1).astype(np.int64)
+        values = get(-2)
+        if ((targets < 0) | (targets >= st.npes)).any():
             raise MachineError("parallel write to out-of-range PE")
-        st.poly[int(instr.arg), targets] = values
+        poly[int(instr.arg)][targets] = values
         sp[idxs] = spi - 2
         return
     if op in (Op.LDI, Op.LDMI):
         if lo < 1:
             _under()
-        r1 = row(-1)
-        eidx = stack[r1, idxs].astype(np.int64)
+        eidx = get(-1).astype(np.int64)
         _check_bounds(eidx, instr)
         base = int(instr.arg)
         if op is Op.LDI:
-            stack[r1, idxs] = st.poly[base + eidx, idxs]
+            put(-1, poly[base + eidx, idxs])
         else:
-            stack[r1, idxs] = st.mono[base + eidx]
+            put(-1, st.mono[base + eidx])
         return
     if op in (Op.STI, Op.STMI):
         if lo < 2:
             _under()
-        eidx = stack[row(-1), idxs].astype(np.int64)
+        eidx = get(-1).astype(np.int64)
         _check_bounds(eidx, instr)
-        values = stack[row(-2), idxs]
+        values = get(-2)
         base = int(instr.arg)
         if op is Op.STI:
-            st.poly[base + eidx, idxs] = values
+            poly[base + eidx, idxs] = values
         else:
             # Broadcast store; colliding elements resolve to the
             # highest-indexed writer (fancy-assignment order).
@@ -289,22 +304,20 @@ def exec_instr(instr: Instr, idxs: np.ndarray, st: PeState) -> None:
         return
     if op is Op.PROCNUM:
         _over(1)
-        stack[row(0), idxs] = st.pids[idxs]
+        put(0, st.pids[idxs])
         sp[idxs] = spi + 1
         return
     if op is Op.NPROC:
         _over(1)
-        stack[row(0), idxs] = float(st.npes)
+        put(0, float(st.npes))
         sp[idxs] = spi + 1
         return
     if op is Op.SEL:
         if lo < 3:
             _under()
-        r3 = row(-3)
-        b = stack[row(-1), idxs]
-        a = stack[row(-2), idxs]
-        c = stack[r3, idxs]
-        stack[r3, idxs] = np.where(c != 0, a, b)
+        b = get(-1)
+        a = get(-2)
+        put(-3, np.where(get(-3) != 0, a, b))
         sp[idxs] = spi - 2
         return
     if op is Op.RPUSH:
@@ -321,7 +334,7 @@ def exec_instr(instr: Instr, idxs: np.ndarray, st: PeState) -> None:
         _over(1)
         rspi = rspi - 1
         st.rsp[idxs] = rspi
-        stack[row(0), idxs] = st.rstack[rspi, idxs]
+        put(0, st.rstack[rspi, idxs])
         sp[idxs] = spi + 1
         return
     raise AssertionError(f"unhandled opcode {op}")
@@ -329,7 +342,7 @@ def exec_instr(instr: Instr, idxs: np.ndarray, st: PeState) -> None:
 
 def _check_bounds(eidx: np.ndarray, instr: Instr) -> None:
     size = int(instr.arg2)
-    if np.any((eidx < 0) | (eidx >= size)):
+    if ((eidx < 0) | (eidx >= size)).any():
         raise MachineError(
             f"array index out of range 0..{size - 1} in {instr}"
         )

@@ -12,15 +12,17 @@ pickling and the compile cache.
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from repro.codegen.kernels import KernelProgram, compile_kernels
-from repro.pipeline import ConversionOptions, convert_source
+from repro.errors import MachineError
+from repro.pipeline import ConversionOptions, convert_source, simulate_simd
 from repro.simd import nativert
 from repro.simd.machine import BACKENDS, SimdMachine
-from repro.workloads import STANDARD
+from repro.workloads import STANDARD, branch_tree
 
 EXACT_FIELDS = (
     "cycles",
@@ -294,6 +296,104 @@ class TestKernelProgram:
         assert kern.version == KERNEL_VERSION
         assert kern.stats()["kernel_version"] == KERNEL_VERSION
         assert isinstance(kern, KernelProgram)
+
+
+#: Spellings the printer must not emit: the ``np.flatnonzero`` and
+#: ``np.any`` wrappers (the ``nonzero()`` / ``any()`` methods skip their
+#: dispatch), a per-node ``np.errstate`` (the step loop and the shard
+#: workers hold the scope), and a 2-D index of a literal stack or poly
+#: row (the row view is indexed first, then its lanes).
+SLOW_SPELLINGS = re.compile(
+    r"np\.flatnonzero\(|np\.any\(|np\.errstate|\b(stack|poly)\[\d+, ")
+
+
+class TestHotPathSpellings:
+    @pytest.mark.parametrize("opt_level", (1, 2))
+    def test_library_kernels(self, opt_level):
+        for name, make in sorted(STANDARD.items()):
+            source = convert_source(make(), ConversionOptions(
+                opt_level=opt_level)).simd_program().kernels().source
+            assert "def node_0(" in source, name
+            hit = SLOW_SPELLINGS.search(source)
+            assert hit is None, (name, opt_level, hit and hit.group())
+
+    def test_lazy_jit(self, monkeypatch):
+        from repro.codegen import kernels
+
+        sources = []
+
+        def capturing_compile(source, filename, *args, **kwargs):
+            sources.append(source)
+            return compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "compile", capturing_compile,
+                            raising=False)
+        result = convert_source(branch_tree(6), ConversionOptions(lazy=True))
+        res = simulate_simd(result, 8)
+        assert res.backend_used == "kernels"
+        assert len(sources) >= 8
+        for source in sources:
+            hit = SLOW_SPELLINGS.search(source)
+            assert hit is None, hit.group()
+
+
+#: Every PE writes ``procnum + 1`` to PE 0 through the router.
+ROUTER_CONFLICT = """
+main() {
+    poly int x;
+    x[[0]] = procnum + 1;
+    return (x);
+}
+"""
+
+#: A router read or write whose PE index is +inf (int conversion passes
+#: non-finite values through).
+NONFINITE_ROUTER = {
+    "read": """
+main() {
+    poly int x; poly int i;
+    i = 1e999;
+    x = x[[i]];
+    return (x);
+}
+""",
+    "write": """
+main() {
+    poly int x; poly int i;
+    i = 1e999;
+    x[[i]] = 1;
+    return (x);
+}
+""",
+}
+
+
+class TestRouter:
+    @pytest.mark.parametrize("backend,shards", [
+        (be, n) for be in HOST_BACKENDS for n in (1, 3)
+        if be != "interp" or n == 1])
+    def test_write_conflict_highest_pid_wins(self, backend, shards):
+        # The scatter assigns lanes in ascending order, so PE npes-1
+        # writes last, as on the MIMD oracle.
+        result = convert_source(ROUTER_CONFLICT)
+        res = SimdMachine(npes=8, costs=result.options.costs,
+                          backend=backend, shards=shards).run(
+            result.simd_program())
+        assert res.backend_used == backend
+        assert res.returns.tolist() == [8.0] + [0.0] * 7
+
+    @pytest.mark.parametrize("access", sorted(NONFINITE_ROUTER))
+    def test_nonfinite_index_raises_machine_error(self, access):
+        # The cast of +inf to an index stays silent inside the run's
+        # error scope on both executors; the range check then raises.
+        result = convert_source(NONFINITE_ROUTER[access])
+        message = ("parallel read from out-of-range PE" if access == "read"
+                   else "parallel write to out-of-range PE")
+        for backend in ("interp", "kernels"):
+            machine = SimdMachine(npes=4, costs=result.options.costs,
+                                  backend=backend)
+            with pytest.raises(MachineError, match=message):
+                machine.run(result.simd_program())
 
 
 class TestCacheIntegration:

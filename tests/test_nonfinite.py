@@ -78,6 +78,12 @@ def test_eager_backends_bit_identical(opt_level, compress):
     runs = {be: SimdMachine(npes=NPES, costs=result.options.costs,
                             backend=be).run(prog)
             for be in HOST_BACKENDS}
+    # Kernels enter no errstate scope of their own, so the shard
+    # workers, threads with their own NumPy error state, must hold the
+    # step loop's.
+    runs["kernels@3"] = SimdMachine(npes=NPES, costs=result.options.costs,
+                                    backend="kernels", shards=3).run(prog)
+    assert runs["kernels@3"].shards == 3
     ref = runs["interp"]
     poly = bits(ref.poly)
     # The values under test really occur: +inf, -inf, and the
@@ -85,7 +91,7 @@ def test_eager_backends_bit_identical(opt_level, compress):
     assert {0x7FF0000000000000, 0xFFF0000000000000,
             0xFFF8000000000000} <= set(poly.ravel().tolist())
     for backend, res in runs.items():
-        assert res.backend_used == backend
+        assert res.backend_used == backend.split("@")[0]
         assert_bit_identical(res, ref, (opt_level, compress, backend))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro import ConversionOptions, convert_source
 from repro.errors import MachineError
-from repro.simd.machine import PC_DONE, SimdMachine
+from repro.simd.machine import PC_DONE, PC_IDLE, SimdMachine
 
 from tests.helpers import LISTING1_RUNNABLE
 
@@ -126,3 +126,33 @@ class TestGlobalOr:
         m = SimdMachine(npes=1)
         pc = np.array([80], dtype=np.int64)
         assert m._globalor(pc) == 1 << 80
+
+    @pytest.mark.parametrize("wide", (False, True))
+    def test_plan_table_matches_reference_loop(self, wide):
+        # The plan's weight table is indexed by pc itself, sentinels
+        # included; the wide plan (73 ids) holds exact Python ints.
+        from repro.simd.shards import shard_bounds, shard_globalor, tree_or
+        from repro.workloads import STANDARD, barrier_phases
+
+        src = barrier_phases(6, n_phases=22) if wide \
+            else STANDARD["barrier_phases"]()
+        plan = convert_source(src).simd_program().plan()
+        assert (plan.bit_weights.dtype == object) == wide
+        assert (plan.n_bids == 73) == wide
+        m = SimdMachine(npes=64)
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            pc = rng.integers(PC_DONE, plan.n_bids, size=64)
+            pc[:2] = PC_DONE, PC_IDLE
+            rng.shuffle(pc)
+            ref = 0
+            for p in pc.tolist():
+                if p >= 0:
+                    ref |= 1 << p
+            assert m._globalor(pc, plan) == ref
+            assert shard_globalor(pc, plan.bit_weights) == ref
+            assert tree_or(shard_globalor(pc[lo:hi], plan.bit_weights)
+                           for lo, hi in shard_bounds(64, 3)) == ref
+        parked = np.array([PC_DONE, PC_IDLE] * 4, dtype=np.int64)
+        assert m._globalor(parked, plan) == 0
+        assert shard_globalor(parked, plan.bit_weights) == 0
