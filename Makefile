@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: test bench bench-pairs bench-pytest bench-smoke examples props lint-programs all coverage
+.PHONY: test bench bench-pairs bench-pytest bench-smoke examples props lint-programs all coverage o0-heavy
 
 test:
 	$(PY) -m pytest tests/ -q
@@ -11,6 +11,14 @@ props:
 	$(PY) -m pytest tests/test_properties.py tests/test_csi_exact.py \
 		tests/test_lazy.py::TestGeneratedPrograms \
 		tests/test_lazy.py::TestResolution::test_generated_programs -q
+
+# The heaviest case of the -O0 CI leg: time-split mutual_recursive
+# converts to about 98K nodes at -O0. It runs under an 8 GB
+# address-space cap, so a memory regression ends in a MemoryError
+# instead of an OOM kill of the host (several minutes on 2 CPUs).
+o0-heavy:
+	ulimit -v 8388608 && REPRO_OPT_LEVEL=0 $(PY) -m pytest \
+		tests/test_equivalence.py -k mutual_recursive -q
 
 # Backend benchmark (all three executors on one shard, plus kernels and
 # native at 4 shards, over the workload library + the 16K-PE scaling

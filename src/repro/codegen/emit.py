@@ -161,11 +161,12 @@ class SimdProgram:
     def kernels(self):
         """The fused per-node execution kernels
         (:class:`~repro.codegen.kernels.KernelProgram`) for this
-        program, generated on first use and cached — like :meth:`plan`
-        the generated source travels with the program artifact, so a
-        warm compile-cache hit loads it without regenerating. ``None``
-        when kernel generation does not support this program (static
-        stack depths unresolvable)."""
+        program, generated node by node on first use and cached — like
+        :meth:`plan` the per-node sources travel with the program
+        artifact, so a warm compile-cache hit loads them without
+        regenerating; a lazy partial program holds the kernels its
+        nodes gained so far. ``None`` when kernel generation does not
+        support this program (static stack depths unresolvable)."""
         if self._kernels == "unbuilt":
             from repro.codegen.kernels import compile_kernels
 

@@ -10,8 +10,8 @@ and stack pointers per entry, re-enters an ``np.errstate`` context per
 instruction, and looks costs up per entry. This module removes that
 layer of interpretation: for every
 :class:`~repro.codegen.plan.NodePlan` it prints one Python function that
-executes the whole node, then ``compile()``\\ s the module once per
-program. The structure comes from the node's kernel IR
+executes the whole node, then compiles and loads it on its own. The
+structure comes from the node's kernel IR
 (:mod:`repro.codegen.kir`), which the C printer of
 :mod:`repro.codegen.native` shares; this module keeps what NumPy needs:
 lane sets and ``rt.union``, ``raise``, literal spelling and
@@ -71,12 +71,15 @@ zero in member A may be reported before or after one in member B). The
 error type is the same either way and machine state is discarded on
 error, so no passing behavior can differ.
 
-A :class:`KernelProgram` stores only the generated *source* (plus the
-node-key -> function-name table); the code object compiled when the
-source is generated serves the first :attr:`KernelProgram.fns` access,
-and both it and the functions are dropped on pickling, which is what
-lets the kernels travel inside the content-addressed compile cache — a
-warm hit loads the source and compiles it, regenerating nothing.
+Every node compiles on its own, through one loader that execs its
+source into a copy of the header's globals (``numpy``,
+``MachineError``, ``kernelrt``): eager generation loads each node as
+it prints it, an unpickled program on its first
+:attr:`KernelProgram.fns` access, and lazy conversion
+(:mod:`repro.codegen.lazy`) as the runtime discovers it. Only the
+per-node source text survives pickling, which is what lets the kernels
+travel inside the content-addressed compile cache: a warm hit compiles
+the stored text, regenerating nothing.
 
 Generated kernels are **shard-sliceable**: a kernel never indexes the
 PE axis with absolute ids of its own making — lane sets come from
@@ -91,7 +94,6 @@ pool) are pinned to full-width execution.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -164,112 +166,117 @@ from repro.errors import MachineError
 from repro.simd import kernelrt as rt
 
 _E = rt.EMPTY
-'''
+'''.format(version=KERNEL_VERSION)
+
+
+#: The globals every kernel node runs in, each in a copy of its own.
+_GLOBALS: dict = {}
+exec(_MODULE_HEADER, _GLOBALS)
+
+
+def _load(name: str, source: str):
+    """The one loader: compile one node's ``source`` into a copy of
+    :data:`_GLOBALS` and return its function ``name``."""
+    namespace = dict(_GLOBALS)
+    exec(compile(source, f"<msc-kernel-{name}>", "exec"), namespace)
+    return namespace[name]
 
 
 @dataclass
 class KernelProgram:
-    """The generated kernel module of one program.
+    """The fused kernels of one program, node by node.
 
-    ``source`` is a self-contained Python module (all constants are
-    literals); ``entry_names`` maps each node's entry meta state to its
-    function name. Compiled functions are built lazily and dropped on
-    pickling — only text travels through the compile cache.
+    ``sources`` maps each node's entry meta state to the name and the
+    self-contained source (all constants are literals) of its function,
+    or, in a lazy program, to ``None`` once its lowering proved
+    unsupported; :attr:`fns` maps it to the loaded function, which
+    pickling drops.
     """
 
-    source: str
-    entry_names: dict
+    sources: dict
     costs: object
     version: int = KERNEL_VERSION
-    _fns: dict | None = field(default=None, repr=False, compare=False)
-    #: The module's code object, compiled once when the source was
-    #: generated and consumed by the first :attr:`fns` access.
-    _code: object = field(default=None, repr=False, compare=False)
-
-    def digest(self) -> str:
-        """Content address of the generated source."""
-        return hashlib.sha256(self.source.encode()).hexdigest()
-
-    def _compile(self):
-        return compile(self.source, f"<msc-kernels-{self.digest()[:12]}>",
-                       "exec")
+    _fns: dict | None = field(default_factory=dict, repr=False,
+                              compare=False)
 
     @property
     def fns(self) -> dict:
-        """``entry meta state -> compiled kernel function``, built from
-        the stored source on first use."""
+        """``entry meta state -> kernel function``: filled as each node
+        is generated, and on an unpickled copy's first access."""
         if self._fns is None:
-            namespace: dict = {}
-            exec(self._code or self._compile(), namespace)
-            self._fns = {key: namespace[name]
-                         for key, name in self.entry_names.items()}
-            self._code = None
+            self._fns = {key: _load(*entry)
+                         for key, entry in self.sources.items()}
         return self._fns
+
+    @property
+    def source(self) -> str:
+        """The whole program as one module: the header, then every
+        node's source."""
+        return "\n".join([_MODULE_HEADER] + [
+            text for _, text in self.sources.values()])
+
+    def add(self, key, name: str, text: str):
+        """Load one node's kernel and register it under ``key``; returns
+        its function."""
+        self.sources[key] = (name, text)
+        fn = self._fns[key] = _load(name, text)
+        return fn
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_fns"] = state["_code"] = None
+        state["_fns"] = None
         return state
 
     def stats(self) -> dict:
         """Counters for the stage report."""
         return {
-            "kernel_nodes": len(self.entry_names),
-            "kernel_bytes": len(self.source),
+            "kernel_nodes": len(self.sources),
+            "kernel_bytes": sum(len(text)
+                                for _, text in self.sources.values()),
             "kernel_version": self.version,
         }
 
 
 def compile_kernels(prog) -> KernelProgram | None:
-    """Print the fused kernel module of ``prog`` (a
+    """Print and load the fused kernel of every node of ``prog`` (a
     :class:`~repro.codegen.emit.SimdProgram`) from its kernel IR
     (:meth:`~repro.codegen.emit.SimdProgram.lowering`), or ``None`` when
     the program's static stack depths are unresolvable (hand-built
     graphs with inconsistent paths) — the machine then falls back to
-    the ``interp`` backend."""
+    the ``interp`` backend. Loading here fails a template bug at
+    compile time and keeps compiling out of the first run."""
     lowered = prog.lowering()
     if lowered is None:
         return None
-    chunks = [_MODULE_HEADER.format(version=KERNEL_VERSION)]
-    entry_names: dict = {}
+    kern = KernelProgram({}, prog.costs)
     for i, key, node in lowered:
-        entry_names[key] = f"node_{i}"
-        chunks.append(_Printer().node(i, f"node_{i}", node))
-    kern = KernelProgram(source="\n".join(chunks), entry_names=entry_names,
-                         costs=prog.costs)
-    # Fail generation loudly (at compile time, not first run) on any
-    # template bug producing invalid syntax; the first run reuses it.
-    kern._code = kern._compile()
+        name = f"node_{i}"
+        kern.add(key, name, _Printer().node(i, name, node))
     return kern
 
 
-def compile_node_kernel(prog, plan, key, idx: int):
-    """JIT the fused kernel of a single node — the per-node twin of
-    :func:`compile_kernels` that lazy compilation calls as the runtime
-    discovers nodes.
+def compile_node_kernel(kern: KernelProgram, prog, plan, key, idx: int):
+    """JIT the fused kernel of a single node into ``kern`` — the
+    per-node twin of :func:`compile_kernels` that lazy compilation calls
+    as the runtime discovers nodes.
 
     ``prog.nodes[key]`` and ``plan.nodes[key]`` must already be
-    materialized (with static depths attached — see
+    materialized, and ``plan`` must carry static depths (see
     :func:`repro.codegen.plan.compile_node_plan`); ``idx`` only names
-    the generated function and its constants, so any unique small
-    integer works. Returns the function, or ``None`` when this node
-    cannot be kernelized — the machine then runs it on the interpretive
+    the generated function and its constants. Returns the function, or
+    ``None`` when this node cannot be kernelized (recorded in
+    ``kern.sources``) — the machine then runs it on the interpretive
     segment walk, exactly like an eager program whose
-    :class:`KernelProgram` skipped the node. The source depends only on
-    the CFG, the node's members and the cost model, so a node evicted
-    and re-entered compiles to the same code."""
-    if plan.static_depths is None:
-        return None
+    :class:`KernelProgram` skipped the node. Apart from those names,
+    the source depends only on the CFG, the node's members and the cost
+    model, so a node evicted and re-entered compiles to the same code."""
     try:
         node = lower_node(prog, plan, key)
     except KernelUnsupported:
+        kern.sources[key] = None
         return None
     name = f"node_{idx}"
-    source = "\n".join([_MODULE_HEADER.format(version=KERNEL_VERSION),
-                        _Printer().node(idx, name, node)])
-    namespace: dict = {}
-    exec(compile(source, f"<msc-jit-{name}>", "exec"), namespace)
-    return namespace[name]
+    return kern.add(key, name, _Printer().node(idx, name, node))
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,12 @@ machine calls :meth:`fetch`, which
 2. **compiles** — JITs the state's :class:`~repro.codegen.emit.
    MetaNode` (trivial one-state layout; a multiway transition
    dispatches through the arcs resolved so far and resolves a new
-   aggregate through the engine on a miss), its
-   :class:`~repro.codegen.plan.NodePlan`, and —
-   on the kernel backends — its fused kernel, registering all three
-   into the same dispatch dicts the machine loops read
-   (``program.nodes`` / ``plan.nodes`` / :attr:`kfns`), so the step
-   loop resumes with plain dict hits;
+   aggregate through the engine on a miss) and its
+   :class:`~repro.codegen.plan.NodePlan` into the dicts the machine
+   loops read (``program.nodes`` / ``plan.nodes``), and on the kernel
+   backends its fused kernel into :attr:`LazyProgram.kernels`, the
+   program's ``kernels()`` as for an eager program. A resident node
+   that a kernel run reaches first gains its kernel alone;
 3. **bounds residency** — with ``max_resident_meta`` set, an LRU of
    compiled nodes is maintained and the least-recently-dispatched
    node's artifacts are dropped. The engine's graph keeps the state's
@@ -52,10 +52,11 @@ previously taken arc resolved.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 
 from repro.codegen.emit import MetaNode, SimdProgram, compile_node
-from repro.codegen.kernels import compile_node_kernel
+from repro.codegen.kernels import KernelProgram, compile_node_kernel
 from repro.codegen.plan import compile_node_plan, incremental_plan
 from repro.core.convert import ConversionEngine
 
@@ -93,16 +94,15 @@ class LazyProgram:
         # point it at the incremental plan (never compile_plan on a partial
         # program — its n_bids would be wrong for nodes still to come).
         self.program._plan = self.plan
-        self.program._kernels = None
-        #: entry meta state -> compiled kernel fn; the kernel backends
-        #: read this dict in the step loop (the lazy twin of
-        #: ``KernelProgram.fns``).
-        self.kfns: dict = {}
-        self._kernel_names: dict = {}
-        # Nodes whose kernel generation raised KernelUnsupported: they
-        # stay on the interpretive segment walk for good, exactly like
-        # an eager KernelProgram that skipped them.
-        self._kernel_failed: set = set()
+        #: The kernels, filled and evicted node by node; the program's
+        #: ``kernels()`` is ``None`` (the ``interp`` fallback) when
+        #: static stack depths are unresolvable.
+        self.kernels = KernelProgram({}, self.costs)
+        self.program._kernels = (self.kernels if self.plan.static_depths
+                                 is not None else None)
+        #: entry meta state -> kernel function: ``kernels.fns`` itself.
+        self.kfns: dict = self.kernels.fns
+        self._kernel_ids = itertools.count()
         self._lru: OrderedDict = OrderedDict()
         self.max_resident = int(getattr(options, "max_resident_meta", 0) or 0)
         self.materialized = 0
@@ -113,17 +113,12 @@ class LazyProgram:
         self.max_resident_seen = 0
 
     # ------------------------------------------------------------------
-    @property
-    def supports_kernels(self) -> bool:
-        """Whether per-node kernels can be generated at all (the lazy
-        twin of ``compile_kernels`` returning ``None``: static stack
-        depths must be resolvable from the CFG)."""
-        return self.plan.static_depths is not None
-
     def fetch(self, key, want_kernel: bool = False) -> MetaNode:
         """The miss-handler: make ``key`` dispatchable and return its
-        node. Mutates ``program.nodes`` / ``plan.nodes`` / ``kfns`` in
-        place — the machine's loops re-read them every step."""
+        node, with its kernel when ``want_kernel`` (the caller runs
+        ``program.kernels()``). Mutates ``program.nodes`` /
+        ``plan.nodes`` / :attr:`kfns` in place — the machine's loops
+        re-read them every step."""
         engine = self.engine
         if engine.prepare(key):
             # Any artifact compiled before this (re)preparation baked in
@@ -132,10 +127,11 @@ class LazyProgram:
         for stale in engine.take_dirty():
             self._drop(stale)
         node = self.program.nodes.get(key)
-        if node is None or (want_kernel and self.supports_kernels
-                            and key not in self.kfns
-                            and key not in self._kernel_failed):
-            node = self._materialize(key, want_kernel)
+        if node is None:
+            node = self._materialize(key)
+        if want_kernel and key not in self.kernels.sources:
+            compile_node_kernel(self.kernels, self.program, self.plan, key,
+                                next(self._kernel_ids))
         self._touch(key)
         return node
 
@@ -158,7 +154,7 @@ class LazyProgram:
         }
 
     # ------------------------------------------------------------------
-    def _materialize(self, key, want_kernel: bool) -> MetaNode:
+    def _materialize(self, key) -> MetaNode:
         node = compile_node(self.cfg, self.engine, key, self.costs,
                             self.use_csi)
         nplan = compile_node_plan(node, self.plan.n_bids,
@@ -166,14 +162,6 @@ class LazyProgram:
         self.program.nodes[key] = node
         self.plan.nodes[key] = nplan
         self.materialized += 1
-        if want_kernel and self.supports_kernels \
-                and key not in self._kernel_failed:
-            idx = self._kernel_names.setdefault(key, len(self._kernel_names))
-            fn = compile_node_kernel(self.program, self.plan, key, idx)
-            if fn is None:
-                self._kernel_failed.add(key)
-            else:
-                self.kfns[key] = fn
         return node
 
     def _drop(self, key) -> None:
@@ -181,8 +169,8 @@ class LazyProgram:
         the next fetch of ``key`` compiles it like a first visit."""
         self.program.nodes.pop(key, None)
         self.plan.nodes.pop(key, None)
+        self.kernels.sources.pop(key, None)
         self.kfns.pop(key, None)
-        self._kernel_failed.discard(key)
         self._lru.pop(key, None)
 
     def _touch(self, key) -> None:

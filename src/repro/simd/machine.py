@@ -133,10 +133,13 @@ class SimdMachine:
           ``"kernels"`` checks below.
         - ``"kernels"`` (default): fused per-node functions generated by
           :mod:`repro.codegen.kernels` — one compiled kernel executes a
-          whole node. Falls back to ``"interp"`` with a
-          :class:`RuntimeWarning` when the kernels are unusable (cost
-          model differs from the one the program was emitted with, or
-          unresolvable static depths).
+          whole node. The loop reads them from ``prog.kernels().fns``,
+          which an eager program fills at generation and a lazy one
+          (:mod:`repro.codegen.lazy`) as its nodes are discovered.
+          Falls back to ``"interp"`` with a :class:`RuntimeWarning`
+          when the kernels are unusable (cost model differs from the
+          one the program was emitted with, or unresolvable static
+          depths).
         - ``"interp"``: the interpretive executor over
           :func:`repro.simd.vecops.exec_instr` — the differential
           oracle, and the walk for any node that has no kernel.
@@ -202,7 +205,7 @@ class SimdMachine:
         :class:`~repro.codegen.lazy.LazyProgram` whose ``fetch(state,
         want_kernel)`` is called before every meta step to expand,
         compile, and register the state into ``prog.nodes`` /
-        ``plan.nodes`` / its kernel dict in place (and to enforce the
+        ``plan.nodes`` / ``prog.kernels()`` in place (and to enforce the
         resident-node bound). ``prog`` and ``plan`` must then be the
         handler's own partial ``program`` and incremental plan."""
         if active is None:
@@ -236,8 +239,7 @@ class SimdMachine:
             # exactly the serial MachineError — message and position
             # across shard boundaries included.
             self._loop(prog, active, max_steps, plan, "kernels",
-                       self._kernel_fns(prog, miss_handler), 1,
-                       miss_handler)
+                       prog.kernels().fns, 1, miss_handler)
             cause = (err.errors[0] if isinstance(err, shardsmod.ShardError)
                      else err)
             raise MachineError(str(cause)) from err  # replay passed
@@ -256,7 +258,7 @@ class SimdMachine:
         while backend in FALLBACK:
             reason = self._unavailable(backend, prog, miss_handler)
             if reason is None and backend == "kernels":
-                return backend, self._kernel_fns(prog, miss_handler)
+                return backend, prog.kernels().fns
             if reason is None:
                 from repro.simd import nativert
 
@@ -291,12 +293,6 @@ class SimdMachine:
             if reason is not None:
                 return reason
             compiled, kind = prog.native(), "native"
-        elif miss_handler is not None:
-            # Lazy mode: kernels are JIT-compiled per node by the
-            # handler; only global feasibility is checked up front.
-            compiled = miss_handler if miss_handler.supports_kernels \
-                else None
-            kind = "compiled"
         else:
             compiled, kind = prog.kernels(), "compiled"
         if compiled is None:
@@ -307,15 +303,6 @@ class SimdMachine:
             return (f"{what} fold a different cost model into their "
                     f"constants than this machine's")
         return None
-
-    @staticmethod
-    def _kernel_fns(prog: SimdProgram, miss_handler=None) -> dict:
-        """The per-node kernel callables: the lazy handler's live dict
-        (``fetch`` fills it per discovered node) or the program's
-        compiled kernels."""
-        if miss_handler is not None:
-            return miss_handler.kfns
-        return prog.kernels().fns
 
     def _initial_state(self, prog: SimdProgram,
                        active: int) -> tuple[vecops.PeState, np.ndarray]:

@@ -57,7 +57,9 @@ from pathlib import Path
 #: v9: a lazy engine snapshot holds prepared states whose rows carry
 #: only the arcs a run resolved, plus the engine's ``partial``,
 #: ``multiway`` and ``resolved`` bookkeeping, which v8 snapshots lack.
-CACHE_VERSION = 9
+#: v10: cached programs carry per-node kernel sources
+#: (``KernelProgram.sources``) instead of one module text.
+CACHE_VERSION = 10
 
 #: Top-level repro subpackages whose code determines compile output.
 #: ``simd``/``mimd`` (simulators) and ``analysis``/``viz`` are runtime

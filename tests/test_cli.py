@@ -42,6 +42,22 @@ class TestCompile:
         assert main(["compile", source_file, "--emit", "dot"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
 
+    def test_emit_kernel(self, source_file, capsys):
+        # The printed module is built from the per-node sources: it
+        # compiles as one module with one function per kernel node.
+        from repro import convert_source
+
+        assert main(["compile", source_file, "--emit", "kernel"]) == 0
+        namespace: dict = {}
+        exec(compile(capsys.readouterr().out, "<emit-kernel>", "exec"),
+             namespace)
+        kern = convert_source(SRC).simd_program().kernels()
+        names = sorted(name for name in namespace
+                       if name.startswith("node_"))
+        assert len(kern.sources) > 1
+        assert names == sorted(name for name, _ in kern.sources.values())
+        assert all(callable(namespace[name]) for name in names)
+
     def test_emit_cfg(self, source_file, capsys):
         assert main(["compile", source_file, "--emit", "cfg"]) == 0
         assert "entry: 0" in capsys.readouterr().out

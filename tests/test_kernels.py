@@ -231,17 +231,18 @@ class TestKernelProgram:
     def test_one_function_per_node(self):
         prog = convert_source(STANDARD["odd_even_sort"]()).simd_program()
         kern = prog.kernels()
-        assert set(kern.entry_names) == set(prog.nodes)
+        assert set(kern.sources) == set(prog.nodes)
         assert set(kern.fns) == set(prog.nodes)
         assert kern.stats()["kernel_nodes"] == prog.node_count()
-        for fname in kern.entry_names.values():
-            assert f"def {fname}(" in kern.source
+        for key, (name, text) in kern.sources.items():
+            assert f"def {name}(" in text
+            assert kern.fns[key].__name__ == name
 
     def test_digest_deterministic(self):
         src = STANDARD["barrier_phases"]()
         a = compile_kernels(convert_source(src).simd_program())
         b = compile_kernels(convert_source(src).simd_program())
-        assert a.digest() == b.digest()
+        assert a.sources == b.sources
         assert a.source == b.source
 
     def test_pickle_recompiles_functions(self):
@@ -249,31 +250,44 @@ class TestKernelProgram:
         # first use (never unpickled — code objects don't pickle).
         prog = convert_source(STANDARD["divergent_loops"]()).simd_program()
         kern = prog.kernels()
-        kern.fns  # force compilation before pickling
         clone = pickle.loads(pickle.dumps(kern))
         assert clone._fns is None
-        assert clone.digest() == kern.digest()
+        assert clone.sources == kern.sources
         assert set(clone.fns) == set(kern.fns)
 
-    def test_module_compiled_once(self, monkeypatch):
-        # Generation compiles the module to check it; the first run must
-        # exec that code object rather than compile the text again.
+    def test_each_node_compiled_once(self, monkeypatch):
+        # One loader: generation compiles every node on its own, a run
+        # compiles nothing more, and an unpickled copy compiles each
+        # node once, on its first fns access. No compile() input
+        # defines more than one node function.
         from repro.codegen import kernels
 
         compiled = []
 
         def counting_compile(source, filename, *args, **kwargs):
-            compiled.append(filename)
+            compiled.append(source)
             return compile(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(kernels, "compile", counting_compile,
                             raising=False)
-        result = convert_source(STANDARD["divergent_loops"]())
+        result = convert_source(STANDARD["collatz_depth"](),
+                                ConversionOptions(opt_level=2))
         prog = result.simd_program()
-        SimdMachine(npes=8, costs=result.options.costs,
+        texts = sorted(text for _, text in prog.kernels().sources.values())
+        assert len(texts) == prog.node_count()
+        assert sorted(compiled) == texts
+        SimdMachine(npes=64, costs=result.options.costs,
                     backend="kernels").run(prog)
-        assert len(compiled) == 1
-        assert prog.kernels()._code is None  # consumed by the first run
+        assert len(compiled) == len(texts)
+
+        clone = pickle.loads(pickle.dumps(prog.kernels()))
+        assert len(compiled) == len(texts)
+        assert set(clone.fns) == set(prog.nodes)
+        assert clone.fns is clone.fns
+        assert sorted(compiled[len(texts):]) == texts
+
+        for source in compiled:
+            assert len(re.findall(r"^def node_\d+\(", source, re.M)) == 1
 
     def test_program_pickle_carries_kernels(self):
         result = convert_source(STANDARD["mandelbrot"]())
@@ -281,7 +295,7 @@ class TestKernelProgram:
         prog.kernels()
         clone = pickle.loads(pickle.dumps(prog))
         assert clone.kernels() is not None
-        assert clone.kernels().digest() == prog.kernels().digest()
+        assert clone.kernels().sources == prog.kernels().sources
         a = SimdMachine(npes=8, costs=result.options.costs,
                         backend="kernels").run(prog)
         b = SimdMachine(npes=8, costs=result.options.costs,
@@ -407,8 +421,8 @@ class TestCacheIntegration:
         # The kernel source was loaded with the artifact — not rebuilt.
         assert warm.simd_program()._kernels != "unbuilt"
         warm_kern = warm.simd_program().kernels()
+        assert warm_kern.sources == cold_kern.sources
         assert warm_kern.source == cold_kern.source
-        assert warm_kern.digest() == cold_kern.digest()
         a = SimdMachine(npes=8, costs=cold.options.costs,
                         backend="kernels").run(cold.simd_program())
         b = SimdMachine(npes=8, costs=warm.options.costs,

@@ -103,6 +103,65 @@ class TestWarmDifferential:
             assert got.backend_used == "kernels"
             assert got.shards == shards
 
+    def test_kernel_run_after_interp_compiles_only_kernels(self,
+                                                           monkeypatch):
+        # A node made resident by an interp run and reached again by a
+        # kernels run gains its kernel alone: its node (with its CSI
+        # schedule) and its plan are not compiled twice.
+        from repro.codegen import lazy as lazymod
+
+        compiled: dict = {}
+        real = lazymod.compile_node
+
+        def counting(cfg, engine, key, *args, **kwargs):
+            compiled[key] = compiled.get(key, 0) + 1
+            return real(cfg, engine, key, *args, **kwargs)
+
+        monkeypatch.setattr(lazymod, "compile_node", counting)
+        lazy = convert_source(workloads.branch_tree(4),
+                              ConversionOptions(lazy=True), cache=False)
+        simulate_simd(lazy, NPES, backend="interp")
+        simulate_simd(lazy, NPES, backend="kernels")
+        stats = lazy.lazy_program().stats()
+        assert set(compiled.values()) == {1}
+        assert stats["lazy_materialized"] == stats["lazy_resident"] \
+            == len(compiled)
+        assert stats["lazy_kernels"] == stats["lazy_resident"]
+
+    def test_unsupported_kernel_lowered_once(self, monkeypatch):
+        # A node whose kernel lowering is unsupported runs on the interp
+        # walk, and later kernels runs do not try to lower it again.
+        from repro.codegen import kernels
+        from repro.codegen.kir import KernelUnsupported
+
+        tried: dict = {}
+        real = kernels.lower_node
+
+        def lower_odd_only(prog, plan, key):
+            tried[key] = tried.get(key, 0) + 1
+            if min(key) % 2 == 0:
+                raise KernelUnsupported("no kernel for this node")
+            return real(prog, plan, key)
+
+        monkeypatch.setattr(kernels, "lower_node", lower_odd_only)
+        src = workloads.branch_tree(4)
+        lazy = convert_source(src, ConversionOptions(lazy=True), cache=False)
+        runs = [simulate_simd(lazy, NPES, backend="kernels")
+                for _ in range(2)]
+        ref = simulate_simd(convert_source(src, ConversionOptions(lazy=True),
+                                           cache=False), NPES,
+                            backend="interp")
+        for got in runs:
+            assert got.backend_used == "kernels"
+            assert got.cycles == ref.cycles
+            assert got.node_visits == ref.node_visits
+            np.testing.assert_array_equal(got.returns, ref.returns)
+        assert set(tried.values()) == {1}
+        unsupported = [key for key in tried if min(key) % 2 == 0]
+        assert 0 < len(unsupported) < len(tried)
+        assert lazy.lazy_program().stats()["lazy_kernels"] == \
+            len(tried) - len(unsupported)
+
 
 # ----------------------------------------------------------------------
 # Cold lazy vs the MIMD oracle: result identity
