@@ -32,7 +32,10 @@ memoizable: with a :class:`~repro.stages.cache.CompileCache`, a compile
 whose content key (source + options + cost model + code version) was
 seen before loads ``cfg``/``graph``/``program``/``plan`` and runs no
 stage at all — the report then shows one cached record per stage and
-zero executed stages.
+zero executed stages. That holds for every eager hit, analyzed ones
+included: an eager bundle carries its diagnostics and ``analyze`` rows,
+and the hit replays them. A lazy analyzed hit re-runs the two analyze
+stages against the loaded engine (:func:`_analyze_cached`).
 
 To add a stage: write a ``_stage_<name>(ctx)`` function that reads and
 writes ``CompileContext`` fields and returns a counters dict, append a
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.stages.cache import CachedCompile, CompileCache, compile_key, resolve_cache
-from repro.stages.report import StageReport
+from repro.stages.report import StageRecord, StageReport
 
 
 @dataclass
@@ -347,17 +350,17 @@ def _stage_analyze_meta(ctx: CompileContext) -> dict:
     return _lint_counters(found)
 
 
-def _check_werror(ctx: CompileContext) -> None:
+def _check_werror(options, diagnostics: list) -> None:
     from repro.errors import LintError
 
-    if not getattr(ctx.options, "werror", False):
+    if not getattr(options, "werror", False):
         return
-    offenders = [d for d in ctx.diagnostics
+    offenders = [d for d in diagnostics
                  if d.severity in ("warning", "error")]
     if offenders:
         raise LintError(
             f"--Werror: {len(offenders)} warning(s) treated as errors",
-            ctx.diagnostics)
+            diagnostics)
 
 
 #: The pipeline, dependency order. Names are stable API — tests, the
@@ -429,7 +432,12 @@ def run_pipeline(source: str, options, cache=None):
             report.cache = "hit"
             _record_cached_stages(report, payload)
             if getattr(options, "analyze", False):
-                _analyze_cached(source, options, payload, report)
+                if payload.analysis:
+                    report.records.extend(payload.analysis)
+                    report.diagnostics = list(payload.diagnostics)
+                else:
+                    _analyze_cached(source, options, payload, report)
+                _check_werror(options, report.diagnostics)
             result = ConversionResult(
                 source=source, cfg=payload.cfg, graph=payload.graph,
                 options=options, restarts=payload.restarts,
@@ -445,14 +453,20 @@ def run_pipeline(source: str, options, cache=None):
         stage.execute(ctx, report)
     report.diagnostics = list(ctx.diagnostics)
     # Only lint-passing compiles are worth caching under --Werror.
-    _check_werror(ctx)
+    _check_werror(options, report.diagnostics)
 
     if cache is not None:
         t0 = time.perf_counter()
-        cache.store(report.key, CachedCompile(
+        payload = CachedCompile(
             cfg=ctx.cfg, graph=ctx.graph, restarts=ctx.restarts,
             program=ctx.program, lazy_engine=ctx.engine,
-        ))
+        )
+        if getattr(options, "analyze", False) and ctx.engine is None:
+            payload.diagnostics = report.diagnostics
+            payload.analysis = tuple(
+                _as_cached(report.stage(stage.name))
+                for stage in (ANALYZE_STAGE, ANALYZE_META_STAGE))
+        cache.store(report.key, payload)
         report.store_seconds = time.perf_counter() - t0
 
     result = ConversionResult(
@@ -482,30 +496,36 @@ def store_lazy_progress(cache, result) -> bool:
     ))
 
 
+def _as_cached(rec: StageRecord) -> StageRecord:
+    """``rec`` as a cache hit replays it: its counters, no time."""
+    return StageRecord(rec.name, cached=True, counters=dict(rec.counters),
+                       subrecords=[_as_cached(sub) for sub in rec.subrecords])
+
+
 def _analyze_cached(source: str, options, payload: CachedCompile,
                     report: StageReport) -> None:
-    """Re-run the analyzers on a cache hit.
+    """Re-run the analyzers on a lazy cache hit.
 
-    Diagnostics are not stored in the cache bundle — analyzers are
-    deterministic and cheap relative to convert/encode, so a warm hit
-    re-parses the source (for the AST-level lints) and re-analyzes the
-    loaded artifacts, producing the exact rows and findings of the cold
-    run.  Only lint-passing compiles are ever stored, so this cannot
-    turn a cached success into a new failure except under the same
-    options that would have failed cold."""
+    A lazy bundle holds an engine, not a program, and its frontier
+    verifier explores the loaded engine, which the cold exploration
+    and any run since have grown; so the hit re-parses the source (for
+    the AST-level lints) and re-analyzes the loaded artifacts.  This
+    is not cheap: parse, sema and the analyzer imports included, it
+    was about 60% of a warm analyzed ``-O2`` compile of the workload
+    library while eager hits took this path too.  Only lint-passing
+    compiles are ever stored, so this cannot turn a cached success
+    into a new failure except under the same options that would have
+    failed cold."""
     _preload_lint()
     ctx = CompileContext(source=source, options=options)
     _stage_parse(ctx)
     _stage_sema(ctx)
     ctx.cfg = payload.cfg
     ctx.graph = payload.graph
-    ctx.program = payload.program
-    ctx.plan = payload.program.plan() if payload.program is not None else None
     ctx.engine = payload.lazy_engine
     ANALYZE_STAGE.execute(ctx, report)
     ANALYZE_META_STAGE.execute(ctx, report)
     report.diagnostics = list(ctx.diagnostics)
-    _check_werror(ctx)
 
 
 def _record_cached_stages(report: StageReport, payload: CachedCompile) -> None:

@@ -6,13 +6,19 @@ compiles produce bit-identical simulation results on every standard
 workload while the warm compile runs zero stages.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import ConversionOptions, convert_source, simulate_simd
+from repro.errors import LintError
 from repro.ir.instr import CostModel
 from repro.stages.cache import (
     CACHE_VERSION,
@@ -222,3 +228,115 @@ class TestLintOptionsInKey:
         assert (cold.report.cache, warm.report.cache) == ("miss", "hit")
         assert [d.to_json() for d in warm.report.diagnostics] == \
             [d.to_json() for d in cold.report.diagnostics]
+
+
+CORPUS = Path(__file__).parent / "lint_corpus"
+
+#: The analyzed-hit matrix: the lint corpus and the library programs.
+ANALYZED = ([f"corpus/{p.stem}" for p in sorted(CORPUS.glob("*.mimdc"))]
+            + sorted(all_sources()))
+
+
+def _analyzed_source(name: str) -> str:
+    if name.startswith("corpus/"):
+        return (CORPUS / f"{name[len('corpus/'):]}.mimdc").read_text()
+    return all_sources()[name]
+
+
+def _analyze_rows(report) -> list:
+    return [(rec.name, rec.counters,
+             [(sub.name, sub.counters) for sub in rec.subrecords])
+            for rec in report.records
+            if rec.name in ("analyze", "analyze-meta")]
+
+
+def _eager_analyzed(**kwargs) -> ConversionOptions:
+    return ConversionOptions(lazy=False, analyze=True, **kwargs)
+
+
+class TestAnalyzedHits:
+    """An eager analyzed hit replays the analysis its bundle carries:
+    the cold compile's diagnostics and analyze rows, with no analyzer
+    run and no parse."""
+
+    @pytest.mark.parametrize("name", ANALYZED)
+    def test_hit_replays_the_cold_analysis(self, name, tmp_path):
+        source = _analyzed_source(name)
+        cache = CompileCache(root=tmp_path)
+        for opt_level in (1, 2):
+            for compress in (False, True):
+                opts = _eager_analyzed(opt_level=opt_level,
+                                       compress=compress)
+                stores = cache.stores
+                try:
+                    cold = convert_source(source, opts, cache=cache)
+                except LintError:
+                    assert cache.stores == stores  # never cached
+                    continue
+                warm = convert_source(source, opts, cache=cache)
+                assert warm.report.cache == "hit"
+                assert warm.report.executed_stages() == []
+                assert [d.to_json() for d in warm.report.diagnostics] == \
+                    [d.to_json() for d in cold.report.diagnostics]
+                assert _analyze_rows(warm.report) == \
+                    _analyze_rows(cold.report)
+                for stage in ("analyze", "analyze-meta"):
+                    rec = warm.report.stage(stage)
+                    assert all(r.cached and r.seconds == 0.0
+                               for r in (rec, *rec.subrecords))
+
+    def test_hit_runs_no_analysis(self, tmp_path, monkeypatch):
+        from repro.lang import parser
+        from repro.lint.driver import AnalysisDriver
+
+        source = all_sources()["barrier_phases"]
+        cache = CompileCache(root=tmp_path)
+        cold = convert_source(source, _eager_analyzed(), cache=cache)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an eager hit did analysis work")
+
+        monkeypatch.setattr(parser, "parse", boom)
+        monkeypatch.setattr(AnalysisDriver, "run_phase", boom)
+        warm = convert_source(source, _eager_analyzed(), cache=cache)
+        assert warm.report.cache == "hit"
+        assert [d.to_json() for d in warm.report.diagnostics] == \
+            [d.to_json() for d in cold.report.diagnostics]
+
+    def test_hit_imports_no_analyzer(self, tmp_path):
+        # A fresh process, so that no earlier test's imports count.
+        source = tmp_path / "prog.mimdc"
+        source.write_text(all_sources()["barrier_phases"])
+        opts = _eager_analyzed(opt_level=2)
+        convert_source(source.read_text(), opts,
+                       cache=CompileCache(root=tmp_path / "cache"))
+        code = textwrap.dedent("""
+            import sys
+            from pathlib import Path
+            from repro import ConversionOptions, convert_source
+            r = convert_source(
+                Path(sys.argv[1]).read_text(),
+                ConversionOptions(lazy=False, analyze=True, opt_level=2),
+                cache=sys.argv[2])
+            assert r.report.cache == "hit", r.report.cache
+            print(sorted(m for m in sys.modules if m in {
+                "repro.lang.parser", "repro.absint", "repro.verify",
+                "repro.mimd", "repro.lint.verifier"}))
+        """)
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(source), str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
+
+    def test_lazy_hit_reanalyzes(self, tmp_path):
+        source = all_sources()["divergent_loops"]
+        opts = ConversionOptions(lazy=True, analyze=True)
+        cache = CompileCache(root=tmp_path)
+        convert_source(source, opts, cache=cache)
+        warm = convert_source(source, opts, cache=cache)
+        assert warm.report.cache == "hit"
+        assert warm.report.executed_stages() == ["analyze", "analyze-meta"]

@@ -245,7 +245,8 @@ class TestGeneratedPrograms:
 class TestRowDispatch:
     def test_out_of_row_aggregates_raise(self):
         lazy = convert_source(workloads.divergent_loops(3),
-                              ConversionOptions(lazy=True), cache=False)
+                              ConversionOptions(lazy=True, opt_level=1),
+                              cache=False)
         simulate_simd(lazy, NPES)
         mgr = lazy.lazy_program()
         # The nodes hold only the arcs the run resolved: check them

@@ -356,15 +356,18 @@ class TestPipelineIntegration:
             convert_source(src, ConversionOptions(analyze=True))
         assert "MSC030" in str(exc.value)
 
-    def test_warm_hit_reruns_analyzers(self, tmp_path):
+    def test_warm_hit_replays_analysis(self, tmp_path):
         src = CORPUS.joinpath("unused_var.mimdc").read_text()
         cache = CompileCache(root=tmp_path)
-        opts = ConversionOptions(analyze=True)
+        opts = ConversionOptions(analyze=True, lazy=False)
         r1 = convert_source(src, opts, cache=cache)
         r2 = convert_source(src, opts, cache=cache)
         assert (r1.report.cache, r2.report.cache) == ("miss", "hit")
         assert r2.report.stage_names()[-2:] == ["analyze",
                                                 "analyze-meta"]
+        assert all(r2.report.stage(name).cached
+                   for name in ("analyze", "analyze-meta"))
+        assert r2.report.executed_stages() == []
         assert [d.to_json() for d in r2.report.diagnostics] == \
             [d.to_json() for d in r1.report.diagnostics]
 

@@ -634,7 +634,7 @@ class TestNativeProgram:
     def test_cdef_does_not_grow_with_the_program(self):
         small, big = (
             convert_source(STANDARD["collatz_depth"](), ConversionOptions(
-                compress=compress)).simd_program()
+                opt_level=1, compress=compress)).simd_program()
             for compress in (True, False))
         assert (small.node_count(), big.node_count()) == (2, 512)
         assert len(small.native().cdef()) == len(big.native().cdef())

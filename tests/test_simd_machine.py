@@ -136,7 +136,8 @@ class TestGlobalOr:
 
         src = barrier_phases(6, n_phases=22) if wide \
             else STANDARD["barrier_phases"]()
-        plan = convert_source(src).simd_program().plan()
+        plan = convert_source(src, ConversionOptions(opt_level=1)) \
+            .simd_program().plan()
         assert (plan.bit_weights.dtype == object) == wide
         assert (plan.n_bids == 73) == wide
         m = SimdMachine(npes=64)
