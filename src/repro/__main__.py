@@ -134,11 +134,11 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     from repro.simd.machine import BACKENDS
 
     p.add_argument("--backend", choices=BACKENDS, default="kernels",
-                   help="SIMD executor: cffi-compiled C kernels (falls "
-                        "back to kernels when no C toolchain is "
-                        "present), fused generated NumPy kernels "
-                        "(default), or the interpretive reference — "
-                        "identical results")
+                   help="SIMD executor: C kernels loaded through "
+                        "ctypes (falls back to kernels when no C "
+                        "compiler is present), fused generated NumPy "
+                        "kernels (default), or the interpretive "
+                        "reference — identical results")
     p.add_argument("--shards", type=int, default=None,
                    help="PE-axis shard count for the native and kernels "
                         "backends (default $REPRO_SHARDS, else 1: the "

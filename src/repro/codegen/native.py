@@ -52,8 +52,10 @@ the ``pc0`` scratch and the four ``out`` counters:
   ``switch`` per node keep the added C, and so the ``cc`` time,
   small; the Listing 5 switches stay in the MPL emitter.
 
-The cffi declarations (:data:`CDEF`) are therefore the same for every
-program.
+Every library therefore exports the same two symbols over the same
+struct, whose layout is one field table (:data:`CTX_FIELDS`): it
+prints the C typedef here and builds the ``ctypes`` Structure in
+:mod:`repro.simd.nativert`.
 
 Error handling is by *code, not message*: a failing lane makes a node
 return a nonzero :data:`NATIVE_ERROR_MESSAGES` code immediately
@@ -78,7 +80,7 @@ NumPy twins.
 
 A :class:`NativeProgram` stores only the generated *source* (plus the
 node-key -> function-index table); compiling it to a shared library
-and loading it through cffi is the runtime's job
+and loading it through ``ctypes`` is the runtime's job
 (:mod:`repro.simd.nativert`), which is what lets the artifact travel
 inside the content-addressed compile cache as text and be rebuilt — or
 dlopen'd from the native cache — on any host.
@@ -149,27 +151,36 @@ _PARAMS = (
     "double *restrict pids, i64 npes, i64 *restrict pc0, i64 *restrict out"
 )
 
-#: The context struct: one run's (or one shard view's) arguments,
-#: bound once by :func:`repro.simd.nativert.bind`. The same text
-#: declares it to C and to cffi.
-_CTX = """\
-typedef struct {
-    int64_t *pc; int64_t n;
-    double *stack; int64_t s_str; int64_t s_rows; int64_t *sp;
-    double *rstack; int64_t r_str; int64_t r_rows; int64_t *rsp;
-    double *poly; int64_t p_str; double *mono; double *pids; int64_t npes;
-    int64_t *pc0; int64_t out[4];
-} msc_ctx;
-"""
+#: The context struct ``msc_ctx``: one run's (or one shard view's)
+#: arguments, bound once by :func:`repro.simd.nativert.bind`, as
+#: ``(field, C type)`` rows in declaration order. The one definition
+#: of its layout: it prints the C typedef (:data:`CTX_TYPEDEF`), and
+#: :mod:`repro.simd.nativert` builds its ``ctypes`` Structure from it.
+CTX_FIELDS = (
+    ("pc", "int64_t *"), ("n", "int64_t"),
+    ("stack", "double *"), ("s_str", "int64_t"), ("s_rows", "int64_t"),
+    ("sp", "int64_t *"),
+    ("rstack", "double *"), ("r_str", "int64_t"), ("r_rows", "int64_t"),
+    ("rsp", "int64_t *"),
+    ("poly", "double *"), ("p_str", "int64_t"), ("mono", "double *"),
+    ("pids", "double *"), ("npes", "int64_t"),
+    ("pc0", "int64_t *"), ("out", "int64_t[4]"),
+)
 
-#: The cffi ``cdef`` of every program (ABI mode): the context struct
-#: and the two entry points. ``msc_run`` is absent from a library
-#: whose program the loop cannot hold; cffi resolves it only when
-#: called.
-CDEF = _CTX + """\
-int64_t msc_node(msc_ctx *, int64_t);
-int64_t msc_run(msc_ctx *, int64_t, int64_t *, int64_t *);
-"""
+
+def _ctx_typedef() -> str:
+    """The C typedef of ``msc_ctx``, one :data:`CTX_FIELDS` row a line
+    (``int64_t *pc;``, ``int64_t out[4];``)."""
+    lines = ["typedef struct {"]
+    for name, ctype in CTX_FIELDS:
+        base, bracket, dim = ctype.partition("[")
+        space = "" if base.endswith("*") else " "
+        lines.append(f"    {base}{space}{name}{bracket}{dim};")
+    return "\n".join(lines + ["} msc_ctx;", ""])
+
+
+#: ``msc_ctx`` in C, as every program's header declares it.
+CTX_TYPEDEF = _ctx_typedef()
 
 #: ``HashFn.kind`` -> the evaluator's case number in ``msc_hash``.
 _HASH_KINDS = ("const", "mask", "notmask", "xor", "add", "mod")
@@ -274,11 +285,6 @@ class NativeProgram:
             self._digest = hashlib.sha256(self.c_source.encode()).hexdigest()
         return self._digest
 
-    def cdef(self) -> str:
-        """cffi declarations of the library: :data:`CDEF`, the same for
-        every program whatever its node count."""
-        return CDEF
-
     def stats(self) -> dict:
         """Counters for the stage report."""
         return {
@@ -303,7 +309,7 @@ def compile_native(prog) -> NativeProgram | None:
     lowered = prog.lowering()
     if lowered is None:
         return None
-    chunks = [_C_HEADER.format(version=NATIVE_VERSION, ctx=_CTX)]
+    chunks = [_C_HEADER.format(version=NATIVE_VERSION, ctx=CTX_TYPEDEF)]
     entry_index: dict = {}
     for i, key, node in lowered:
         entry_index[key] = i

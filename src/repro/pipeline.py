@@ -268,8 +268,9 @@ def simulate_simd(result: ConversionResult, npes: int, *,
     ``active`` limits how many PEs start in ``main`` (the rest sit in
     the free pool for ``spawn`` to claim); default all. ``backend``
     picks the executor: ``"kernels"`` (fused generated code, the
-    default), ``"native"`` (cffi-compiled C kernels, falling back to
-    ``"kernels"`` with a warning when no toolchain is available), or
+    default), ``"native"`` (C kernels loaded through ``ctypes``,
+    falling back to ``"kernels"`` with a warning when no C compiler is
+    available), or
     ``"interp"`` (the interpretive reference) — bit-identical results
     across all three; the returned result's ``backend_used`` records
     which one actually ran (a downgrade also warns). ``shards`` splits

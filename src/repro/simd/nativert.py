@@ -12,16 +12,22 @@ program; this module builds it, loads it, and calls it:
   source is kept beside the ``.so`` for debuggability. The cache is
   relocatable: nothing in the key or the artifact mentions absolute
   paths, only content.
-- **cffi ABI mode** — ``ffi.cdef`` + ``ffi.dlopen``; no ``Python.h``
-  and no compile-against-CPython step. Every library exports the same
-  two entry points (:data:`repro.codegen.native.CDEF`), so one ``FFI``
-  parses the declarations once per process. cffi releases the GIL for
-  the duration of every C call, which is what lets sharded
-  ``backend=native`` runs execute shard loops genuinely in parallel on
-  one interpreter (see :mod:`repro.simd.shards`).
+- **ctypes** — ``ctypes.CDLL`` opens the library: no ``Python.h``,
+  no compile-against-CPython step and no declaration parser. Every
+  library exports the same two entry points over one ``msc_ctx``
+  struct, laid out by one field table
+  (:data:`repro.codegen.native.CTX_FIELDS`) that prints the C typedef
+  and builds :class:`Ctx`. Each library declares the int64
+  ``argtypes`` and ``restype`` of ``msc_node`` once, and of
+  ``msc_run`` when the program has the loop (only then does the
+  library export it); undeclared, ctypes would pass and return C
+  ``int``\\ s. A ``CDLL`` call releases the GIL while the C code runs,
+  which is what lets sharded ``backend=native`` runs execute shard
+  loops genuinely in parallel on one interpreter (see
+  :mod:`repro.simd.shards`).
 - **graceful degradation** — :func:`unavailable_reason` is the single
-  availability seam (cffi importable, a C compiler on ``PATH``, not
-  killed via ``REPRO_NATIVE_DISABLE=1``); the machine checks it before
+  availability seam (a C compiler on ``PATH``, not killed via
+  ``REPRO_NATIVE_DISABLE=1``); the machine checks it before
   selecting the backend and falls back to ``kernels`` with a
   ``RuntimeWarning`` when it is set. Build failures raise
   :class:`NativeBuildError`, which the machine treats the same way. An
@@ -29,7 +35,7 @@ program; this module builds it, loads it, and calls it:
   only a fresh build that still fails to load raises.
 
 Arguments are bound once, not per call: :func:`bind` fills one
-``msc_ctx`` struct with the raw array pointers, the row strides (in
+:class:`Ctx` with the raw array pointers, the row strides (in
 elements) and a ``pc0`` scratch of its own, for one run's state or one
 :class:`~repro.simd.shards.ShardView` (whose column slices keep the
 full-array row stride, so a view works exactly like the full state).
@@ -44,17 +50,18 @@ state is discarded on error).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
 
-from repro.codegen.native import CDEF, NATIVE_ERROR_MESSAGES, NATIVE_VERSION
+from repro.codegen.native import (CTX_FIELDS, NATIVE_ERROR_MESSAGES,
+                                  NATIVE_VERSION)
 
 #: Compile flags (part of the shared-library cache key). ``-fwrapv``
 #: pins signed-integer wraparound to the two's-complement behavior the
@@ -95,13 +102,9 @@ def _find_cc() -> str | None:
 def unavailable_reason() -> str | None:
     """Why ``backend=native`` cannot run here, or ``None`` when it can.
     The single availability seam — tests monkeypatch the pieces this
-    checks (``REPRO_NATIVE_DISABLE``, cffi import, compiler lookup)."""
+    checks (``REPRO_NATIVE_DISABLE``, compiler lookup)."""
     if os.environ.get("REPRO_NATIVE_DISABLE"):
         return "native kernels disabled via REPRO_NATIVE_DISABLE"
-    try:
-        import cffi  # noqa: F401
-    except ImportError:
-        return "cffi is not importable"
     if _find_cc() is None:
         return "no C compiler (cc/gcc/clang) on PATH"
     return None
@@ -186,27 +189,29 @@ def build_shared(nat) -> Path:
     return so_path
 
 
-_ffi = None
-_ffi_lock = threading.Lock()
+#: C type of a ``msc_ctx`` field -> its ctypes type. Pointer fields
+#: are ``c_void_p``: :func:`bind` stores raw buffer addresses.
+_CTYPES = {
+    "int64_t": ctypes.c_int64,
+    "int64_t *": ctypes.c_void_p,
+    "double *": ctypes.c_void_p,
+    "int64_t[4]": ctypes.c_int64 * 4,
+}
 
 
-def _get_ffi():
-    """The process's one ``FFI``: every library shares its
-    declarations, and a binding must come from the ``FFI`` that loaded
-    the library it is passed to."""
-    global _ffi
-    with _ffi_lock:
-        if _ffi is None:
-            import cffi
+class Ctx(ctypes.Structure):
+    """``msc_ctx``, laid out from
+    :data:`~repro.codegen.native.CTX_FIELDS` like the C typedef."""
 
-            ffi = cffi.FFI()
-            ffi.cdef(CDEF)
-            _ffi = ffi
-    return _ffi
+    _fields_ = [(name, _CTYPES[ctype]) for name, ctype in CTX_FIELDS]
 
 
-#: digest -> (lib, fns): keeps the dlopen'd library alive for the
-#: process and avoids re-opening per machine.
+_CTX_P = ctypes.POINTER(Ctx)
+_I64 = ctypes.c_int64
+_I64_P = ctypes.POINTER(_I64)
+
+#: digest -> (lib, msc_run or None, fns): keeps the dlopen'd library
+#: alive for the process and avoids re-opening per machine.
 _loaded: dict = {}
 
 
@@ -217,17 +222,16 @@ def load_native(nat) -> dict:
     binding in place of the state, ``fn(pc, bound) -> (body_cycles,
     transition_cycles, enabled_pe_cycles, exited)`` (``pc`` is already
     in ``bound``), and releases the GIL while the C code runs."""
-    return _load(nat)[1]
+    return _load(nat)[2]
 
 
 def _load(nat) -> tuple:
     cached = _loaded.get(nat.digest())
     if cached is not None:
         return cached
-    ffi = _get_ffi()
     so_path = build_shared(nat)
     try:
-        lib = ffi.dlopen(str(so_path))
+        lib = ctypes.CDLL(str(so_path))
     except OSError:
         # A corrupt artifact (truncated by a crashed writer or a full
         # disk) would otherwise fail every later load: drop it and
@@ -235,31 +239,35 @@ def _load(nat) -> tuple:
         so_path.unlink(missing_ok=True)
         so_path = build_shared(nat)
         try:
-            lib = ffi.dlopen(str(so_path))
+            lib = ctypes.CDLL(str(so_path))
         except OSError as err:
             raise NativeBuildError(
                 f"cannot load rebuilt {so_path.name}: {err}") from err
-    node, unpack = lib.msc_node, ffi.unpack
-    fns = {key: _node_call(node, k, unpack)
-           for key, k in nat.entry_index.items()}
-    cached = _loaded[nat.digest()] = (lib, fns)
+    node = lib.msc_node
+    node.argtypes, node.restype = (_CTX_P, _I64), _I64
+    run = None
+    if nat.loop:
+        run = lib.msc_run
+        run.argtypes, run.restype = (_CTX_P, _I64, _I64_P, _I64_P), _I64
+    fns = {key: _node_call(node, k) for key, k in nat.entry_index.items()}
+    cached = _loaded[nat.digest()] = (lib, run, fns)
     return cached
 
 
-def _node_call(node, k: int, unpack):
+def _node_call(node, k: int):
     def call(pc, bound):
         rc = node(bound.ctx, k)
         if rc:
             raise NativeKernelError(rc)
-        body, tcost, enabled, exited = unpack(bound.out, 4)
+        body, tcost, enabled, exited = bound.out[:]
         return body, tcost, enabled, exited != 0
 
     return call
 
 
 class Binding:
-    """One run's (or one shard view's) C arguments: the ``msc_ctx``
-    struct, its ``out`` counters, and the arrays they point into (held
+    """One run's (or one shard view's) C arguments: the :class:`Ctx`,
+    its ``out`` counters, and the arrays its pointers point into (held
     so the pointers stay valid). Nothing in it is shared with another
     binding, so concurrent shards and runs need no locking."""
 
@@ -282,26 +290,16 @@ def bind(pc: np.ndarray, st) -> Binding:
            for a, dt in typed):
         raise ValueError("native kernels need int64 / float64 state "
                          "arrays with adjacent lanes")
-    ffi = _get_ffi()
-    cast = ffi.cast
-    ctx = ffi.new("msc_ctx *")
     scratch = np.empty(pc.shape[0], dtype=np.int64)
-    ctx.pc = cast("int64_t *", pc.ctypes.data)
-    ctx.n = pc.shape[0]
-    ctx.stack = cast("double *", st.stack.ctypes.data)
-    ctx.s_str = st.stack.strides[0] // 8
-    ctx.s_rows = st.stack.shape[0]
-    ctx.sp = cast("int64_t *", st.sp.ctypes.data)
-    ctx.rstack = cast("double *", st.rstack.ctypes.data)
-    ctx.r_str = st.rstack.strides[0] // 8
-    ctx.r_rows = st.rstack.shape[0]
-    ctx.rsp = cast("int64_t *", st.rsp.ctypes.data)
-    ctx.poly = cast("double *", st.poly.ctypes.data)
-    ctx.p_str = st.poly.strides[0] // 8
-    ctx.mono = cast("double *", st.mono.ctypes.data)
-    ctx.pids = cast("double *", st.pids.ctypes.data)
-    ctx.npes = st.npes
-    ctx.pc0 = cast("int64_t *", scratch.ctypes.data)
+    ctx = Ctx(pc=pc.ctypes.data, n=pc.shape[0],
+              stack=st.stack.ctypes.data, s_str=st.stack.strides[0] // 8,
+              s_rows=st.stack.shape[0], sp=st.sp.ctypes.data,
+              rstack=st.rstack.ctypes.data,
+              r_str=st.rstack.strides[0] // 8, r_rows=st.rstack.shape[0],
+              rsp=st.rsp.ctypes.data, poly=st.poly.ctypes.data,
+              p_str=st.poly.strides[0] // 8, mono=st.mono.ctypes.data,
+              pids=st.pids.ctypes.data, npes=st.npes,
+              pc0=scratch.ctypes.data)
     return Binding(ctx, (pc, st, scratch))
 
 
@@ -312,13 +310,11 @@ def run_program(nat, pc: np.ndarray, st, max_steps: int) -> tuple:
     enabled_pe_cycles, meta_transitions), visits)`` with ``visits[k]``
     the step count of node ``k``. A fault, the step budget and an
     unencoded aggregate raise :class:`NativeKernelError`."""
-    lib = _load(nat)[0]
-    ffi = _get_ffi()
+    run = _load(nat)[1]
     bound = bind(pc, st)
-    acc = ffi.new("int64_t[5]")
-    n = len(nat.entry_index)
-    visits = ffi.new("int64_t[]", n)
-    rc = lib.msc_run(bound.ctx, min(max_steps, 2**63 - 1), acc, visits)
+    acc = (_I64 * 5)()
+    visits = (_I64 * len(nat.entry_index))()
+    rc = run(bound.ctx, min(max_steps, 2**63 - 1), acc, visits)
     if rc:
         raise NativeKernelError(rc)
-    return tuple(ffi.unpack(acc, 5)), ffi.unpack(visits, n)
+    return tuple(acc), visits[:]

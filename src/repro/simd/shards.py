@@ -17,8 +17,8 @@ shard's slice of a meta-node step on a persistent worker pool:
 - **worker pool** — :class:`ShardPool` keeps ``nshards - 1`` daemon
   threads parked on a condition variable; each step the main thread
   publishes one task per shard, runs shard 0 itself, and waits for the
-  rest. NumPy and cffi release the GIL in the hot loops, so shards
-  overlap on multi-core hosts;
+  rest. NumPy and the native kernels' ``ctypes`` calls release the
+  GIL in the hot loops, so shards overlap on multi-core hosts;
 - **fan-out and combine** — :class:`ShardFan` runs one node callable
   on every shard and combines the shard results into the serial ones;
   shard-local ``globalor`` values combine with :func:`tree_or`

@@ -10,19 +10,25 @@ library is content-addressed so warm runs never re-invoke the
 compiler.
 """
 
+import ctypes
 import itertools
+import json
+import os
 import pickle
 import shutil
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.codegen.native import (E_STEPS, NATIVE_VERSION, NativeProgram,
+from repro.codegen.native import (CTX_FIELDS, CTX_TYPEDEF, E_STEPS,
+                                  NATIVE_VERSION, NativeProgram,
                                   compile_native)
 from repro.errors import ConversionError, MachineError
 from repro.hashenc.search import BranchEncoding, HashFn
@@ -233,6 +239,18 @@ class TestWholeRunLoop:
             == "SIMD run exceeded 50 meta steps"
         assert codes == [E_STEPS]
 
+    @pytest.mark.parametrize("max_steps", (2**40, 2**70))
+    def test_step_budget_beyond_32_bits(self, max_steps):
+        # msc_run takes an int64 budget (2**70 is clamped to
+        # 2**63 - 1); passed as a C int, it would be masked to 0 or -1
+        # and the run would stop at once with E_STEPS.
+        result = convert_source(STANDARD["odd_even_sort"]())
+        ref = run_native(result, 16, "kernels", shards=1,
+                         max_steps=max_steps)
+        res = run_native(result, 16, shards=1, max_steps=max_steps)
+        assert res.backend_used == "native"
+        assert_identical(res, ref, max_steps)
+
     @pytest.mark.parametrize("fault", sorted(LATE_FAULTS))
     def test_late_fault_exact_message(self, fault):
         src, want = LATE_FAULTS[fault]
@@ -428,6 +446,93 @@ class TestConcurrentRuns:
             node_calls
 
 
+#: One fresh process: compile odd_even_sort through the cache named by
+#: ``REPRO_MSC_CACHE``, run it serially on native at 16 PEs, and print
+#: what it found in the cache, which backend ran, the returns, and the
+#: C declaration parsers it imported.
+NATIVE_RUN_CHILD = """
+import json, sys
+from repro.pipeline import ConversionOptions, convert_source
+from repro.simd.machine import SimdMachine
+from repro.workloads import STANDARD
+
+result = convert_source(STANDARD["odd_even_sort"](),
+                        ConversionOptions(lazy=False), cache=True)
+res = SimdMachine(npes=16, costs=result.options.costs, backend="native",
+                  shards=1).run(result.simd_program())
+print(json.dumps({
+    "cache": result.report.cache, "backend": res.backend_used,
+    "returns": res.returns.tolist(),
+    "parsers": [m for m in ("cffi", "pycparser") if m in sys.modules]}))
+"""
+
+
+@requires_toolchain
+class TestCtypesRuntime:
+    """The libraries load and run through ctypes: no declaration parse
+    on the warm path, and every C call releases the GIL."""
+
+    def test_warm_native_run_imports_no_parser(self, tmp_path):
+        # A cold process compiles and builds into an empty cache; a
+        # warm one loads both from it and runs on native, with no C
+        # declaration parser imported.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, REPRO_MSC_CACHE=str(tmp_path / "cache"),
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(root / "src"), os.environ.get("PYTHONPATH")])))
+        runs = []
+        for _ in ("cold", "warm"):
+            proc = subprocess.run([sys.executable, "-c", NATIVE_RUN_CHILD],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            runs.append(json.loads(proc.stdout.splitlines()[-1]))
+        cold, warm = runs
+        assert (cold["cache"], warm["cache"]) == ("miss", "hit")
+        assert warm["backend"] == "native"
+        assert warm["parsers"] == []
+        result = convert_source(STANDARD["odd_even_sort"](),
+                                ConversionOptions(lazy=False))
+        ref = run_backends(result, 16, backends=("kernels",))["kernels"]
+        assert np.array_equal(np.array(warm["returns"]), ref.returns)
+
+    def test_c_call_releases_the_gil(self):
+        # Sharded native runs overlap only because each C call drops
+        # the GIL. While one msc_run call of about 0.2 s runs on a
+        # worker thread, the main thread keeps looping in Python: its
+        # longest pause stays far below the call. Holding the GIL, the
+        # pause would last the whole call.
+        npes = 2048
+        result = convert_source(STANDARD["odd_even_sort"]())
+        prog = result.simd_program()
+        nat = prog.native()
+        assert nat.loop
+        nativert.load_native(nat)
+        machine = SimdMachine(npes=npes, costs=result.options.costs,
+                              backend="native")
+        st, pc = machine._initial_state(prog, npes)
+        call = []
+
+        def worker():
+            t0 = time.perf_counter()
+            nativert.run_program(nat, pc, st, 10**7)
+            call.append(time.perf_counter() - t0)
+
+        thread = threading.Thread(target=worker)
+        last = time.perf_counter()
+        pause = 0.0
+        thread.start()
+        while thread.is_alive():
+            now = time.perf_counter()
+            pause = max(pause, now - last)
+            last = now
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        (duration,) = call
+        assert duration > 0.1
+        assert pause < duration / 4, (pause, duration)
+
+
 class TestFallbacks:
     """Satellite: compiler-missing and compile-failure paths must warn,
     record ``backend_used == "kernels"``, and stay bit-identical."""
@@ -452,24 +557,7 @@ class TestFallbacks:
         result = convert_source(STANDARD["divergent_loops"]())
         self._expect_fallback(result, "no C compiler")
 
-    def test_cffi_missing(self, monkeypatch):
-        import builtins
-
-        real_import = builtins.__import__
-
-        def fake_import(name, *args, **kwargs):
-            if name == "cffi":
-                raise ImportError("No module named 'cffi'")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
-        monkeypatch.setattr(builtins, "__import__", fake_import)
-        result = convert_source(STANDARD["divergent_loops"]())
-        self._expect_fallback(result, "cffi is not importable")
-
     def test_compile_failure(self, monkeypatch):
-        pytest.importorskip("cffi")
-
         def failing_run(cmd, **kwargs):
             return subprocess.CompletedProcess(
                 cmd, returncode=1, stdout="", stderr="synthetic ICE")
@@ -631,13 +719,35 @@ class TestNativeProgram:
         assert a.digest() == b.digest()
         assert a.c_source == b.c_source
 
-    def test_cdef_does_not_grow_with_the_program(self):
-        small, big = (
-            convert_source(STANDARD["collatz_depth"](), ConversionOptions(
-                opt_level=1, compress=compress)).simd_program()
-            for compress in (True, False))
-        assert (small.node_count(), big.node_count()) == (2, 512)
-        assert len(small.native().cdef()) == len(big.native().cdef())
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+    def test_ctx_structure_matches_the_c_layout(self, tmp_path):
+        # The runtime fills a ctypes Structure that C reads as the
+        # header's msc_ctx: the C compiler's size, offsets and field
+        # sizes must be the Structure's, field by field.
+        nat = convert_source(STANDARD["mandelbrot"]()).simd_program().native()
+        assert CTX_TYPEDEF in nat.c_source
+        names = [name for name, _ in CTX_FIELDS]
+        lines = "".join(
+            f'    printf("%zu %zu\\n", offsetof(msc_ctx, {name}), '
+            f"sizeof(((msc_ctx *)0)->{name}));\n" for name in names)
+        src = tmp_path / "layout.c"
+        src.write_text(
+            "#include <stddef.h>\n#include <stdint.h>\n#include <stdio.h>\n"
+            + CTX_TYPEDEF + "int main(void)\n{\n"
+            + '    printf("%zu\\n", sizeof(msc_ctx));\n' + lines
+            + "    return 0;\n}\n")
+        exe = tmp_path / "layout"
+        subprocess.run(["cc", str(src), "-o", str(exe)], check=True,
+                       capture_output=True)
+        out = subprocess.run([str(exe)], check=True, capture_output=True,
+                             text=True).stdout.splitlines()
+        assert int(out[0]) == ctypes.sizeof(nativert.Ctx)
+        c_layout = [(name, *map(int, row.split()))
+                    for name, row in zip(names, out[1:], strict=True)]
+        ctypes_layout = [(name, getattr(nativert.Ctx, name).offset,
+                          getattr(nativert.Ctx, name).size)
+                         for name in names]
+        assert ctypes_layout == c_layout
 
     def test_digest_memo_is_not_pickled(self):
         nat = convert_source(STANDARD["mandelbrot"]()).simd_program().native()

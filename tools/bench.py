@@ -152,7 +152,7 @@ def _rows_here(shards: int) -> list[tuple[str, str, int]]:
     """``(label, backend, shards)`` for every row this host can
     measure: each backend on one shard, plus ``native`` and ``kernels``
     at ``shards``. The native rows drop out (recorded via the gates'
-    ``skip_reason``) when no toolchain/cffi is available — a skipped row
+    ``skip_reason``) when no C compiler is available — a skipped row
     beats a mislabeled one."""
     rows = [(be, be, 1) for be in BACKENDS]
     rows += [(f"{be}@{shards}", be, shards) for be in ("native", "kernels")]
