@@ -195,19 +195,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.emit == "mpl":
         print(result.mpl_text())
     elif args.emit == "kernel":
-        kern = result.simd_program().kernels()
-        if kern is None:
-            print("// kernel generation unsupported for this program "
-                  "(static stack depths unresolvable)", file=sys.stderr)
-            return 1
-        print(kern.source)
+        print(result.simd_program().kernels().source)
     elif args.emit == "c":
-        nat = result.simd_program().native()
-        if nat is None:
-            print("// native C generation unsupported for this program "
-                  "(static stack depths unresolvable)", file=sys.stderr)
-            return 1
-        print(nat.c_source)
+        print(result.simd_program().native().c_source)
     elif args.emit == "graph":
         print(ascii_graph(result.graph))
     elif args.emit == "dot":

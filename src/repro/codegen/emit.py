@@ -129,19 +129,22 @@ class SimdProgram:
     n_mono: int
     ret_slot: int | None
     compressed: bool
+    #: ``bid -> operand-stack depth at block entry``, as
+    #: :meth:`~repro.ir.cfg.Cfg.verify` returns it: the one depth map
+    #: the plan tables read (see :mod:`repro.codegen.plan`).
+    entry_depths: dict
     costs: CostModel = field(default_factory=lambda: DEFAULT_COSTS)
     #: Compiled plan tables (see :mod:`repro.codegen.plan`), built
     #: once per program and cached; pure derived data.
     _plan: object = field(default=None, repr=False, compare=False)
     #: Fused per-node kernels (see :mod:`repro.codegen.kernels`):
-    #: ``"unbuilt"`` until first use, then a ``KernelProgram`` or
-    #: ``None`` when generation is unsupported for this program.
-    _kernels: object = field(default="unbuilt", repr=False, compare=False)
-    #: Native C emission (see :mod:`repro.codegen.native`): ``"unbuilt"``
+    #: ``None`` until first use, then a ``KernelProgram``.
+    _kernels: object = field(default=None, repr=False, compare=False)
+    #: Native C emission (see :mod:`repro.codegen.native`): ``None``
     #: until first use, then a ``NativeProgram`` (C source only — the
     #: shared library is built separately, content-addressed by source
-    #: and compiler) or ``None`` when generation is unsupported.
-    _native: object = field(default="unbuilt", repr=False, compare=False)
+    #: and compiler).
+    _native: object = field(default=None, repr=False, compare=False)
     #: The kernel IR (see :meth:`lowering`) while only one of the two
     #: printers has run; never pickled.
     _kir: object = field(default=None, repr=False, compare=False)
@@ -165,9 +168,8 @@ class SimdProgram:
         :meth:`plan` the per-node sources travel with the program
         artifact, so a warm compile-cache hit loads them without
         regenerating; a lazy partial program holds the kernels its
-        nodes gained so far. ``None`` when kernel generation does not
-        support this program (static stack depths unresolvable)."""
-        if self._kernels == "unbuilt":
+        nodes gained so far."""
+        if self._kernels is None:
             from repro.codegen.kernels import compile_kernels
 
             self._kernels = compile_kernels(self)
@@ -178,11 +180,8 @@ class SimdProgram:
         for this program — one translation unit of per-node lane loops,
         generated on first use and cached so the source travels with the
         pickled program artifact. Compilation to a shared library is a
-        separate, host-local step (:mod:`repro.simd.nativert`). ``None``
-        when native generation does not support this program (same
-        precondition as :meth:`kernels`: static stack depths must
-        resolve)."""
-        if self._native == "unbuilt":
+        separate, host-local step (:mod:`repro.simd.nativert`)."""
+        if self._native is None:
             from repro.codegen.native import compile_native
 
             self._native = compile_native(self)
@@ -198,7 +197,7 @@ class SimdProgram:
             from repro.codegen.kir import lower_program
 
             lowered = lower_program(self)
-            if self._kernels == "unbuilt" and self._native == "unbuilt":
+            if self._kernels is None and self._native is None:
                 self._kir = lowered
         return lowered
 
@@ -263,9 +262,14 @@ def encode_program(cfg: Cfg, graph,
     ``use_csi=False`` serializes the threads of each meta state instead
     of running common subexpression induction — the ablation baseline
     for measuring what CSI buys (section 3.1).
+
+    Raises :class:`~repro.errors.ConversionError` when ``cfg`` fails
+    :meth:`~repro.ir.cfg.Cfg.verify`, whose entry-depth map the
+    program keeps.
     """
     from repro.opt.meta_passes import StraightenedGraph
 
+    entry_depths = cfg.verify()
     if isinstance(graph, MetaStateGraph):
         straightened = StraightenedGraph.from_graph(graph)
     else:
@@ -289,6 +293,7 @@ def encode_program(cfg: Cfg, graph,
         n_mono=len(cfg.mono_slots),
         ret_slot=cfg.ret_slot,
         compressed=graph.compressed,
+        entry_depths=entry_depths,
         costs=costs,
     )
     _verify_program(prog, graph)

@@ -17,15 +17,15 @@ structure comes from the node's kernel IR
 lane sets and ``rt.union``, ``raise``, literal spelling and
 constant-divisor folding. In the generated code
 
-- **stack rows are literals** — the program-level depth dataflow of
-  :func:`repro.codegen.plan._program_entry_depths` makes every
-  operand-stack depth a compile-time constant, so ``stack[3][lanes]``
-  replaces depth arithmetic (mixed-depth CSI entries gather through a
-  precomputed per-bid table). A literal stack or poly row is indexed
-  first and the lanes second: the row is a basic-index view, and the
-  lanes one 1-D fancy index into it, a gather NumPy runs about three
-  times faster than the 2-D ``stack[3, lanes]`` at 64 and at 32,768
-  lanes;
+- **stack rows are literals** — the entry-depth map of
+  :meth:`repro.ir.cfg.Cfg.verify`, which the program carries, makes
+  every operand-stack depth a compile-time constant, so
+  ``stack[3][lanes]`` replaces depth arithmetic (mixed-depth CSI
+  entries gather through a precomputed per-bid table). A literal stack
+  or poly row is indexed first and the lanes second: the row is a
+  basic-index view, and the lanes one 1-D fancy index into it, a
+  gather NumPy runs about three times faster than the 2-D
+  ``stack[3, lanes]`` at 64 and at 32,768 lanes;
 - **stack traffic mostly disappears** — within a guarded chain the
   lowering executes the stack machine *symbolically*: pushed
   constants become scalar operands numpy broadcasts for free,
@@ -37,8 +37,8 @@ constant-divisor folding. In the generated code
 - **checks are hoisted** — operand-stack overflow checks collapse to a
   single static ``if MAX_ROWS > stack.shape[0]`` guard per segment
   (the slow path replays the checklist via
-  :func:`repro.simd.kernelrt.overflow_scan`), and statically-impossible
-  underflows vanish;
+  :func:`repro.simd.kernelrt.overflow_scan`), and underflow checks,
+  which ``Cfg.verify`` makes impossible, are never printed;
 - **no errstate scope of their own** — a kernel runs inside the one
   ``np.errstate(over="ignore", invalid="ignore")`` scope that
   :meth:`~repro.simd.machine.SimdMachine._loop` holds for the whole run
@@ -237,19 +237,14 @@ class KernelProgram:
         }
 
 
-def compile_kernels(prog) -> KernelProgram | None:
+def compile_kernels(prog) -> KernelProgram:
     """Print and load the fused kernel of every node of ``prog`` (a
     :class:`~repro.codegen.emit.SimdProgram`) from its kernel IR
-    (:meth:`~repro.codegen.emit.SimdProgram.lowering`), or ``None`` when
-    the program's static stack depths are unresolvable (hand-built
-    graphs with inconsistent paths) — the machine then falls back to
-    the ``interp`` backend. Loading here fails a template bug at
-    compile time and keeps compiling out of the first run."""
-    lowered = prog.lowering()
-    if lowered is None:
-        return None
+    (:meth:`~repro.codegen.emit.SimdProgram.lowering`). Loading here
+    fails a template bug at compile time and keeps compiling out of the
+    first run."""
     kern = KernelProgram({}, prog.costs)
-    for i, key, node in lowered:
+    for i, key, node in prog.lowering():
         name = f"node_{i}"
         kern.add(key, name, _Printer().node(i, name, node))
     return kern
@@ -261,10 +256,10 @@ def compile_node_kernel(kern: KernelProgram, prog, plan, key, idx: int):
     as the runtime discovers nodes.
 
     ``prog.nodes[key]`` and ``plan.nodes[key]`` must already be
-    materialized, and ``plan`` must carry static depths (see
-    :func:`repro.codegen.plan.compile_node_plan`); ``idx`` only names
-    the generated function and its constants. Returns the function, or
-    ``None`` when this node cannot be kernelized (recorded in
+    materialized (see :func:`repro.codegen.plan.compile_node_plan`);
+    ``idx`` only names the generated function and its constants.
+    Returns the function, or ``None`` when this node cannot be
+    kernelized (recorded in
     ``kern.sources``) — the machine then runs it on the interpretive
     segment walk, exactly like an eager program whose
     :class:`KernelProgram` skipped the node. Apart from those names,
@@ -399,7 +394,7 @@ class _Printer:
                           f"{', '.join(lanes[j] for j in gm)})")
                 size = f"{lv}.size"
             for stmt in chain.code:
-                self._stmt(w, stmt, lv, size, sizes)
+                self._stmt(w, stmt, lv, size)
             if all(stmt[0] == "#" for stmt in chain.code):
                 # The chain's only values are forwarded scalars.
                 w.put("pass")
@@ -412,7 +407,7 @@ class _Printer:
             w.put("if not (pc >= 0).any():")
             w.put("    return body, tcost, enabled, True")
 
-    def _stmt(self, w, stmt, lv: str, size: str, sizes) -> None:
+    def _stmt(self, w, stmt, lv: str, size: str) -> None:
         tag, n, args, instr = stmt
         t = f"t{n}"
         v, f = self._v, self._f
@@ -433,10 +428,6 @@ class _Printer:
             cname = self._const(f"D{self.s}_{e}", f"np.array("
                                 f"{list(map(int, table))!r}, dtype=np.int64)")
             w.put(f"dv = {cname}[pc[{lv}]]")
-        elif tag == "underflow":
-            w.put(f"if {' or '.join(sizes[j] for j in args)}:")
-            w.put(f'    raise MachineError("operand stack underflow '
-                  f'executing {instr.op.value}")')
         elif tag is Op.DIV:
             a, b = args
             if b[0] is not CONST or b[1] == 0:
@@ -590,9 +581,6 @@ class _Printer:
             w.indent -= 1
 
     def _branch(self, w, term, lv: str, size: str) -> None:
-        if term.fin < 1:
-            w.put('raise MachineError("branch on empty stack")')
-            return
         c = term.cond
         if c is None:
             cexpr = f"stack[{term.fin - 1}][{lv}]"

@@ -20,18 +20,21 @@ print it. A lowered segment (:class:`Seg`) holds
   ``max_rows`` guard (the slow path replays it like
   :func:`repro.simd.kernelrt.overflow_scan`);
 - **the body** — :class:`Chain`\\ s of straight-line statements. When
-  every entry has a static scalar depth, none underflows and no
-  cross-lane op (mono store, router) appears, the segment is
-  *serializable*: member lane sets are disjoint, so each member's slice
-  of the CSI schedule runs as one chain. Otherwise the body follows
-  the schedule in guard groups (consecutive entries sharing a guard);
-  a group whose depths are static is one chain, and each entry of any
-  other group — mixed-depth or statically underflowing — is a
+  every entry has a scalar depth and no cross-lane op (mono store,
+  router) appears, the segment is *serializable*: member lane sets are
+  disjoint, so each member's slice of the CSI schedule runs as one
+  chain. Otherwise the body follows the schedule in guard groups
+  (consecutive entries sharing a guard); a group whose depths are
+  scalars is one chain, and each entry of a mixed-depth group is a
   one-entry chain. A printer that runs a chain in one lane loop must
   not fuse a cross-lane op with its neighbours, so a grouped segment
   also carries its body as one-entry chains (``Seg.entry_chains``);
 - **terminators**, the **spawn fills** they imply, and the **exit
   test**.
+
+Every depth comes from :meth:`~repro.ir.cfg.Cfg.verify`, which rejects
+a program whose stack could underflow, so no entry needs an underflow
+check.
 
 Every chain comes from one symbolic stack executor (:class:`_Exec`),
 the only code that tracks stack rows. Rows map to values (temporaries,
@@ -105,8 +108,6 @@ class Chain(NamedTuple):
     - ``("flush", None, (row, value), None)``: a deferred stack store;
     - ``("dv", None, (entry, table), None)``: bind the per-lane depth
       of a mixed-depth entry from its ``bid -> depth`` table;
-    - ``("underflow", None, members, instr)``: fail when any of these
-      statically too-shallow members has lanes;
     - ``("#", None, text, None)``: a comment.
     """
 
@@ -180,40 +181,21 @@ class _Info(NamedTuple):
     text: str
 
 
-def _static(sp, info, e) -> bool:
-    """Entry ``e`` runs at one scalar depth and cannot underflow."""
-    d = sp.depth_scalars[e]
-    return d is not None and d >= info[e].pops
-
-
 def _can_serialize(sp, info) -> bool:
-    """Every entry is static and lane-private."""
-    return all(_static(sp, info, e) and not info[e].crosslane
-               for e in range(len(info)))
-
-
-def _entry_is_noop(sp, info, e) -> bool:
-    """``Pop`` only moves the statically tracked depth — unless it
-    statically underflows, it generates no code at all."""
-    if sp.instrs[e].op is not Op.POP:
-        return False
-    return all(sp.entry_depths[j] + r >= info[e].pops
-               for j, r in zip(sp.guard_members[e], sp.rel_depths[e]))
+    """Every entry has a scalar depth and is lane-private."""
+    return all(d is not None and not i.crosslane
+               for d, i in zip(sp.depth_scalars, info))
 
 
 def _kind(*vals: tuple) -> str:
     return ARRAY if any(v[0] is ARRAY for v in vals) else SCALAR
 
 
-def lower_program(prog) -> list | None:
+def lower_program(prog) -> list:
     """Every node of ``prog`` (a :class:`~repro.codegen.emit.SimdProgram`)
     lowered for both printers, as ``(index, key, Node)`` in a stable
-    order, skipping nodes that raise :class:`KernelUnsupported`; or
-    ``None`` when the program's static stack depths are unresolvable."""
-    plan = prog.plan()
-    if plan.static_depths is None:
-        return None
-    low = _Lowering(prog, plan, entry_chains=True)
+    order, skipping nodes that raise :class:`KernelUnsupported`."""
+    low = _Lowering(prog, prog.plan(), entry_chains=True)
     out = []
     for i, key in enumerate(sorted(prog.nodes,
                                    key=lambda k: tuple(sorted(k)))):
@@ -226,7 +208,7 @@ def lower_program(prog) -> list | None:
 
 def lower_node(prog, plan, key) -> Node:
     """Lower one node for the NumPy printer alone (lazy compilation,
-    which never prints C); ``plan`` must have static depths attached.
+    which never prints C); ``plan.nodes[key]`` must be compiled.
     Raises :class:`KernelUnsupported` for an opcode or terminator kind
     no printer handles."""
     return _Lowering(prog, plan, entry_chains=False).node(key)
@@ -272,12 +254,10 @@ class _Lowering:
             else tuple(incoming.get(bid, ())) for bid in members)
         self.sp = sp
         self.info = info = [self._info(instr) for instr in sp.instrs]
-        self.live = [not _entry_is_noop(sp, info, e)
-                     for e in range(len(info))]
-        self.depths = [[sp.entry_depths[j] + r for j, r in zip(gm, rel)]
-                       for gm, rel in zip(sp.guard_members, sp.rel_depths)]
-        self.notes = [f"{i.text} @" + "/".join(map(str, d))
-                      for i, d in zip(info, self.depths)]
+        self.notes = [
+            f"{i.text} @" + "/".join(str(sp.entry_depths[j] + r)
+                                     for j, r in zip(gm, rel))
+            for i, gm, rel in zip(info, sp.guard_members, sp.rel_depths)]
         coeffs = [costs.branch_cost] * n
         checklist = []
         for e, gm in enumerate(sp.guard_members):
@@ -335,7 +315,7 @@ class _Lowering:
     def _grouped(self, fwd):
         """Schedule-order guard groups (see the module docstring), and
         the one-entry chains of the same body when they differ."""
-        sp, info = self.sp, self.info
+        sp = self.sp
         groups: list = []
         for e, gm in enumerate(sp.guard_members):
             if groups and groups[-1][0] == gm:
@@ -347,7 +327,7 @@ class _Lowering:
         entry: list = []
         differs = False
         for gi, (gm, span) in enumerate(groups):
-            if all(_static(sp, info, e) for e in span):
+            if all(sp.depth_scalars[e] is not None for e in span):
                 # Only the member's last group may forward its branch
                 # condition, and only when its lanes are the group's.
                 final = gm[0] if len(gm) == 1 and last[gm[0]] == gi else None
@@ -368,7 +348,8 @@ class _Lowering:
         member whose branch condition may be forwarded (into ``fwd``)
         from this chain."""
         sp, info = self.sp, self.info
-        live = [e for e in span if self.live[e]]
+        # ``Pop`` only moves the statically tracked depth: no code.
+        live = [e for e in span if sp.instrs[e].op is not Op.POP]
         if not live:
             return None
         x = _Exec(self.tmp)
@@ -376,16 +357,6 @@ class _Lowering:
             instr = sp.instrs[e]
             x.code.append(("#", None, self.notes[e], None))
             d = sp.depth_scalars[e]
-            if not _static(sp, info, e):
-                # Statically known underflow (hand-built programs
-                # only): raise exactly when a shallow member has lanes.
-                egm = sp.guard_members[e]
-                shallow = tuple(j for j, dj in zip(egm, self.depths[e])
-                                if dj < info[e].pops)
-                if shallow:
-                    x.code.append(("underflow", None, shallow, instr))
-                    if len(shallow) == len(egm):
-                        continue
             if d is None:
                 d = Dv(0)
                 if info[e].pops or info[e].delta:  # RPush reads no row

@@ -67,7 +67,10 @@ class LazyProgram:
 
     ``options`` is a :class:`~repro.pipeline.ConversionOptions`;
     ``engine`` resumes a previous (possibly cache-loaded) engine
-    instead of starting from the entry state.
+    instead of starting from the entry state. Raises
+    :class:`~repro.errors.ConversionError` when ``cfg`` fails
+    :meth:`~repro.ir.cfg.Cfg.verify`, whose entry-depth map the
+    partial program keeps.
     """
 
     def __init__(self, cfg, options, engine: ConversionEngine | None = None):
@@ -88,18 +91,16 @@ class LazyProgram:
             n_mono=len(cfg.mono_slots),
             ret_slot=cfg.ret_slot,
             compressed=self.graph.compressed,
+            entry_depths=cfg.verify(),
             costs=self.costs,
         )
         # The step loop resolves prog.plan() when no plan is passed;
         # point it at the incremental plan (never compile_plan on a partial
         # program — its n_bids would be wrong for nodes still to come).
         self.program._plan = self.plan
-        #: The kernels, filled and evicted node by node; the program's
-        #: ``kernels()`` is ``None`` (the ``interp`` fallback) when
-        #: static stack depths are unresolvable.
-        self.kernels = KernelProgram({}, self.costs)
-        self.program._kernels = (self.kernels if self.plan.static_depths
-                                 is not None else None)
+        #: The kernels (the program's ``kernels()``), filled and
+        #: evicted node by node.
+        self.kernels = self.program._kernels = KernelProgram({}, self.costs)
         #: entry meta state -> kernel function: ``kernels.fns`` itself.
         self.kfns: dict = self.kernels.fns
         self._kernel_ids = itertools.count()
@@ -158,7 +159,7 @@ class LazyProgram:
         node = compile_node(self.cfg, self.engine, key, self.costs,
                             self.use_csi)
         nplan = compile_node_plan(node, self.plan.n_bids,
-                                  self.plan.static_depths)
+                                  self.program.entry_depths)
         self.program.nodes[key] = node
         self.plan.nodes[key] = nplan
         self.materialized += 1

@@ -105,10 +105,12 @@ NATIVE_VERSION = 2
 # ----------------------------------------------------------------------
 # error codes — returned by the generated functions; the machine replays
 # on the kernels backend for the authoritative message, these are the
-# fallback text (and documentation of the code space).
+# fallback text (and documentation of the code space). Codes 2 (operand
+# stack underflow) and 10 (branch on an empty stack) are retired:
+# ``Cfg.verify`` rejects both statically. Their numbers stay unused so
+# the others keep theirs.
 # ----------------------------------------------------------------------
 E_STACK_OVERFLOW = 1
-E_UNDERFLOW = 2
 E_DIV_ZERO = 3
 E_IDIV_ZERO = 4
 E_PE_READ = 5
@@ -116,14 +118,12 @@ E_PE_WRITE = 6
 E_INDEX = 7
 E_RSTACK_OVERFLOW = 8
 E_RSTACK_UNDERFLOW = 9
-E_BRANCH_EMPTY = 10
 E_SPAWN_FREE = 11
 E_STEPS = 12
 E_UNENCODED = 13
 
 NATIVE_ERROR_MESSAGES = {
     E_STACK_OVERFLOW: "operand stack overflow",
-    E_UNDERFLOW: "operand stack underflow",
     E_DIV_ZERO: "float division by zero",
     E_IDIV_ZERO: "integer division or remainder by zero",
     E_PE_READ: "parallel read from out-of-range PE",
@@ -131,7 +131,6 @@ NATIVE_ERROR_MESSAGES = {
     E_INDEX: "array index out of range",
     E_RSTACK_OVERFLOW: "return-selector stack overflow",
     E_RSTACK_UNDERFLOW: "return-selector stack underflow",
-    E_BRANCH_EMPTY: "branch on empty stack",
     E_SPAWN_FREE: "spawn: not enough free PEs (section 3.2.5 requires "
                   "spawns not to exceed the number of processors)",
     E_STEPS: "SIMD run exceeded its meta-step budget",
@@ -299,19 +298,14 @@ class NativeProgram:
         return state
 
 
-def compile_native(prog) -> NativeProgram | None:
+def compile_native(prog) -> NativeProgram:
     """Print the native kernel module of ``prog`` (a
     :class:`~repro.codegen.emit.SimdProgram`) from its kernel IR, like
     :func:`repro.codegen.kernels.compile_kernels`, plus the dispatcher
-    and, when the program allows it (:func:`_loopable`), the loop; or
-    ``None`` when the program's static stack depths are unresolvable —
-    the machine then falls back to the Python backends."""
-    lowered = prog.lowering()
-    if lowered is None:
-        return None
+    and, when the program allows it (:func:`_loopable`), the loop."""
     chunks = [_C_HEADER.format(version=NATIVE_VERSION, ctx=CTX_TYPEDEF)]
     entry_index: dict = {}
-    for i, key, node in lowered:
+    for i, key, node in prog.lowering():
         entry_index[key] = i
         chunks.append(_Printer(prog.n_poly).node(i, f"node_{i}", node))
     names = ["0"] * len(prog.nodes)
@@ -581,7 +575,7 @@ class _Printer:
         for chain in chains:
             self._loop(w, bids, chain.members)
             for stmt in chain.code:
-                self._stmt(w, stmt, bids)
+                self._stmt(w, stmt)
             if seg.serial:
                 j = chain.members[0]
                 self._term(w, seg.terms[j], seg.terms[j].cond)
@@ -615,7 +609,7 @@ class _Printer:
         w.put("if (" + " && ".join(f"pc0[i] != {bids[j]}" for j in members)
               + ") continue;")
 
-    def _stmt(self, w, stmt, bids) -> None:
+    def _stmt(self, w, stmt) -> None:
         tag, n, args, instr = stmt
         t = f"t{n}"
         if tag == "#":
@@ -637,9 +631,6 @@ class _Printer:
             self.consts.append(
                 f"static const i64 {name}[{len(table)}] = {{{vals}}};")
             w.put(f"i64 dd = {name}[pc0[i]];")
-        elif tag == "underflow":
-            w.put("if (" + " || ".join(f"pc0[i] == {bids[j]}" for j in args)
-                  + f") {_fail(E_UNDERFLOW)}")
         elif tag is Op.DIV:
             a, b = args
             w.put(f"if ({_v(b)} == 0.0) {_fail(E_DIV_ZERO)}")
@@ -717,9 +708,6 @@ class _Printer:
             if term.set_sp:
                 w.put(f"sp[i] = {term.fin};")
         elif kind == planmod.K_COND:
-            if term.fin < 1:
-                w.put(_fail(E_BRANCH_EMPTY))
-                return
             w.put(f"sp[i] = {term.fin - 1};")
             if term.on_true == term.on_false:
                 w.put(f"pc[i] = {term.on_true};")

@@ -16,13 +16,14 @@ NumPy and C kernels, and the meta-step loop of
   its segment-entry depth;
 - **terminator tables** — per-member (kind code, on_true, on_false)
   triples and the net body stack delta;
-- **absolute entry depths** — one worklist over the per-block
-  ``(delta, kind, on_true, on_false)`` facts resolves every member's
-  operand-stack depth at segment entry to a compile-time constant (the
-  CFG verifier guarantees consistency; spawn children restart at depth
-  0). Each entry's stack row is then a precomputed scalar — or, when a
-  CSI entry is shared by members at different depths, a precomputed
-  per-bid table — so the kernels never read ``st.sp`` during a body;
+- **absolute entry depths** — every member's operand-stack depth at
+  segment entry is a compile-time constant: the ``bid -> depth`` map
+  that :meth:`~repro.ir.cfg.Cfg.verify` returns, which the program
+  carries (``SimdProgram.entry_depths``; spawn children restart at
+  depth 0). Each entry's stack row is then a precomputed scalar — or,
+  when a CSI entry is shared by members at different depths, a
+  precomputed per-bid table — so the kernels never read ``st.sp``
+  during a body;
 - **bit weights** — the ``bid -> 1 << bid`` table (object dtype once
   ids exceed an int64 word), indexed directly by ``pc``: two trailing
   zeros weigh the ``PC_DONE`` (-2) and ``PC_IDLE`` (-1) sentinels, so
@@ -82,18 +83,15 @@ class SegmentPlan:
     kinds: tuple                # per member: terminator kind code
     on_true: tuple              # per member: Fall target / CondBr on_true / spawn child
     on_false: tuple             # per member: CondBr on_false / spawn cont
-    #: Static absolute operand-stack depth of each member at segment
-    #: entry (aligned with ``member_bids``), or ``None`` when the
-    #: program-level depth walk could not resolve them (hand-built
-    #: programs with inconsistent paths).
-    entry_depths: tuple | None = None
+    #: Per member: absolute operand-stack depth at segment entry.
+    entry_depths: tuple
     #: Per entry: the absolute stack depth before it as a scalar when
     #: every guard member agrees, else ``None`` (see ``depth_tables``).
-    depth_scalars: tuple | None = None
+    depth_scalars: tuple
     #: Per entry: a ``bid -> absolute depth`` int64 table for the
     #: mixed-depth case (dispatch chains), else ``None``. Exactly one of
     #: ``depth_scalars[e]`` / ``depth_tables[e]`` is set per entry.
-    depth_tables: tuple | None = None
+    depth_tables: tuple
 
 
 @dataclass
@@ -117,9 +115,6 @@ class ProgramPlan:
     #: sentinel pcs; object dtype when wide.
     bit_weights: np.ndarray
     nodes: dict = field(default_factory=dict)  # entry meta state -> NodePlan
-    #: ``bid -> absolute stack depth at block entry`` resolved by
-    #: :func:`_program_entry_depths`, or ``None`` when unresolvable.
-    static_depths: dict | None = None
 
     def stats(self) -> dict:
         """Plan-size counters for the stage report."""
@@ -128,9 +123,8 @@ class ProgramPlan:
             "plan_nodes": len(self.nodes),
             "plan_segments": len(segments),
             "plan_entries": sum(len(sp.instrs) for sp in segments),
-            "plan_static_depths": int(self.static_depths is not None),
             "plan_depth_tables": sum(
-                1 for sp in segments for t in (sp.depth_tables or ())
+                1 for sp in segments for t in sp.depth_tables
                 if t is not None
             ),
             "plan_shardable_nodes": sum(
@@ -145,12 +139,8 @@ def compile_plan(prog) -> ProgramPlan:
     model involved."""
     plan = _empty_plan(_max_bid(prog) + 1)
     for key, node in prog.nodes.items():
-        plan.nodes[key] = compile_node_plan(node, plan.n_bids)
-    plan.static_depths = _program_entry_depths(prog, plan)
-    if plan.static_depths is not None:
-        for nplan in plan.nodes.values():
-            for sp in nplan.segments:
-                _attach_static_depths(sp, plan.static_depths, plan.n_bids)
+        plan.nodes[key] = compile_node_plan(node, plan.n_bids,
+                                            prog.entry_depths)
     return plan
 
 
@@ -162,12 +152,8 @@ def incremental_plan(cfg) -> ProgramPlan:
     (:func:`_max_bid`); a partial program grows, so the lazy manager
     sizes the bit-weight and depth tables from the CFG's largest block
     id up front (every meta-state member is a CFG block, so the bound
-    holds for every node that can ever appear). ``static_depths``
-    comes from :func:`cfg_entry_depths`, the whole-CFG twin of
-    :func:`_program_entry_depths`."""
-    plan = _empty_plan(max(cfg.blocks) + 1)
-    plan.static_depths = cfg_entry_depths(cfg)
-    return plan
+    holds for every node that can ever appear)."""
+    return _empty_plan(max(cfg.blocks) + 1)
 
 
 def _empty_plan(n_bids: int) -> ProgramPlan:
@@ -177,95 +163,14 @@ def _empty_plan(n_bids: int) -> ProgramPlan:
     return ProgramPlan(n_bids=n_bids, bit_weights=weights)
 
 
-def compile_node_plan(node, n_bids: int,
-                      static_depths: dict | None = None) -> NodePlan:
+def compile_node_plan(node, n_bids: int, depths: dict) -> NodePlan:
     """Compile the :class:`NodePlan` of a single emitted node — the
     per-node step of :func:`compile_plan`, which lazy compilation calls
-    as the runtime discovers nodes. ``static_depths`` is the
-    program-wide (or CFG-wide, see :func:`cfg_entry_depths`) entry
-    depth map; when given, the per-entry depth scalars/tables are
-    attached exactly as the eager path does."""
-    segments = [_compile_segment(seg) for seg in node.segments]
-    nplan = NodePlan(segments=segments, shardable=_node_shardable(segments))
-    if static_depths is not None:
-        for sp in segments:
-            _attach_static_depths(sp, static_depths, n_bids)
-    return nplan
-
-
-def cfg_entry_depths(cfg) -> dict | None:
-    """Resolve ``bid -> absolute operand-stack depth at block entry``
-    from the CFG alone, before any meta state exists — the lazy-mode
-    twin of :func:`_program_entry_depths`.
-
-    The plan segments mirror the CFG blocks instruction for instruction
-    (each member's schedule entries are exactly its block's code), so
-    walking each block's net stack delta through its terminator reaches
-    the same fixpoint as the walk over the finished plan. Returns
-    ``None`` when any block is reachable at two different depths or a
-    depth goes negative."""
-    facts = {
-        bid: ((sum(instr.stack_delta() for instr in blk.code),
-               *_term_fact(blk.terminator)),)
-        for bid, blk in cfg.blocks.items()
-    }
-    return _walk_entry_depths((cfg.entry,), facts)
-
-
-def _program_entry_depths(prog, plan: ProgramPlan) -> dict | None:
-    """Resolve the absolute operand-stack depth at entry of every member
-    block of ``prog`` from the facts of its segment plans.
-
-    Returns ``bid -> depth`` covering every member of every segment, or
-    ``None`` when :func:`_walk_entry_depths` fails or some member is
-    never reached (only possible for hand-built programs — CFG-verified
-    compiles are always consistent)."""
-    facts: dict[int, set] = {}
-    for nplan in plan.nodes.values():
-        for sp in nplan.segments:
-            for j, bid in enumerate(sp.member_bids):
-                facts.setdefault(bid, set()).add(
-                    (sp.total_delta[j], sp.kinds[j], sp.on_true[j],
-                     sp.on_false[j]))
-    depths = _walk_entry_depths(prog.start, facts)
-    if depths is None or not facts.keys() <= depths.keys():
-        return None
-    return depths
-
-
-def _walk_entry_depths(start, facts: dict) -> dict | None:
-    """The entry-depth worklist shared by both resolvers: from depth 0
-    at every ``start`` block, follow each reached block's ``(delta,
-    kind, on_true, on_false)`` facts (a block of a hand-built program
-    may carry several distinct ones) — Fall keeps the body's final depth,
-    CondBr pops the condition, spawn children restart at 0 (they are
-    fresh PEs), and Return / Halt have no live successor. Returns
-    ``bid -> depth`` for every reached block, or ``None`` when a block
-    is reached at two different depths or a depth goes negative."""
-    depths = dict.fromkeys(start, 0)
-    work = list(depths)
-    while work:
-        bid = work.pop()
-        for delta, kind, on_true, on_false in facts.get(bid, ()):
-            fin = depths[bid] + delta
-            if kind == K_FALL:
-                targets = ((on_true, fin),)
-            elif kind == K_COND:
-                targets = ((on_true, fin - 1), (on_false, fin - 1))
-            elif kind == K_SPAWN:
-                targets = ((on_true, 0), (on_false, fin))
-            else:
-                targets = ()
-            for t, td in targets:
-                if td < 0:
-                    return None
-                prev = depths.get(t)
-                if prev is None:
-                    depths[t] = td
-                    work.append(t)
-                elif prev != td:
-                    return None
-    return depths
+    as the runtime discovers nodes. ``depths`` is the ``bid -> entry
+    depth`` map of :meth:`~repro.ir.cfg.Cfg.verify`."""
+    segments = [_compile_segment(seg, depths, n_bids)
+                for seg in node.segments]
+    return NodePlan(segments=segments, shardable=_node_shardable(segments))
 
 
 def _node_shardable(segments: list[SegmentPlan]) -> bool:
@@ -278,32 +183,6 @@ def _node_shardable(segments: list[SegmentPlan]) -> bool:
         if K_SPAWN in sp.kinds:
             return False
     return True
-
-
-def _attach_static_depths(sp: SegmentPlan, depths: dict,
-                          n_bids: int) -> None:
-    """Precompute each entry's absolute stack depth for ``sp``: a scalar
-    when the guard members agree, else a ``bid -> depth`` gather table
-    (the mixed-depth dispatch-chain case)."""
-    entry = tuple(depths[bid] for bid in sp.member_bids)
-    scalars: list = []
-    tables: list = []
-    for e in range(len(sp.instrs)):
-        gm = sp.guard_members[e]
-        rel = sp.rel_depths[e]
-        abs_depths = [entry[j] + rel[k] for k, j in enumerate(gm)]
-        if len(set(abs_depths)) == 1:
-            scalars.append(abs_depths[0])
-            tables.append(None)
-        else:
-            table = np.zeros(n_bids, dtype=np.int64)
-            for k, j in enumerate(gm):
-                table[sp.member_bids[j]] = abs_depths[k]
-            scalars.append(None)
-            tables.append(table)
-    sp.entry_depths = entry
-    sp.depth_scalars = tuple(scalars)
-    sp.depth_tables = tuple(tables)
 
 
 def _term_fact(term) -> tuple[int, int, int]:
@@ -321,7 +200,7 @@ def _term_fact(term) -> tuple[int, int, int]:
     raise AssertionError(f"unknown terminator {term!r}")
 
 
-def _compile_segment(seg) -> SegmentPlan:
+def _compile_segment(seg, depths: dict, n_bids: int) -> SegmentPlan:
     members = tuple(sorted(seg.members))
     index_of = {bid: j for j, bid in enumerate(members)}
 
@@ -345,6 +224,24 @@ def _compile_segment(seg) -> SegmentPlan:
         terms.append(_term_fact(term))
     kinds, on_true, on_false = zip(*terms)
 
+    # Each entry's absolute stack depth: a scalar when the guard
+    # members agree, else a ``bid -> depth`` gather table (the
+    # mixed-depth dispatch-chain case).
+    entry = tuple(depths[bid] for bid in members)
+    scalars: list = []
+    tables: list = []
+    for gm, rel in zip(guard_members, rel_depths):
+        abs_depths = [entry[j] + r for j, r in zip(gm, rel)]
+        if len(set(abs_depths)) == 1:
+            scalars.append(abs_depths[0])
+            tables.append(None)
+        else:
+            table = np.zeros(n_bids, dtype=np.int64)
+            for j, d in zip(gm, abs_depths):
+                table[members[j]] = d
+            scalars.append(None)
+            tables.append(table)
+
     return SegmentPlan(
         member_bids=members,
         instrs=tuple(e.instr for e in seg.schedule.entries),
@@ -354,6 +251,9 @@ def _compile_segment(seg) -> SegmentPlan:
         kinds=kinds,
         on_true=on_true,
         on_false=on_false,
+        entry_depths=entry,
+        depth_scalars=tuple(scalars),
+        depth_tables=tuple(tables),
     )
 
 

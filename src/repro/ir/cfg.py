@@ -272,7 +272,12 @@ class Cfg:
         Invariants: every successor id exists; each block has at most
         two exit arcs (the conversion algorithm's precondition); operand
         stack depth at each block entry is consistent along all paths
-        and never negative inside a block.
+        and never negative inside a block. A spawned child enters at
+        depth 0, as the fresh PE that runs it does.
+
+        The returned map is the only entry-depth walk: the SIMD program
+        carries it, and the kernel plans read every operand-stack row
+        from it (:mod:`repro.codegen.plan`).
         """
         depths: dict[int, int] = {self.entry: 0}
         work = [self.entry]
@@ -292,27 +297,31 @@ class Cfg:
                         blk.src_line or None,
                     )
                 depth += instr.stack_delta()
-            if isinstance(blk.terminator, CondBr):
+            term = blk.terminator
+            if isinstance(term, CondBr):
                 if depth < 1:
                     raise ConversionError(
                         f"block {bid} branches on an empty stack",
                         blk.src_line or None,
                     )
                 depth -= 1
-            for s in blk.successors():
+            arcs = (((term.child, 0), (term.cont, depth))
+                    if isinstance(term, SpawnT)
+                    else [(s, depth) for s in blk.successors()])
+            for s, d in arcs:
                 if s not in self.blocks:
                     raise ConversionError(
                         f"block {bid} targets missing block {s}",
                         blk.src_line or None,
                     )
                 if s in depths:
-                    if depths[s] != depth:
+                    if depths[s] != d:
                         raise ConversionError(
                             f"inconsistent stack depth at block {s}: "
-                            f"{depths[s]} vs {depth}"
+                            f"{depths[s]} vs {d}"
                         )
                 else:
-                    depths[s] = depth
+                    depths[s] = d
                     work.append(s)
         return depths
 

@@ -129,18 +129,15 @@ class SimdMachine:
           bound once per run and per shard. Falls back to
           ``"kernels"`` with a :class:`RuntimeWarning` when unavailable
           (no C compiler, ``REPRO_NATIVE_DISABLE=1``, build failure,
-          lazy conversion, unresolvable static depths, or a foreign
-          cost model); the fallback cascades through the
-          ``"kernels"`` checks below.
+          lazy conversion, or a foreign cost model); the fallback
+          cascades through the ``"kernels"`` check below.
         - ``"kernels"`` (default): fused per-node functions generated by
           :mod:`repro.codegen.kernels` — one compiled kernel executes a
           whole node. The loop reads them from ``prog.kernels().fns``,
           which an eager program fills at generation and a lazy one
           (:mod:`repro.codegen.lazy`) as its nodes are discovered.
           Falls back to ``"interp"`` with a :class:`RuntimeWarning`
-          when the kernels are unusable (cost model differs from the
-          one the program was emitted with, or unresolvable static
-          depths).
+          when the kernels fold a cost model other than the machine's.
         - ``"interp"``: the interpretive executor over
           :func:`repro.simd.vecops.exec_instr` — the differential
           oracle, and the walk for any node that has no kernel.
@@ -293,14 +290,10 @@ class SimdMachine:
             reason = nativert.unavailable_reason()
             if reason is not None:
                 return reason
-            compiled, kind = prog.native(), "native"
+            compiled, what = prog.native(), "native kernels"
         else:
-            compiled, kind = prog.kernels(), "compiled"
-        if compiled is None:
-            return (f"program has no {kind} kernels (static stack depths "
-                    f"unresolvable)")
+            compiled, what = prog.kernels(), "kernels"
         if compiled.costs != self.costs:
-            what = "native kernels" if backend == "native" else "kernels"
             return (f"{what} fold a different cost model into their "
                     f"constants than this machine's")
         return None

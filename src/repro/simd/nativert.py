@@ -5,13 +5,13 @@ program; this module builds it, loads it, and calls it:
 
 - **content-addressed builds** — the shared library lands in
   ``<cache root>/native/<key>.so`` where the key hashes the generated
-  source together with the compiler identity, the flags, and the ABI
-  version (:data:`repro.codegen.native.NATIVE_VERSION`). A warm run —
-  or a second process on the same host — never re-invokes the
-  compiler; it just ``dlopen``\\ s the existing artifact. The ``.c``
-  source is kept beside the ``.so`` for debuggability. The cache is
-  relocatable: nothing in the key or the artifact mentions absolute
-  paths, only content.
+  source together with the compiler identity (:func:`compiler_id`),
+  the flags, and the ABI version
+  (:data:`repro.codegen.native.NATIVE_VERSION`). A warm run — or a
+  second process on the same host — spawns no process; it just
+  ``dlopen``\\ s the existing artifact. The ``.c`` source is kept
+  beside the ``.so`` for debuggability. The cache is relocatable:
+  nothing in the key or the artifact mentions the cache root.
 - **ctypes** — ``ctypes.CDLL`` opens the library: no ``Python.h``,
   no compile-against-CPython step and no declaration parser. Every
   library exports the same two entry points over one ``msc_ctx``
@@ -54,8 +54,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -118,20 +116,18 @@ _compiler_id: str | None = None
 
 
 def compiler_id() -> str:
-    """Identity of the toolchain (path + version line) — part of the
-    shared-library cache key so a compiler upgrade rebuilds."""
+    """Identity of the toolchain — the compiler's resolved path and
+    that file's size and modification time — part of the
+    shared-library cache key so a compiler upgrade rebuilds. One
+    ``stat``, so loading a built library spawns no process."""
     global _compiler_id
     if _compiler_id is None:
         cc = _find_cc()
         if cc is None:
             raise NativeBuildError("no C compiler (cc/gcc/clang) on PATH")
-        try:
-            out = subprocess.run([cc, "--version"], capture_output=True,
-                                 text=True, timeout=30)
-            version = (out.stdout or out.stderr).splitlines()[0].strip()
-        except (OSError, subprocess.TimeoutExpired, IndexError):
-            version = "unknown"
-        _compiler_id = f"{cc} {version}"
+        real = os.path.realpath(cc)
+        st = os.stat(real)
+        _compiler_id = f"{real} {st.st_size} {st.st_mtime_ns}"
     return _compiler_id
 
 
@@ -168,6 +164,10 @@ def build_shared(nat) -> Path:
     so_path = root / f"{key}.so"
     if so_path.exists():
         return so_path
+    # Imported only to build, so a warm load never pays for them.
+    import subprocess
+    import tempfile
+
     root.mkdir(parents=True, exist_ok=True)
     c_path = root / f"{key}.c"
     fd, tmp = tempfile.mkstemp(dir=root, suffix=".c")

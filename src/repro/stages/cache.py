@@ -61,7 +61,10 @@ from pathlib import Path
 #: (``KernelProgram.sources``) instead of one module text.
 #: v11: eager analyzed bundles carry their diagnostics and analyze rows
 #: (``CachedCompile.diagnostics`` / ``analysis``).
-CACHE_VERSION = 11
+#: v12: programs carry ``Cfg.verify``'s entry-depth map
+#: (``SimdProgram.entry_depths``), and an unbuilt kernel or native
+#: emission is ``None`` instead of ``"unbuilt"``.
+CACHE_VERSION = 12
 
 #: Top-level repro subpackages whose code determines compile output.
 #: ``simd``/``mimd`` (simulators) and ``analysis``/``viz`` are runtime

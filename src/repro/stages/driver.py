@@ -252,12 +252,7 @@ def _stage_plan(ctx: CompileContext) -> dict:
 def _stage_kernels(ctx: CompileContext) -> dict:
     if getattr(ctx.options, "lazy", False):
         return {"lazy_deferred": 1}
-    kern = ctx.program.kernels()
-    if kern is None:
-        # Static depths unresolvable: the machine falls back to the
-        # interp backend. Recorded, not fatal.
-        return {"kernel_nodes": 0}
-    return kern.stats()
+    return ctx.program.kernels().stats()
 
 
 def _stage_native(ctx: CompileContext) -> dict:
@@ -268,10 +263,7 @@ def _stage_native(ctx: CompileContext) -> dict:
     and this stage independent of whether a toolchain exists."""
     if getattr(ctx.options, "lazy", False):
         return {"lazy_deferred": 1}
-    nat = ctx.program.native()
-    if nat is None:
-        return {"native_nodes": 0}
-    return nat.stats()
+    return ctx.program.native().stats()
 
 
 # ----------------------------------------------------------------------
@@ -559,12 +551,8 @@ def _record_cached_stages(report: StageReport, payload: CachedCompile) -> None:
             # The generated kernel source travels inside the cached
             # program (see KernelProgram.__getstate__) — a warm hit
             # reports its stats without regenerating anything.
-            "kernels": lambda: (payload.program.kernels().stats()
-                                if payload.program.kernels() is not None
-                                else {"kernel_nodes": 0}),
-            "native": lambda: (payload.program.native().stats()
-                               if payload.program.native() is not None
-                               else {"native_nodes": 0}),
+            "kernels": lambda: payload.program.kernels().stats(),
+            "native": lambda: payload.program.native().stats(),
         }
     for name in STAGE_NAMES:
         counters = derived.get(name, dict)()

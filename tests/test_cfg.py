@@ -201,6 +201,23 @@ class TestVerify:
         with pytest.raises(ConversionError, match="stack depth"):
             cfg.verify()
 
+    def test_spawn_child_enters_at_depth_zero(self):
+        # The child runs on a fresh PE with an empty stack, so its Pop
+        # underflows even though the parent spawns at depth 1.
+        cfg = Cfg()
+        parent, child, cont = (cfg.new_block() for _ in range(3))
+        parent.code = [push(1)]
+        parent.terminator = SpawnT(child=child.bid, cont=cont.bid)
+        child.code = [Instr(Op.POP, 1)]
+        child.terminator = Halt()
+        cont.code = [Instr(Op.POP, 1)]
+        cont.terminator = Return()
+        cfg.entry = parent.bid
+        with pytest.raises(ConversionError, match="underflow"):
+            cfg.verify()
+        child.code = []
+        assert cfg.verify() == {parent.bid: 0, child.bid: 0, cont.bid: 1}
+
     def test_duplicate_block_id_rejected(self):
         cfg = make_chain()
         with pytest.raises(ConversionError, match="duplicate"):

@@ -7,6 +7,9 @@ from repro.codegen.emit import encode_program
 from repro.codegen.mpl import render_mpl
 from repro.core.convert import ConvertOptions, convert
 from repro.errors import ConversionError
+from repro.ir.block import CondBr, Return
+from repro.ir.cfg import Cfg
+from repro.ir.instr import Instr, Op
 from repro.ir.lowering import lower_program
 from repro.lang.parser import parse
 from repro.lang.sema import analyze
@@ -93,6 +96,23 @@ class TestEmission:
                 graph = convert(cfg, ConvertOptions(compress=compress))
                 prog = encode_program(cfg, graph)
                 assert prog.node_count() >= 1, name
+
+
+class TestEncodeVerifies:
+    def test_inconsistent_depths_refused(self):
+        # Block j is entered at depth 1 from a and at depth 2 from b:
+        # no entry-depth map exists, so no program is encoded.
+        cfg = Cfg()
+        a, b, j = (cfg.new_block() for _ in range(3))
+        a.code = [Instr(Op.PUSH, 1), Instr(Op.PUSH, 1)]
+        b.code = [Instr(Op.PUSH, 1), Instr(Op.PUSH, 1), Instr(Op.PUSH, 9)]
+        a.terminator = CondBr(j.bid, b.bid)
+        b.terminator = CondBr(j.bid, j.bid)
+        j.terminator = Return()
+        cfg.entry = a.bid
+        graph = convert(cfg)
+        with pytest.raises(ConversionError, match="stack depth"):
+            encode_program(cfg, graph)
 
 
 class TestMplRendering:

@@ -565,7 +565,7 @@ class TestFallbacks:
         monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
         # A fake compiler path: the build never depends on a host cc.
         monkeypatch.setattr(nativert, "_find_cc", lambda: "/fake/bin/cc")
-        monkeypatch.setattr(nativert.subprocess, "run", failing_run)
+        monkeypatch.setattr(subprocess, "run", failing_run)
         monkeypatch.setattr(nativert, "compiler_id", lambda: "fake-cc 0")
         # A unique program: nothing in the in-process dlopen cache or
         # the (hermetic) artifact cache may satisfy the load.
@@ -632,9 +632,9 @@ class TestArtifactCache:
         def boom(*args, **kwargs):
             raise AssertionError("compiler invoked on a warm artifact")
 
-        # compiler_id() is memoized by the build above, so the only
-        # subprocess a warm load could spawn is the compile itself.
-        monkeypatch.setattr(nativert.subprocess, "run", boom)
+        # compiler_id() spawns no process, so the only subprocess a
+        # warm load could spawn is the compile itself.
+        monkeypatch.setattr(subprocess, "run", boom)
         fns = nativert.load_native(nat)
         assert set(fns) == set(nat.entry_names)
 
@@ -695,6 +695,40 @@ class TestArtifactCache:
         ref = run_backends(result, 8, backends=("interp",))["interp"]
         for res in runs:
             assert_identical(res, ref, "concurrent")
+
+
+class TestCompilerIdentity:
+    def test_key_follows_the_compiler_file(self, monkeypatch, tmp_path):
+        # The compiler is keyed by its resolved path and that file's
+        # size and mtime, without spawning it: an upgrade in place
+        # still rebuilds.
+        nat = convert_source(STANDARD["divergent_loops"]()) \
+            .simd_program().native()
+        cc = tmp_path / "gcc-12"
+        cc.write_bytes(b"compiler v1")
+        (tmp_path / "cc").symlink_to(cc)
+        monkeypatch.setattr(nativert, "_find_cc",
+                            lambda: str(tmp_path / "cc"))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("compiler identity spawned a process")
+
+        monkeypatch.setattr(subprocess, "Popen", boom)
+
+        def key():
+            monkeypatch.setattr(nativert, "_compiler_id", None)
+            return nativert.artifact_key(nat)
+
+        first = key()
+        assert nativert.compiler_id().startswith(os.path.realpath(cc))
+        assert key() == first
+        mtime = cc.stat().st_mtime_ns + 10**9
+        os.utime(cc, ns=(mtime, mtime))
+        touched = key()
+        assert touched != first
+        cc.write_bytes(b"compiler v2, larger")
+        os.utime(cc, ns=(mtime, mtime))
+        assert key() not in (first, touched)
 
 
 class TestNativeProgram:
@@ -767,7 +801,7 @@ class TestNativeProgram:
         prog = convert_source(STANDARD["mandelbrot"]()).simd_program()
         nat = prog.native()
         clone = pickle.loads(pickle.dumps(prog))
-        assert clone._native != "unbuilt"
+        assert clone._native is not None
         assert clone.native().digest() == nat.digest()
 
     def test_warm_compile_cache_carries_c_source(self, tmp_path):
@@ -777,7 +811,7 @@ class TestNativeProgram:
         cold_nat = cold.simd_program().native()
         warm = convert_source(src, cache=str(tmp_path))
         assert warm.report.cache == "hit"
-        assert warm.simd_program()._native != "unbuilt"
+        assert warm.simd_program()._native is not None
         assert warm.simd_program().native().c_source == cold_nat.c_source
 
     def test_native_stage_reported(self):

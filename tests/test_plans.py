@@ -3,13 +3,13 @@
 :mod:`repro.codegen.plan` lowers a :class:`~repro.codegen.emit.SimdProgram`
 into the dense tables the kernel lowering (:mod:`repro.codegen.kir`)
 and the SIMD machine's step loop read. The tables must mirror the
-program they came from, and the two entry-depth resolvers — over the
-finished plan and over the CFG alone — must agree.
+program they came from, and every member's entry depth must be the
+one ``Cfg.verify()`` returns.
 """
 
 import pytest
 
-from repro.codegen.plan import cfg_entry_depths, compile_plan
+from repro.codegen.plan import compile_plan
 from repro.pipeline import ConversionOptions, convert_source
 from repro.simd import nativert
 from repro.simd.machine import SimdMachine
@@ -89,14 +89,13 @@ class TestEntryDepths:
     @pytest.mark.parametrize("name", sorted(STANDARD))
     @pytest.mark.parametrize("compress", (False, True))
     def test_program_walk_matches_cfg_walk(self, name, compress):
-        # The eager walk over the finished plan and the lazy walk over
-        # the CFG share one worklist; on member blocks they must agree.
+        # The plan reads every member's depth from the one walk,
+        # Cfg.verify() over the final CFG.
         for level in (0, 1, 2):
             cfg, plan = compile_to_plan(STANDARD[name](), ConversionOptions(
                 compress=compress, opt_level=level, lazy=False))
-            members = {bid for nplan in plan.nodes.values()
-                       for sp in nplan.segments for bid in sp.member_bids}
-            cfg_depths = cfg_entry_depths(cfg)
-            assert plan.static_depths is not None, level
-            assert plan.static_depths == \
-                {bid: cfg_depths[bid] for bid in members}, level
+            depths = cfg.verify()
+            for nplan in plan.nodes.values():
+                for sp in nplan.segments:
+                    assert sp.entry_depths == tuple(
+                        depths[bid] for bid in sp.member_bids), level
