@@ -34,6 +34,18 @@ constant-divisor folding. In the generated code
   ``x = x * 3 + 1`` compiles to one gather, two vector ops, and one
   scatter; its branch condition flows straight into the terminator's
   ``np.where`` without ever touching the stack;
+- **values keep their kind** — a comparison or logical op yields a
+  NumPy bool, which terminators, ``Sel`` and the logical ops read as
+  it is and a store converts on its own; only an op that needs a
+  number reads it through one ``astype(np.float64)`` (see
+  :mod:`repro.codegen.kir`);
+- **integer division is one ufunc** — ``Mod`` is ``np.fmod`` over
+  int64 and ``IDiv`` ``(ia - np.fmod(ia, ib)) // ib``: C's truncation,
+  with no ``np.abs``, which wraps at -2**63 (the interpretive
+  :mod:`repro.simd.vecops` spells it the same way);
+- **no stack pointer** — depths are plan constants, so a kernel
+  neither reads nor stores ``st.sp``; the interpretive segment walk
+  sets it from the program's entry depths for the nodes it runs;
 - **checks are hoisted** — operand-stack overflow checks collapse to a
   single static ``if MAX_ROWS > stack.shape[0]`` guard per segment
   (the slow path replays the checklist via
@@ -99,8 +111,8 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.codegen import plan as planmod
-from repro.codegen.kir import (ARRAY, CONST, NPES, KernelUnsupported,
-                               lower_node)
+from repro.codegen.kir import (ARRAY, BOOL_OPS, CONST, NPES,
+                               KernelUnsupported, Val, lower_node)
 from repro.ir.instr import BINARY_OPS, UNARY_OPS, Op
 
 __all__ = ["KERNEL_VERSION", "KernelProgram", "KernelUnsupported",
@@ -111,21 +123,24 @@ __all__ = ["KERNEL_VERSION", "KernelProgram", "KernelUnsupported",
 #: v3: kernels enter no ``np.errstate`` scope; they rely on the
 #: caller's (the step loop's, or a shard worker's) ignoring ``over``
 #: and ``invalid``.
-KERNEL_VERSION = 3
+#: v4: comparisons yield bool values, integer division goes through
+#: ``np.fmod``, and kernels neither read nor store ``st.sp``.
+KERNEL_VERSION = 4
 
 #: Result expressions over the operands ``{a}`` (next-to-top) and
 #: ``{b}`` (top), or ``{x}``. Div/IDiv/Mod need their zero checks and
-#: are printed specially.
+#: are printed specially; the logical ops read truth values (see
+#: :meth:`_Printer._test`).
 _BINEXPR = {
     Op.ADD: "{a} + {b}",
     Op.SUB: "{a} - {b}",
     Op.MUL: "{a} * {b}",
-    Op.LT: "({a} < {b}).astype(np.float64)",
-    Op.LE: "({a} <= {b}).astype(np.float64)",
-    Op.GT: "({a} > {b}).astype(np.float64)",
-    Op.GE: "({a} >= {b}).astype(np.float64)",
-    Op.EQ: "({a} == {b}).astype(np.float64)",
-    Op.NE: "({a} != {b}).astype(np.float64)",
+    Op.LT: "{a} < {b}",
+    Op.LE: "{a} <= {b}",
+    Op.GT: "{a} > {b}",
+    Op.GE: "{a} >= {b}",
+    Op.EQ: "{a} == {b}",
+    Op.NE: "{a} != {b}",
     Op.BAND: "({a}.astype(np.int64) & {b}.astype(np.int64))"
              ".astype(np.float64)",
     Op.BOR: "({a}.astype(np.int64) | {b}.astype(np.int64))"
@@ -136,20 +151,20 @@ _BINEXPR = {
             ".astype(np.float64)",
     Op.SHR: "({a}.astype(np.int64) >> ({b}.astype(np.int64) & 63))"
             ".astype(np.float64)",
-    Op.LAND: "(({a} != 0) & ({b} != 0)).astype(np.float64)",
-    Op.LOR: "(({a} != 0) | ({b} != 0)).astype(np.float64)",
+    Op.LAND: "{a} & {b}",
+    Op.LOR: "{a} | {b}",
 }
 
 _UNEXPR = {
     Op.NEG: "-({x})",
-    Op.NOT: "({x} == 0).astype(np.float64)",
     Op.BNOT: "(~{x}.astype(np.int64)).astype(np.float64)",
     Op.TRUNC: "np.trunc({x})",
-    Op.BOOL: "({x} != 0).astype(np.float64)",
+    Op.BOOL: "{x} != 0",
 }
 
 #: Ops whose expressions also take bare Python floats; the others call
-#: numpy methods, so scalar operands are wrapped in ``np.float64``.
+#: numpy methods, or must yield a numpy bool, so scalar operands are
+#: wrapped in ``np.float64``.
 _PLAIN = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.NEG, Op.TRUNC})
 
 _MODULE_HEADER = '''\
@@ -315,7 +330,7 @@ class _Printer:
         w.put(f"def {name}(pc, st):")
         w.indent += 1
         w.put(f'"""{node.name}"""')
-        w.put("stack = st.stack; sp = st.sp")
+        w.put("stack = st.stack")
         w.put("rstack = st.rstack; rsp = st.rsp")
         w.put("poly = st.poly; mono = st.mono; npes = st.npes")
         w.put("body = 0; tcost = 0; enabled = 0")
@@ -338,16 +353,20 @@ class _Printer:
         bits = struct.unpack("<Q", struct.pack("<d", x))[0]
         return self._const(f"F{len(self.consts)}", f"rt.f64({bits:#x})")
 
-    def _v(self, v: tuple) -> str:
-        kind, x = v
-        if kind is CONST:
-            return self._lit(x)
-        return "float(npes)" if kind is NPES else f"t{x}"
+    def _v(self, v: Val) -> str:
+        if v.kind is CONST:
+            return self._lit(v.x)
+        return "float(npes)" if v.kind is NPES else f"t{v.x}"
 
-    def _f(self, v: tuple) -> str:
+    def _f(self, v: Val) -> str:
         """``v`` as a numpy value, for the expressions that call numpy
         methods the Python float type lacks."""
-        return self._v(v) if v[0] is ARRAY else f"np.float64({self._v(v)})"
+        return self._v(v) if v.kind is ARRAY else f"np.float64({self._v(v)})"
+
+    def _test(self, v: Val) -> str:
+        """``v`` as a numpy truth value: a bool value as it is, a
+        number ``!= 0``."""
+        return self._v(v) if v.boolean else f"({self._f(v)} != 0)"
 
     # ------------------------------------------------------------------
     def _segment(self, w, s: int, seg) -> None:
@@ -423,6 +442,8 @@ class _Printer:
             w.put(f"{t} = st.pids[{lv}]")
         elif tag == "flush":
             w.put(f"{_stack_lanes(args[0], lv)} = {v(args[1])}")
+        elif tag == "num":
+            w.put(f"{t} = {v(args[0])}.astype(np.float64)")
         elif tag == "dv":
             e, table = args
             cname = self._const(f"D{self.s}_{e}", f"np.array("
@@ -430,14 +451,22 @@ class _Printer:
             w.put(f"dv = {cname}[pc[{lv}]]")
         elif tag is Op.DIV:
             a, b = args
-            if b[0] is not CONST or b[1] == 0:
+            if b.kind is not CONST or b.x == 0:
                 w.put(f"if ({f(b)} == 0).any():")
                 w.put('    raise MachineError("float division by zero")')
             w.put(f"{t} = {v(a)} / {v(b)}")
         elif tag is Op.IDIV or tag is Op.MOD:
             self._idiv(w, tag, t, *args)
+        elif tag is Op.NOT:
+            x = args[0]
+            w.put(f"{t} = ~{v(x)}" if x.boolean else f"{t} = {f(x)} == 0")
         elif tag in BINARY_OPS:
-            g = v if tag in _PLAIN else f
+            # A comparison with a lane operand yields a bool array as
+            # it is; between scalars, np.float64 makes it a numpy bool.
+            lanes = any(x.kind is ARRAY for x in args)
+            g = (self._test if tag is Op.LAND or tag is Op.LOR
+                 else v if tag in _PLAIN or tag in BOOL_OPS and lanes
+                 else f)
             w.put(f"{t} = " + _BINEXPR[tag].format(a=g(args[0]),
                                                    b=g(args[1])))
         elif tag in UNARY_OPS:
@@ -445,38 +474,40 @@ class _Printer:
             w.put(f"{t} = " + _UNEXPR[tag].format(x=g(args[0])))
         elif tag is Op.SEL:
             c, a, b = args
-            w.put(f"{t} = np.where({f(c)} != 0, {v(a)}, {v(b)})")
+            w.put(f"{t} = np.where({self._test(c)}, {v(a)}, {v(b)})")
         elif tag is Op.ST:
             w.put(f"poly[{int(instr.arg)}][{lv}] = {v(args[0])}")
         elif tag is Op.STM:
             # Broadcast: the highest-indexed enabled writer wins.
             x = args[0]
             w.put(f"mono[{int(instr.arg)}] = {v(x)}"
-                  + ("[-1]" if x[0] is ARRAY else ""))
+                  + ("[-1]" if x.kind is ARRAY else ""))
         else:
             self._lane_op(w, tag, t, args, instr, lv, size)
 
-    def _idiv(self, w, op, t: str, a: tuple, b: tuple) -> None:
+    def _idiv(self, w, op, t: str, a: Val, b: Val) -> None:
+        """C's truncating ``/`` and ``%`` over int64: ``np.fmod`` is the
+        remainder, and ``ia - r`` is a multiple of the divisor, so its
+        floor quotient is the truncated one. Neither takes an absolute
+        value, which would wrap at -2**63."""
         f = self._f
-        k = b[1] if b[0] is CONST else None
+        k = b.x if b.kind is CONST else None
         if k is not None and k.is_integer() and 0 < abs(k) < 2 ** 62:
-            # Constant divisor: the zero check, |divisor| and its sign
-            # fold away at generation time.
-            k = int(k)
-            w.put(f"ia = {f(a)}.astype(np.int64)")
-            w.put(f"q = np.abs(ia) // {abs(k)}")
-            w.put(f"q = np.where({'ia < 0' if k > 0 else 'ia >= 0'}, -q, q)")
-            src = "q" if op is Op.IDIV else f"(ia - q * {k})"
+            # Constant divisor: the zero check folds away.
+            ib = str(int(k))
         else:
+            ib = "ib"
             w.put(f"ib = {f(b)}.astype(np.int64)")
             w.put("if (ib == 0).any():")
             w.put('    raise MachineError('
                   '"integer division or remainder by zero")')
+        if op is Op.MOD:
+            w.put(f"{t} = np.fmod({f(a)}.astype(np.int64), {ib})"
+                  ".astype(np.float64)")
+        else:
             w.put(f"ia = {f(a)}.astype(np.int64)")
-            w.put("q = np.abs(ia) // np.abs(ib)")
-            w.put("q = np.where((ia < 0) != (ib < 0), -q, q)")
-            src = "q" if op is Op.IDIV else "(ia - q * ib)"
-        w.put(f"{t} = {src}.astype(np.float64)")
+            w.put(f"{t} = ((ia - np.fmod(ia, {ib})) // {ib})"
+                  ".astype(np.float64)")
 
     def _lane_op(self, w, op, t: str, args, instr, lv: str,
                  size: str) -> None:
@@ -502,7 +533,7 @@ class _Printer:
         # A scatter whose index is one scalar writes it from every lane
         # (the last writer wins), so the index must be a lane vector.
         ix = (f"np.full({size}, {v(x)})"
-              if op in (Op.STR, Op.STMI) and x[0] is not ARRAY else self._f(x))
+              if op in (Op.STR, Op.STMI) and x.kind is not ARRAY else self._f(x))
         w.put(f"ei = {ix}.astype(np.int64)")
         if op is Op.LDR or op is Op.STR:
             what = "read from" if op is Op.LDR else "write to"
@@ -544,15 +575,12 @@ class _Printer:
                 target = (term.on_true if kind == planmod.K_FALL
                           else term.on_false)
                 w.put(f"pc[{lv}] = {target}")
-                if term.set_sp:
-                    w.put(f"sp[{lv}] = {term.fin}")
             elif kind == planmod.K_COND:
                 self._branch(w, term, lv, sizes[j])
             elif kind == planmod.K_RET:
                 w.put(f"pc[{lv}] = -2")
             else:  # K_HALT
                 w.put(f"pc[{lv}] = -1")
-                w.put(f"sp[{lv}] = 0")
                 w.put(f"rsp[{lv}] = 0")
             w.indent -= 1
 
@@ -575,7 +603,6 @@ class _Printer:
             w.put("    )")
             w.put(f"{lv}c = free[:{sizes[j]}]")
             w.put(f"poly[:, {lv}c] = poly[:, {lv}]")
-            w.put(f"sp[{lv}c] = 0")
             w.put(f"rsp[{lv}c] = 0")
             w.put(f"pc[{lv}c] = {term.on_true}")
             w.indent -= 1
@@ -583,20 +610,18 @@ class _Printer:
     def _branch(self, w, term, lv: str, size: str) -> None:
         c = term.cond
         if c is None:
-            cexpr = f"stack[{term.fin - 1}][{lv}]"
-        elif c[0] is ARRAY or not term.split:
-            cexpr = self._v(c)
+            cexpr = f"stack[{term.fin - 1}][{lv}] != 0"
+        elif c.kind is ARRAY or not term.split:
+            cexpr = self._test(c)
         else:
             # Scalar condition but the successors need the split lane
             # sets: widen it once.
-            w.put(f"cond = np.full({size}, {self._v(c)})")
-            cexpr = "cond"
-        w.put(f"sp[{lv}] = {term.fin - 1}")
+            cexpr = f"np.full({size}, {self._test(c)})"
         if term.split:
-            w.put(f"tk = {cexpr} != 0")
+            w.put(f"tk = {cexpr}")
             w.put(f"pc[{lv}] = np.where(tk, {term.on_true}, {term.on_false})")
             w.put(f"{lv}t = {lv}[tk]")
             w.put(f"{lv}f = {lv}[~tk]")
         else:
-            w.put(f"pc[{lv}] = np.where({cexpr} != 0, "
+            w.put(f"pc[{lv}] = np.where({cexpr}, "
                   f"{term.on_true}, {term.on_false})")

@@ -45,6 +45,20 @@ member's last chain hands its top of stack to the terminator instead
 of storing it. A row is an integer, or a :class:`Dv` offset from the
 per-lane depth of a mixed-depth entry.
 
+Comparison and logical results are **bool values** (a NumPy ``bool``
+array or scalar, a C ``int`` 0 or 1): terminators, ``Sel`` and the
+logical ops test them as they are, and a store into a float64 row
+converts them on its own. Only an op that needs a number (arithmetic,
+bitwise, a comparison, an index) reads one through a ``num``
+statement, at most once per value and chain, so a branch condition is
+never cast to float64 only to be tested ``!= 0`` again.
+
+No kernel stores ``sp``: every block's entry depth is a constant
+(:meth:`~repro.ir.cfg.Cfg.verify`), so depths live in the plan, and
+the interpretive segment walk, the one reader of ``st.sp``, sets each
+member's pointer from ``SimdProgram.entry_depths`` before it runs a
+segment.
+
 Lowering changes nothing about results or the simulated cost model.
 Re-serialization and the hoisted overflow guard may only change which
 of several errors a failing run reports first (see
@@ -65,14 +79,31 @@ from repro.ir.instr import BINARY_OPS, UNARY_OPS, Op
 PUSHING_OPS = frozenset({Op.PUSH, Op.DUP, Op.LD, Op.LDM, Op.PROCNUM,
                          Op.NPROC, Op.RPOP})
 
-#: Value kinds. A value is a ``(kind, x)`` pair: ``ARRAY`` and
-#: ``SCALAR`` name temporary ``x`` (one value per lane, or one
-#: lane-independent value such as a mono read), ``CONST`` is the
-#: literal float ``x``, and ``NPES`` is the machine width as a float.
+#: Value kinds: ``ARRAY`` and ``SCALAR`` name temporary ``x`` (one
+#: value per lane, or one lane-independent value such as a mono read),
+#: ``CONST`` is the literal float ``x``, and ``NPES`` is the machine
+#: width as a float.
 ARRAY, SCALAR, CONST, NPES = "a", "s", "k", "n"
+
+#: Ops whose result is a bool value.
+BOOL_OPS = frozenset({Op.LT, Op.LE, Op.GT, Op.GE, Op.EQ, Op.NE,
+                      Op.LAND, Op.LOR, Op.NOT, Op.BOOL})
+
+#: Ops that read bool operands as they are; every other consumer of a
+#: bool value reads its ``num`` conversion.
+_TRUTH_OPS = frozenset({Op.LAND, Op.LOR, Op.NOT, Op.BOOL})
 
 _TERM_KINDS = (planmod.K_FALL, planmod.K_COND, planmod.K_RET,
                planmod.K_HALT, planmod.K_SPAWN)
+
+
+class Val(NamedTuple):
+    """One IR value: its :data:`kind <ARRAY>`, its name or literal
+    ``x``, and whether it is a bool value (see the module docstring)."""
+
+    kind: str
+    x: object
+    boolean: bool = False
 
 
 class KernelUnsupported(Exception):
@@ -100,8 +131,11 @@ class Chain(NamedTuple):
     the segment's members), as ``(tag, n, args, instr)`` tuples:
 
     - ``(Op, n, values, instr)``: one instruction over its operand
-      values; a value-producing op defines temporary ``n``. Every ``n``
-      is unique within its node, so printers may derive names from it;
+      values (:class:`Val`); a value-producing op defines temporary
+      ``n``. Every ``n`` is unique within its node, so printers may
+      derive names from it;
+    - ``("num", n, (value,), None)``: bool ``value`` as a float64
+      number ``n``;
     - ``("stack" | "poly" | "mono", n, (index,), None)`` and
       ``("pids", n, (), None)``: load a stack row, a slot or the PE id
       into ``n``;
@@ -123,11 +157,9 @@ class Term(NamedTuple):
     on_false: int
     #: Operand-stack depth after the body.
     fin: int
-    #: The body moved the depth, so Fall / spawn terminators store it.
-    set_sp: bool
-    #: The forwarded branch condition (a value), or ``None`` to read
+    #: The forwarded branch condition (a :class:`Val`), or ``None`` to read
     #: stack row ``fin - 1``.
-    cond: tuple | None
+    cond: Val | None
     #: The next segment reads this conditional member's taken /
     #: not-taken lane sets.
     split: bool
@@ -187,8 +219,15 @@ def _can_serialize(sp, info) -> bool:
                for d, i in zip(sp.depth_scalars, info))
 
 
-def _kind(*vals: tuple) -> str:
-    return ARRAY if any(v[0] is ARRAY for v in vals) else SCALAR
+def yields_bool(tag, args) -> bool:
+    """Whether the chain statement ``(tag, n, args, instr)`` defines a
+    bool value."""
+    return tag in BOOL_OPS or (tag is Op.SEL and args[1].boolean
+                               and args[2].boolean)
+
+
+def _kind(*vals: Val) -> str:
+    return ARRAY if any(v.kind is ARRAY for v in vals) else SCALAR
 
 
 def lower_program(prog) -> list:
@@ -301,7 +340,7 @@ class _Lowering:
             terms.append(Term(
                 sp.kinds[j], sp.on_true[j], sp.on_false[j],
                 sp.entry_depths[j] + sp.total_delta[j],
-                sp.total_delta[j] != 0, fwd.get(j), j in split))
+                fwd.get(j), j in split))
         seg = Seg(members, sources,
                   sum(i.cost for i in info) + costs.branch_cost * n,
                   tuple(coeffs), tuple(checklist),
@@ -383,7 +422,8 @@ class _Exec:
     the stack array (deferred stores), and ``poly`` / ``mono`` / ``pids``
     cache slot reads and eagerly performed writes, so a store followed
     by a load never re-reads memory. Indexed and router stores
-    invalidate those caches."""
+    invalidate those caches. ``nums`` holds each bool value's ``num``
+    conversion."""
 
     def __init__(self, tmp):
         self.tmp = tmp
@@ -393,19 +433,30 @@ class _Exec:
         self.poly: dict = {}
         self.mono: dict = {}
         self.pids = None
+        self.nums: dict = {}
 
-    def emit(self, tag, args=(), kind=None, instr=None) -> tuple:
+    def emit(self, tag, args=(), kind=None, instr=None,
+             boolean: bool = False) -> Val:
         n = self.tmp()
         self.code.append((tag, n, args, instr))
-        return (kind, n)
+        return Val(kind, n, boolean)
 
-    def val(self, row) -> tuple:
+    def num(self, v: Val) -> Val:
+        """``v`` as a number: a bool value converts once per chain."""
+        if not v.boolean:
+            return v
+        got = self.nums.get(v.x)
+        if got is None:
+            got = self.nums[v.x] = self.emit("num", (v,), v.kind)
+        return got
+
+    def val(self, row) -> Val:
         v = self.rows.get(row)
         if v is None:
             v = self.rows[row] = self.emit("stack", (row,), ARRAY)
         return v
 
-    def set(self, row, v: tuple) -> None:
+    def set(self, row, v: Val) -> None:
         self.rows[row] = v
         self.written.add(row)
 
@@ -415,7 +466,7 @@ class _Exec:
         stack traffic."""
         op = instr.op
         if op is Op.PUSH:
-            self.set(d, (CONST, float(instr.arg)))
+            self.set(d, Val(CONST, float(instr.arg)))
         elif op is Op.POP:
             pass
         elif op is Op.LD or op is Op.LDM:
@@ -432,16 +483,24 @@ class _Exec:
             self.emit(op, (v,), None, instr)
             if op is Op.ST:
                 self.poly[int(instr.arg)] = v
-            elif v[0] is ARRAY:  # broadcast: the last writer's value
+            elif v.kind is ARRAY:  # broadcast: the last writer's value
                 self.mono.pop(int(instr.arg), None)
             else:
                 self.mono[int(instr.arg)] = v
         elif op in BINARY_OPS:
             b, a = self.val(d - 1), self.val(d - 2)
-            self.set(d - 2, self.emit(op, (a, b), _kind(a, b), instr))
+            if op not in _TRUTH_OPS:
+                a, b = self.num(a), self.num(b)
+            self.set(d - 2, self.emit(op, (a, b), _kind(a, b), instr,
+                                      yields_bool(op, (a, b))))
+        elif op is Op.BOOL and self.val(d - 1).boolean:
+            pass  # already 0 or 1
         elif op in UNARY_OPS:
             x = self.val(d - 1)
-            self.set(d - 1, self.emit(op, (x,), _kind(x), instr))
+            if op not in _TRUTH_OPS:
+                x = self.num(x)
+            self.set(d - 1, self.emit(op, (x,), _kind(x), instr,
+                                      yields_bool(op, (x,))))
         elif op is Op.SWAP:
             b, a = self.val(d - 1), self.val(d - 2)
             self.set(d - 1, a)
@@ -449,11 +508,11 @@ class _Exec:
         elif op is Op.DUP:
             self.set(d, self.val(d - 1))
         elif op in (Op.LDR, Op.LDI, Op.LDMI):
-            x = self.val(d - 1)
+            x = self.num(self.val(d - 1))
             kind = ARRAY if op is Op.LDI else _kind(x)
             self.set(d - 1, self.emit(op, (x,), kind, instr))
         elif op in (Op.STR, Op.STI, Op.STMI):
-            x, v = self.val(d - 1), self.val(d - 2)
+            x, v = self.num(self.val(d - 1)), self.val(d - 2)
             self.emit(op, (v, x), None, instr)
             if op is Op.STR:
                 self.poly.pop(int(instr.arg), None)
@@ -466,10 +525,11 @@ class _Exec:
                 self.pids = self.emit("pids", (), ARRAY)
             self.set(d, self.pids)
         elif op is Op.NPROC:
-            self.set(d, (NPES, None))
+            self.set(d, Val(NPES, None))
         elif op is Op.SEL:
             b, a, c = self.val(d - 1), self.val(d - 2), self.val(d - 3)
-            self.set(d - 3, self.emit(op, (c, a, b), _kind(a, b, c), instr))
+            self.set(d - 3, self.emit(op, (c, a, b), _kind(a, b, c), instr,
+                                      yields_bool(op, (c, a, b))))
         elif op is Op.RPUSH:
             self.emit(op, (), None, instr)
         elif op is Op.RPOP:

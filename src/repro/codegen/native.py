@@ -6,10 +6,16 @@ automaton node (NumPy whole-lane-set operations), this module prints
 one *C* function per node — fixed-width ``int64`` lane loops over the
 same state arrays, with the same lowered structure:
 
-- **stack rows are compile-time constants** — the static depth dataflow
-  of :mod:`repro.codegen.plan` makes every operand-stack row a literal
-  in the generated source (mixed-depth CSI entries index a ``static
-  const`` per-bid table);
+- **stack rows are compile-time constants** — the entry-depth map of
+  :meth:`repro.ir.cfg.Cfg.verify` (read through :mod:`repro.codegen.plan`)
+  makes every operand-stack row a literal in the generated source
+  (mixed-depth CSI entries index a ``static const`` per-bid table), so
+  no function takes or stores a stack pointer;
+- **bool values are ints** — a comparison or logical result is a C
+  ``int`` that terminators, ``?:`` and the logical ops test as it is;
+  an op that needs a number reads its ``(double)`` conversion, and a
+  store converts on its own. Integer ``/`` and ``%`` divide unsigned
+  magnitudes, which do not wrap at -2**63;
 - **deferred materialization** — a serializable member's whole schedule
   chain runs per lane in C locals; only the rows still live at the
   member's final depth are stored back, and a branch condition flows
@@ -94,13 +100,13 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.codegen import plan as planmod
-from repro.codegen.kir import CONST, NPES
+from repro.codegen.kir import CONST, NPES, Val, yields_bool
 from repro.hashenc.search import key_of_members
 from repro.ir.instr import BINARY_OPS, UNARY_OPS, Op
 
 #: Bump when the generated-code / runtime ABI contract changes; part of
 #: the shared-library cache key (see :mod:`repro.simd.nativert`).
-NATIVE_VERSION = 2
+NATIVE_VERSION = 3
 
 # ----------------------------------------------------------------------
 # error codes — returned by the generated functions; the machine replays
@@ -144,7 +150,7 @@ NATIVE_ERROR_MESSAGES = {
 #: return value is 0 or an error code.
 _PARAMS = (
     "i64 *restrict pc, i64 n, "
-    "double *restrict stack, i64 s_str, i64 s_rows, i64 *restrict sp, "
+    "double *restrict stack, i64 s_str, i64 s_rows, "
     "double *restrict rstack, i64 r_str, i64 r_rows, i64 *restrict rsp, "
     "double *restrict poly, i64 p_str, double *restrict mono, "
     "double *restrict pids, i64 npes, i64 *restrict pc0, i64 *restrict out"
@@ -158,7 +164,6 @@ _PARAMS = (
 CTX_FIELDS = (
     ("pc", "int64_t *"), ("n", "int64_t"),
     ("stack", "double *"), ("s_str", "int64_t"), ("s_rows", "int64_t"),
-    ("sp", "int64_t *"),
     ("rstack", "double *"), ("r_str", "int64_t"), ("r_rows", "int64_t"),
     ("rsp", "int64_t *"),
     ("poly", "double *"), ("p_str", "int64_t"), ("mono", "double *"),
@@ -214,31 +219,33 @@ static inline double f64(u64 b)
 }}
 """
 
+#: Binary and unary op expressions; comparisons and the logical ops
+#: yield a bool value (an ``int``), and the logical ops read truth
+#: values (see :func:`_test`).
 _C_BIN = {
     Op.ADD: "({a} + {b})",
     Op.SUB: "({a} - {b})",
     Op.MUL: "({a} * {b})",
-    Op.LT: "(double)({a} < {b})",
-    Op.LE: "(double)({a} <= {b})",
-    Op.GT: "(double)({a} > {b})",
-    Op.GE: "(double)({a} >= {b})",
-    Op.EQ: "(double)({a} == {b})",
-    Op.NE: "(double)({a} != {b})",
+    Op.LT: "({a} < {b})",
+    Op.LE: "({a} <= {b})",
+    Op.GT: "({a} > {b})",
+    Op.GE: "({a} >= {b})",
+    Op.EQ: "({a} == {b})",
+    Op.NE: "({a} != {b})",
     Op.BAND: "(double)((i64)({a}) & (i64)({b}))",
     Op.BOR: "(double)((i64)({a}) | (i64)({b}))",
     Op.BXOR: "(double)((i64)({a}) ^ (i64)({b}))",
     Op.SHL: "(double)((i64)({a}) << ((i64)({b}) & 63))",
     Op.SHR: "(double)((i64)({a}) >> ((i64)({b}) & 63))",
-    Op.LAND: "(double)(({a} != 0.0) && ({b} != 0.0))",
-    Op.LOR: "(double)(({a} != 0.0) || ({b} != 0.0))",
+    Op.LAND: "({a} && {b})",
+    Op.LOR: "({a} || {b})",
 }
 
 _C_UN = {
     Op.NEG: "(-({x}))",
-    Op.NOT: "(double)(({x}) == 0.0)",
     Op.BNOT: "(double)(~(i64)({x}))",
     Op.TRUNC: "trunc({x})",
-    Op.BOOL: "(double)(({x}) != 0.0)",
+    Op.BOOL: "(({x}) != 0.0)",
 }
 
 
@@ -371,7 +378,7 @@ static const msc_fn msc_nodes[{n}] = {{{names}}};
 
 i64 msc_node(msc_ctx *c, i64 k)
 {{
-    return msc_nodes[k](c->pc, c->n, c->stack, c->s_str, c->s_rows, c->sp,
+    return msc_nodes[k](c->pc, c->n, c->stack, c->s_str, c->s_rows,
                         c->rstack, c->r_str, c->r_rows, c->rsp, c->poly,
                         c->p_str, c->mono, c->pids, c->npes, c->pc0, c->out);
 }}
@@ -496,15 +503,25 @@ def _row(r) -> str:
     return f"(dd - {-r.off})" if r.off else "dd"
 
 
+def _ctype(tag, args) -> str:
+    """The C type of the value statement ``tag`` defines."""
+    return "int" if yields_bool(tag, args) else "double"
+
+
 def _fail(code: int) -> str:
     return f"{{ rc = {code}; goto finish; }}"
 
 
-def _v(v: tuple) -> str:
-    kind, x = v
-    if kind is CONST:
-        return _cf(x)
-    return "(double)npes" if kind is NPES else f"t{x}"
+def _v(v: Val) -> str:
+    if v.kind is CONST:
+        return _cf(v.x)
+    return "(double)npes" if v.kind is NPES else f"t{v.x}"
+
+
+def _test(v: Val) -> str:
+    """``v`` as a C truth value: a bool value as it is, a number
+    ``!= 0.0``."""
+    return _v(v) if v.boolean else f"({_v(v)} != 0.0)"
 
 
 class _Printer:
@@ -522,7 +539,7 @@ class _Printer:
         w.put(f"static i64 {name}({_PARAMS})")
         w.open("{")
         w.put("i64 body = 0, tcost = 0, enabled = 0, exited = 0, rc = 0;")
-        w.put("(void)stack; (void)s_str; (void)s_rows; (void)sp;")
+        w.put("(void)stack; (void)s_str; (void)s_rows;")
         w.put("(void)rstack; (void)r_str; (void)r_rows; (void)rsp;")
         w.put("(void)poly; (void)p_str; (void)mono; (void)pids; (void)npes;")
         for s, seg in enumerate(node.segments):
@@ -646,14 +663,23 @@ class _Printer:
             w.put(f"if (({ia} < 0) != ({ib} < 0)) {q} = -{q};")
             src = q if tag is Op.IDIV else f"({ia} - {q} * {ib})"
             w.put(f"double {t} = (double){src};")
+        elif tag == "num":
+            w.put(f"double {t} = (double){_v(args[0])};")
+        elif tag is Op.NOT:
+            x = args[0]
+            w.put(f"int {t} = " + (f"!{_v(x)};" if x.boolean
+                                   else f"({_v(x)} == 0.0);"))
         elif tag in BINARY_OPS:
-            expr = _C_BIN[tag].format(a=_v(args[0]), b=_v(args[1]))
-            w.put(f"double {t} = {expr};")
+            g = _test if tag is Op.LAND or tag is Op.LOR else _v
+            expr = _C_BIN[tag].format(a=g(args[0]), b=g(args[1]))
+            w.put(f"{_ctype(tag, args)} {t} = {expr};")
         elif tag in UNARY_OPS:
-            w.put(f"double {t} = {_C_UN[tag].format(x=_v(args[0]))};")
+            w.put(f"{_ctype(tag, args)} {t} = "
+                  f"{_C_UN[tag].format(x=_v(args[0]))};")
         elif tag is Op.SEL:
             c, a, b = args
-            w.put(f"double {t} = (({_v(c)}) != 0.0) ? ({_v(a)}) : ({_v(b)});")
+            w.put(f"{_ctype(tag, args)} {t} = {_test(c)} "
+                  f"? ({_v(a)}) : ({_v(b)});")
         elif tag is Op.ST:
             w.put(f"poly[{int(instr.arg)} * p_str + i] = {_v(args[0])};")
         elif tag is Op.STM:
@@ -705,22 +731,17 @@ class _Printer:
         if kind == planmod.K_FALL or kind == planmod.K_SPAWN:
             target = term.on_true if kind == planmod.K_FALL else term.on_false
             w.put(f"pc[i] = {target};")
-            if term.set_sp:
-                w.put(f"sp[i] = {term.fin};")
         elif kind == planmod.K_COND:
-            w.put(f"sp[i] = {term.fin - 1};")
             if term.on_true == term.on_false:
                 w.put(f"pc[i] = {term.on_true};")
                 return
-            cond = (_v(cond) if cond is not None
-                    else f"stack[{term.fin - 1} * s_str + i]")
-            w.put(f"pc[i] = (({cond}) != 0.0) "
-                  f"? {term.on_true} : {term.on_false};")
+            cond = (_test(cond) if cond is not None
+                    else f"(stack[{term.fin - 1} * s_str + i] != 0.0)")
+            w.put(f"pc[i] = {cond} ? {term.on_true} : {term.on_false};")
         elif kind == planmod.K_RET:
             w.put("pc[i] = -2;")
         else:  # K_HALT
             w.put("pc[i] = -1;")
-            w.put("sp[i] = 0;")
             w.put("rsp[i] = 0;")
 
     def _spawn_fill(self, w, bids, j: int, term, count: str) -> None:
@@ -737,7 +758,7 @@ class _Printer:
         if self.n_poly:
             w.put(f"for (i64 r = 0; r < {self.n_poly}; r++) "
                   "poly[r * p_str + f] = poly[r * p_str + i];")
-        w.put("sp[f] = 0; rsp[f] = 0;")
+        w.put("rsp[f] = 0;")
         w.put(f"pc[f] = {term.on_true};")
         w.put("f++;")
         w.close()

@@ -22,8 +22,8 @@ NumPy and C kernels, and the meta-step loop of
   carries (``SimdProgram.entry_depths``; spawn children restart at
   depth 0). Each entry's stack row is then a precomputed scalar — or,
   when a CSI entry is shared by members at different depths, a
-  precomputed per-bid table — so the kernels never read ``st.sp``
-  during a body;
+  precomputed per-bid table — so the kernels neither read nor store
+  ``st.sp``;
 - **bit weights** — the ``bid -> 1 << bid`` table (object dtype once
   ids exceed an int64 word), indexed directly by ``pc``: two trailing
   zeros weigh the ``PC_DONE`` (-2) and ``PC_IDLE`` (-1) sentinels, so

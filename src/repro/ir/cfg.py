@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConversionError
 from repro.ir.block import BasicBlock, CondBr, Fall, Halt, Return, SpawnT, Terminator
+from repro.ir.instr import Op
 
 
 @dataclass
@@ -27,6 +28,15 @@ class SlotInfo:
     index: int
     storage: str
     ctype: str
+
+
+class EntryDepths(dict):
+    """``block id -> operand-stack depth at entry``, as
+    :meth:`Cfg.verify` returns it, plus ``rpush``: whether a reachable
+    instruction pushes a return selector. A PE needs no return-selector
+    rows without one (:class:`~repro.simd.vecops.PeState`)."""
+
+    rpush: bool = False
 
 
 @dataclass
@@ -266,7 +276,7 @@ class Cfg:
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-    def verify(self) -> dict[int, int]:
+    def verify(self) -> EntryDepths:
         """Check structural invariants; return entry stack depth per block.
 
         Invariants: every successor id exists; each block has at most
@@ -276,10 +286,12 @@ class Cfg:
         depth 0, as the fresh PE that runs it does.
 
         The returned map is the only entry-depth walk: the SIMD program
-        carries it, and the kernel plans read every operand-stack row
-        from it (:mod:`repro.codegen.plan`).
+        carries it, the kernel plans read every operand-stack row from
+        it (:mod:`repro.codegen.plan`), and the machine sizes each PE's
+        return-selector stack by its ``rpush``.
         """
-        depths: dict[int, int] = {self.entry: 0}
+        depths = EntryDepths({self.entry: 0})
+        rpush = False
         work = [self.entry]
         while work:
             bid = work.pop()
@@ -297,6 +309,7 @@ class Cfg:
                         blk.src_line or None,
                     )
                 depth += instr.stack_delta()
+                rpush = rpush or instr.op is Op.RPUSH
             term = blk.terminator
             if isinstance(term, CondBr):
                 if depth < 1:
@@ -323,6 +336,7 @@ class Cfg:
                 else:
                     depths[s] = d
                     work.append(s)
+        depths.rpush = rpush
         return depths
 
     # ------------------------------------------------------------------

@@ -300,8 +300,15 @@ class SimdMachine:
 
     def _initial_state(self, prog: SimdProgram,
                        active: int) -> tuple[vecops.PeState, np.ndarray]:
-        st = vecops.PeState(self.npes, prog.n_poly, prog.n_mono,
-                            self.stack_depth, self.rstack_depth)
+        """Fresh PE state and ``pc``. Return-selector rows are allocated
+        only when the program pushes a selector (256 rows are 64 MB at
+        32,768 PEs). The operand stack keeps ``stack_depth`` rows:
+        freeing that 16 MB array is what raises glibc's dynamic mmap
+        threshold, and with a peak-sized stack the 256 KB temporaries of
+        a wide kernel fault in fresh pages on every request."""
+        st = vecops.PeState(
+            self.npes, prog.n_poly, prog.n_mono, self.stack_depth,
+            self.rstack_depth if prog.entry_depths.rpush else 0)
         pc = np.full(self.npes, PC_IDLE, dtype=np.int64)
         (start_bid,) = prog.start if len(prog.start) == 1 else (None,)
         if start_bid is None:
@@ -382,8 +389,8 @@ class SimdMachine:
                 apc = None
                 fn = fns.get(current) if fns is not None else None
                 if fn is None:
-                    b, t, e, exited = self._exec_node(node, pc, st, trace,
-                                                      steps)
+                    b, t, e, exited = self._exec_node(
+                        node, pc, st, prog.entry_depths, trace, steps)
                 elif fan is None or not plan.nodes[current].shardable:
                     # Full width: serial runs, and the cross-lane nodes
                     # (mono store, router, spawn) of sharded ones.
@@ -469,17 +476,18 @@ class SimdMachine:
         )
 
     def _exec_node(self, node, pc: np.ndarray, st: vecops.PeState,
-                   trace: dict | None = None,
+                   depths: dict, trace: dict | None = None,
                    step: int = 0) -> tuple[int, int, int, bool]:
         """The interpretive segment walk over one whole node, with the
         kernel return convention ``(body, transition, enabled,
         exited)``: a segment that can exit pays one ``globalor`` to
-        test for a live PE."""
+        test for a live PE. ``depths`` is the program's ``bid -> entry
+        depth`` map (kernels keep no ``st.sp``)."""
         body = 0
         tcost = 0
         enabled = 0
         for seg in node.segments:
-            c, e = self._exec_segment(seg, pc, st, trace, step)
+            c, e = self._exec_segment(seg, pc, st, depths, trace, step)
             body += c
             enabled += e
             if seg.can_exit:
@@ -505,16 +513,22 @@ class SimdMachine:
         return apc
 
     def _exec_segment(self, seg, pc: np.ndarray, st: vecops.PeState,
-                      trace: dict | None = None,
+                      depths: dict, trace: dict | None = None,
                       step: int = 0) -> tuple[int, int]:
         """Execute one segment: guarded body then guarded terminators.
-        Returns (control-unit cycles, enabled-PE cycles)."""
+        Returns (control-unit cycles, enabled-PE cycles). Each member's
+        lanes enter at the block's entry depth, which sets their
+        ``st.sp`` here: this walk is its only reader."""
         cycles = 0
         enabled = 0
         member_list = sorted(seg.members)
-        if trace is not None:
-            for bid in member_list:
-                for pe in (pc == bid).nonzero()[0]:
+        # pc moves only at the end, so each member's lanes hold
+        # throughout.
+        lanes = {bid: (pc == bid).nonzero()[0] for bid in member_list}
+        for bid in member_list:
+            st.sp[lanes[bid]] = depths[bid]
+            if trace is not None:
+                for pe in lanes[bid]:
                     trace[int(pe)].append((bid, step))
         # Body: each schedule entry runs once, on the PEs whose pc bit
         # is in its guard.
@@ -530,7 +544,7 @@ class SimdMachine:
         spawn_requests: list[tuple[np.ndarray, int]] = []
         for bid in member_list:
             term, is_barrier = seg.terminators[bid]
-            idxs = (pc == bid).nonzero()[0]
+            idxs = lanes[bid]
             c = self.costs.branch_cost
             cycles += c
             enabled += c * idxs.size

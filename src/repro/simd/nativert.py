@@ -283,7 +283,7 @@ def bind(pc: np.ndarray, st) -> Binding:
     """Bind ``pc`` and ``st`` (a :class:`~repro.simd.vecops.PeState` or
     a :class:`~repro.simd.shards.ShardView`) for the C functions, with
     a ``pc0`` scratch of their width."""
-    typed = [(a, np.int64) for a in (pc, st.sp, st.rsp)] + [
+    typed = [(a, np.int64) for a in (pc, st.rsp)] + [
         (a, np.float64)
         for a in (st.stack, st.rstack, st.poly, st.mono, st.pids)]
     if any(a.dtype != dt or (a.size and a.strides[-1] != 8)
@@ -293,7 +293,7 @@ def bind(pc: np.ndarray, st) -> Binding:
     scratch = np.empty(pc.shape[0], dtype=np.int64)
     ctx = Ctx(pc=pc.ctypes.data, n=pc.shape[0],
               stack=st.stack.ctypes.data, s_str=st.stack.strides[0] // 8,
-              s_rows=st.stack.shape[0], sp=st.sp.ctypes.data,
+              s_rows=st.stack.shape[0],
               rstack=st.rstack.ctypes.data,
               r_str=st.rstack.strides[0] // 8, r_rows=st.rstack.shape[0],
               rsp=st.rsp.ctypes.data, poly=st.poly.ctypes.data,

@@ -135,8 +135,8 @@ class ShardView:
     shardability rule in the module docstring).
     """
 
-    __slots__ = ("lo", "hi", "npes", "poly", "mono", "stack", "sp",
-                 "rstack", "rsp", "pids")
+    __slots__ = ("lo", "hi", "npes", "poly", "mono", "stack", "rstack",
+                 "rsp", "pids")
 
     def __init__(self, st, lo: int, hi: int):
         self.lo = lo
@@ -145,15 +145,9 @@ class ShardView:
         self.poly = st.poly[:, lo:hi]
         self.mono = st.mono
         self.stack = st.stack[:, lo:hi]
-        self.sp = st.sp[lo:hi]
         self.rstack = st.rstack[:, lo:hi]
         self.rsp = st.rsp[lo:hi]
         self.pids = st.pids[lo:hi]
-
-    def reset_pes(self, idxs: np.ndarray) -> None:
-        """Clear the stacks of the given (shard-local) PEs."""
-        self.sp[idxs] = 0
-        self.rsp[idxs] = 0
 
 
 def shard_globalor(pc: np.ndarray, bit_weights: np.ndarray) -> int:

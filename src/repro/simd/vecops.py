@@ -2,9 +2,15 @@
 
 One call executes one instruction for a *set* of PEs (numpy fancy
 indexing over the PE axis) — the data-parallel inner step of both the
-meta-state SIMD machine and the interpreter baseline. Per-PE stack
-pointers are supported (the interpreter needs them; the meta-state
-machine's guarded groups keep them uniform within the enabled set).
+meta-state SIMD machine's interpretive walk and the interpreter
+baseline. Per-PE stack pointers are supported (the interpreter needs
+them; the meta-state machine's guarded groups keep them uniform within
+the enabled set). The generated kernels keep no stack pointer, so the
+meta-state machine's walk sets ``sp`` from the program's entry depths
+before each segment it runs.
+
+Integer ``/`` and ``%`` are C's truncating ones over int64 through
+``np.fmod``; a spelling through ``np.abs`` would wrap at -2**63.
 
 The semantics match :mod:`repro.ir.semantics` bit-for-bit for values
 representable in int64 (the package's numeric model; see DESIGN.md).
@@ -51,7 +57,9 @@ class PeState:
     stack / sp:
         (depth, npes) operand stacks and per-PE stack pointers.
     rstack / rsp:
-        return-selector stacks for the recursion trick.
+        return-selector stacks for the recursion trick; ``SimdMachine``
+        gives them no rows when the program pushes no selector
+        (:class:`~repro.ir.cfg.EntryDepths`).
 
     The PE axis is always the *last* axis, so a contiguous PE range is
     a numpy basic slice — a writable view, not a copy. That layout is
@@ -93,14 +101,14 @@ def _binary(op: Op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise MachineError("float division by zero")
         return a / b
     if op in (Op.IDIV, Op.MOD):
+        # C's truncating division: np.fmod is the remainder, and ia - r
+        # is a multiple of ib, so its floor quotient is the truncated
+        # one; no absolute value, which would wrap at -2**63.
         ia, ib = _as_int(a), _as_int(b)
         if (ib == 0).any():
             raise MachineError("integer division or remainder by zero")
-        q = np.abs(ia) // np.abs(ib)
-        q = np.where((ia < 0) != (ib < 0), -q, q)
-        if op is Op.IDIV:
-            return q.astype(np.float64)
-        return (ia - q * ib).astype(np.float64)
+        r = np.fmod(ia, ib)
+        return ((ia - r) // ib if op is Op.IDIV else r).astype(np.float64)
     if op is Op.LT:
         return (a < b).astype(np.float64)
     if op is Op.LE:

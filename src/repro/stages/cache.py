@@ -64,7 +64,11 @@ from pathlib import Path
 #: v12: programs carry ``Cfg.verify``'s entry-depth map
 #: (``SimdProgram.entry_depths``), and an unbuilt kernel or native
 #: emission is ``None`` instead of ``"unbuilt"``.
-CACHE_VERSION = 12
+#: v13: kernels keep bool values and no ``sp`` (``KERNEL_VERSION`` 4,
+#: ``NATIVE_VERSION`` 3), the entry-depth map says whether the program
+#: pushes a return selector, and lazy analyzed bundles carry their
+#: analysis.
+CACHE_VERSION = 13
 
 #: Top-level repro subpackages whose code determines compile output.
 #: ``simd``/``mimd`` (simulators) and ``analysis``/``viz`` are runtime
@@ -167,21 +171,20 @@ class CachedCompile:
     parse→plan stages produce. ``program`` carries its precompiled
     ``ProgramPlan`` inside, so a warm run goes straight to simulation.
 
-    An eager compile with ``analyze`` on also stores what its analyzers
+    A compile with ``analyze`` on also stores what its analyzers
     found: ``diagnostics`` and ``analysis``, its ``analyze`` and
     ``analyze-meta`` stage records with their per-analyzer sub-rows,
     counters only (cached, 0.0 s). A hit replays them and runs no
-    analyzer, so an eager hit never parses the source.
+    analyzer, so a hit never parses the source.
 
     Lazy compiles store ``program=None`` and ``lazy_engine`` instead:
     the pickled :class:`~repro.core.convert.ConversionEngine` whose
-    graph holds every state discovered so far (the CLI re-stores the
-    bundle after a lazy run, so runtime discovery accumulates in the
-    cache). Plans and kernels are not stored — they re-JIT
-    deterministically per node on resume. Their ``analysis`` stays
-    empty: the frontier verifier reads the loaded engine, which the
-    cold exploration and later runs have grown, so its findings on a
-    hit are not the cold compile's and a lazy hit re-analyzes."""
+    graph holds every state conversion and the runs discovered (the
+    CLI re-stores the bundle after a lazy run, keeping the analysis,
+    so runtime discovery accumulates in the cache). The frontier
+    verifier's walk explores a copy, so its states stay out. Plans and
+    kernels are not stored — they re-JIT deterministically per node on
+    resume."""
 
     cfg: object
     graph: object

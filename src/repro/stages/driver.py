@@ -32,10 +32,9 @@ memoizable: with a :class:`~repro.stages.cache.CompileCache`, a compile
 whose content key (source + options + cost model + code version) was
 seen before loads ``cfg``/``graph``/``program``/``plan`` and runs no
 stage at all — the report then shows one cached record per stage and
-zero executed stages. That holds for every eager hit, analyzed ones
-included: an eager bundle carries its diagnostics and ``analyze`` rows,
-and the hit replays them. A lazy analyzed hit re-runs the two analyze
-stages against the loaded engine (:func:`_analyze_cached`).
+zero executed stages. That holds for every hit, analyzed ones
+included: an analyzed bundle, eager or lazy, carries its diagnostics
+and ``analyze`` rows, and the hit replays them.
 
 To add a stage: write a ``_stage_<name>(ctx)`` function that reads and
 writes ``CompileContext`` fields and returns a counters dict, append a
@@ -46,6 +45,7 @@ the stage affects the artifacts) bump
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -328,13 +328,22 @@ def _stage_analyze(ctx: CompileContext) -> dict:
 
 def _stage_analyze_meta(ctx: CompileContext) -> dict:
     """Post-convert analyzers: meta graph/program/plan verifier and the
-    meta-state race detector (needs the converted graph)."""
+    meta-state race detector (needs the converted graph).
+
+    Under ``--lazy`` the frontier verifier expands the states it walks,
+    so it explores a copy of the engine: the compile's own engine, which
+    the cache stores and the run resumes, keeps only what conversion
+    discovered."""
     from repro.lint.driver import LintContext
 
+    engine, graph = ctx.engine, ctx.graph
+    if engine is not None:
+        engine = copy.deepcopy(engine, {id(ctx.cfg): ctx.cfg})
+        graph = engine.graph
     lc = LintContext(source=ctx.source, options=ctx.options,
                      ast=ctx.ast, sema=ctx.sema, cfg=ctx.cfg,
-                     graph=ctx.graph, program=ctx.program, plan=ctx.plan,
-                     engine=ctx.engine, scratch=ctx.lint_scratch)
+                     graph=graph, program=ctx.program, plan=ctx.plan,
+                     engine=engine, scratch=ctx.lint_scratch)
     found, records = _lint_driver(ctx.options).run_phase(lc, "meta")
     ctx.pass_records["analyze-meta"] = records
     ctx.diagnostics.extend(found)
@@ -424,11 +433,8 @@ def run_pipeline(source: str, options, cache=None):
             report.cache = "hit"
             _record_cached_stages(report, payload)
             if getattr(options, "analyze", False):
-                if payload.analysis:
-                    report.records.extend(payload.analysis)
-                    report.diagnostics = list(payload.diagnostics)
-                else:
-                    _analyze_cached(source, options, payload, report)
+                report.records.extend(payload.analysis)
+                report.diagnostics = list(payload.diagnostics)
                 _check_werror(options, report.diagnostics)
             result = ConversionResult(
                 source=source, cfg=payload.cfg, graph=payload.graph,
@@ -453,11 +459,8 @@ def run_pipeline(source: str, options, cache=None):
             cfg=ctx.cfg, graph=ctx.graph, restarts=ctx.restarts,
             program=ctx.program, lazy_engine=ctx.engine,
         )
-        if getattr(options, "analyze", False) and ctx.engine is None:
-            payload.diagnostics = report.diagnostics
-            payload.analysis = tuple(
-                _as_cached(report.stage(stage.name))
-                for stage in (ANALYZE_STAGE, ANALYZE_META_STAGE))
+        if getattr(options, "analyze", False):
+            payload.diagnostics, payload.analysis = _analysis_of(report)
         cache.store(report.key, payload)
         report.store_seconds = time.perf_counter() - t0
 
@@ -482,10 +485,14 @@ def store_lazy_progress(cache, result) -> bool:
     if cache is None or engine is None:
         return False
     key = compile_key(result.source, result.options)
-    return cache.store(key, CachedCompile(
+    payload = CachedCompile(
         cfg=result.cfg, graph=result.graph, restarts=result.restarts,
         program=None, lazy_engine=engine,
-    ))
+    )
+    if getattr(result.options, "analyze", False):
+        # The analysis is the compile's, whatever the run discovered.
+        payload.diagnostics, payload.analysis = _analysis_of(result.report)
+    return cache.store(key, payload)
 
 
 def _as_cached(rec: StageRecord) -> StageRecord:
@@ -494,30 +501,13 @@ def _as_cached(rec: StageRecord) -> StageRecord:
                        subrecords=[_as_cached(sub) for sub in rec.subrecords])
 
 
-def _analyze_cached(source: str, options, payload: CachedCompile,
-                    report: StageReport) -> None:
-    """Re-run the analyzers on a lazy cache hit.
-
-    A lazy bundle holds an engine, not a program, and its frontier
-    verifier explores the loaded engine, which the cold exploration
-    and any run since have grown; so the hit re-parses the source (for
-    the AST-level lints) and re-analyzes the loaded artifacts.  This
-    is not cheap: parse, sema and the analyzer imports included, it
-    was about 60% of a warm analyzed ``-O2`` compile of the workload
-    library while eager hits took this path too.  Only lint-passing
-    compiles are ever stored, so this cannot turn a cached success
-    into a new failure except under the same options that would have
-    failed cold."""
-    _preload_lint()
-    ctx = CompileContext(source=source, options=options)
-    _stage_parse(ctx)
-    _stage_sema(ctx)
-    ctx.cfg = payload.cfg
-    ctx.graph = payload.graph
-    ctx.engine = payload.lazy_engine
-    ANALYZE_STAGE.execute(ctx, report)
-    ANALYZE_META_STAGE.execute(ctx, report)
-    report.diagnostics = list(ctx.diagnostics)
+def _analysis_of(report: StageReport) -> tuple[list, tuple]:
+    """What an analyzed bundle carries for its hits to replay: the
+    diagnostics, and the ``analyze`` and ``analyze-meta`` rows as
+    cached rows."""
+    return list(report.diagnostics), tuple(
+        _as_cached(report.stage(stage.name))
+        for stage in (ANALYZE_STAGE, ANALYZE_META_STAGE))
 
 
 def _record_cached_stages(report: StageReport, payload: CachedCompile) -> None:

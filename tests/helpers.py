@@ -185,6 +185,61 @@ main() {
 }
 """
 
+#: Integer ``/`` and ``%`` of -2**63 and of negative values, by per-lane
+#: divisors and by negative constants (``% -1`` included): C's
+#: truncating division, which a spelling through ``abs`` gets wrong at
+#: -2**63. No quotient leaves int64 (``x / -1`` would).
+INT64_DIVISION = """
+main() {
+    poly int x; poly int y; poly int d; poly int e;
+    poly int q1; poly int q2; poly int q3; poly int q4; poly int q5;
+    poly int r1; poly int r2; poly int r3; poly int r4; poly int r5;
+    poly int r6; poly int r7;
+    x = procnum % 2 * 5 - 9223372036854775807 - 1;
+    y = -7 - procnum * 5;
+    d = procnum % 3 + 2;
+    e = -(procnum % 4) - 2;
+    q1 = x / d;
+    r1 = x % d;
+    q2 = x / e;
+    r2 = x % e;
+    q3 = y / d + y / e * 100;
+    r3 = y % d + y % e * 100;
+    q4 = x / -7 + x / 2;
+    r4 = x % -7 + x % 2 * 10;
+    q5 = y / -3 + y / -1 * 100;
+    r5 = x % -1 + y % -1 + y % -3 * 10;
+    r6 = x / 7 % 1000 + x % 7 * 10000;
+    r7 = (y - e) / (e - 1) + (y - e) % (e - 1) * 100;
+    return (q1 % 1000 + q2 % 1000 + q3 + q4 % 1000 + q5
+            + r1 + r2 + r3 + r4 + r5 + r6 + r7);
+}
+"""
+
+#: Comparison and logical results as operands of ``+ - * / %``, unary
+#: ``-``, ``~``, ``!``, ``?:`` and of comparisons: where a NumPy bool
+#: is not the 0/1 number the machine holds (``True + True`` is
+#: ``True``, ``-b`` raises, ``~True`` is ``False``).
+BOOL_OPERANDS = """
+main() {
+    poly int a; poly int b; poly int c; poly int s; poly float f;
+    a = procnum % 4 - 1;
+    b = (a < 1) + (a > -1);
+    b = b + (a == 0) * 3 - (a != 1) - (a <= 0);
+    c = (a >= 0) - (a <= 1);
+    c = c * 10 + -(a != 1) + -(a > 0) * (a < 2);
+    s = ~(a > 0) + (a == 2) / ((a < 2) + 1) + (a >= 1) % ((a > 5) + 2);
+    s = s * 10 + ~(a < 1) + ((a < 1) == (a > -1)) * 5;
+    s = s + ((a > 0) ? (a < 2) : (a == -1)) * 4;
+    s = s + ((a > 0) ? 9 : (a == -1)) + ((a && b) ? 7 : 8);
+    s = s + ((a || c) + !a + !(a > 0) + (a && (b > 1)) * 3);
+    f = (a > 0) / 2.0 + (a < 1) * 1.5 - (a == 2);
+    if ((a > 0) + (a < 2) > 1) { s = s + 100; }
+    if (a && !(b < 1)) { c = c - 100; }
+    return (b * 1000 + c * 100 + s + f);
+}
+"""
+
 #: Everything that exercises the oracle (name, source).
 CORPUS: list[tuple[str, str]] = [
     ("listing1", LISTING1_RUNNABLE),
@@ -197,6 +252,8 @@ CORPUS: list[tuple[str, str]] = [
     ("diverge_3way", DIVERGE_3WAY),
     ("nested_loops", NESTED_LOOPS),
     ("float_math", FLOAT_MATH),
+    ("int64_division", INT64_DIVISION),
+    ("bool_operands", BOOL_OPERANDS),
 ]
 
 #: Option sets exercised against the corpus. The time-split entries

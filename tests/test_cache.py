@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -332,11 +333,37 @@ class TestAnalyzedHits:
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "[]"
 
-    def test_lazy_hit_reanalyzes(self, tmp_path):
-        source = all_sources()["divergent_loops"]
+    def test_lazy_hit_replays_the_cold_analysis(self, tmp_path):
+        # The frontier walk of an analyzed lazy compile discovers about
+        # 95K states; it explores a copy of the engine, so the bundle
+        # keeps the 4 that conversion discovered, and a hit, also after
+        # a run re-stored the bundle, replays the cold diagnostics word
+        # for word instead of re-walking.
+        from repro.stages.driver import store_lazy_progress
+
+        source = (CORPUS / "explosion_branch_tree.mimdc").read_text()
         opts = ConversionOptions(lazy=True, analyze=True)
         cache = CompileCache(root=tmp_path)
-        convert_source(source, opts, cache=cache)
+        t0 = time.perf_counter()
+        cold = convert_source(source, opts, cache=cache)
+        cold_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
         warm = convert_source(source, opts, cache=cache)
+        warm_s = time.perf_counter() - t0
         assert warm.report.cache == "hit"
-        assert warm.report.executed_stages() == ["analyze", "analyze-meta"]
+        assert warm.report.executed_stages() == []
+        assert warm_s < cold_s
+        cold_diags = [d.to_json() for d in cold.report.diagnostics]
+        assert [d.to_json() for d in warm.report.diagnostics] == cold_diags
+        assert any("left unexpanded" in d.message
+                   for d in warm.report.diagnostics)
+        assert _analyze_rows(warm.report) == _analyze_rows(cold.report)
+        assert warm.graph.num_states() == \
+            cold.report.stage("convert").counters["meta_states"]
+
+        simulate_simd(warm, npes=8)
+        assert store_lazy_progress(cache, warm)
+        again = convert_source(source, opts, cache=cache)
+        assert again.report.executed_stages() == []
+        assert [d.to_json() for d in again.report.diagnostics] == cold_diags
+        assert _analyze_rows(again.report) == _analyze_rows(cold.report)

@@ -11,10 +11,13 @@ end to end.
 import numpy as np
 import pytest
 
-from repro import ConversionOptions
+from repro import ConversionOptions, convert_source, simulate_mimd, simulate_simd
+from repro.simd import nativert
 
 from tests.helpers import (
+    BOOL_OPERANDS,
     CORPUS,
+    INT64_DIVISION,
     OPTION_MATRIX,
     assert_equivalent,
     run_all_machines,
@@ -30,6 +33,23 @@ from tests.helpers import (
 def test_corpus_equivalence(name, src, options):
     result, simd, mimd, interp = run_all_machines(src, npes=8, options=options)
     assert_equivalent(simd, mimd, interp)
+
+
+@pytest.mark.parametrize("name,src", [("int64_division", INT64_DIVISION),
+                                      ("bool_operands", BOOL_OPERANDS)])
+def test_value_spellings_on_every_backend(name, src):
+    """The programs where the backends spell values differently (integer
+    division at -2**63, bool operands) agree with the MIMD oracle on
+    every backend this run can use, serial and sharded."""
+    result = convert_source(src, ConversionOptions())
+    mimd = simulate_mimd(result, nprocs=8)
+    runs = [("kernels", 1), ("kernels", 3), ("interp", 1)]
+    if not result.options.lazy and nativert.unavailable_reason() is None:
+        runs += [("native", 1), ("native", 3)]
+    for backend, shards in runs:
+        simd = simulate_simd(result, npes=8, backend=backend, shards=shards)
+        assert (simd.backend_used, simd.shards) == (backend, shards), name
+        assert_equivalent(simd, mimd)
 
 
 @pytest.mark.parametrize("npes", [1, 2, 3, 7, 16, 33])

@@ -153,7 +153,8 @@ class TestInterpFallback:
     @pytest.mark.parametrize("compress", (False, True))
     def test_mixed_run_bit_identical(self, name, compress):
         # Every other node loses its kernel, so kernel nodes and interp
-        # walks alternate and hand the stack pointers to each other.
+        # walks alternate: kernels keep no stack pointer, and the walk
+        # sets it from the program's entry depths.
         src = STANDARD[name]()
         result = convert_source(src, ConversionOptions(compress=compress))
         prog = result.simd_program()
@@ -290,10 +291,57 @@ class TestKernelProgram:
 #: Spellings the printer must not emit: the ``np.flatnonzero`` and
 #: ``np.any`` wrappers (the ``nonzero()`` / ``any()`` methods skip their
 #: dispatch), a per-node ``np.errstate`` (the step loop and the shard
-#: workers hold the scope), and a 2-D index of a literal stack or poly
-#: row (the row view is indexed first, then its lanes).
+#: workers hold the scope), a 2-D index of a literal stack or poly
+#: row (the row view is indexed first, then its lanes), ``np.abs``
+#: (integer division goes through ``np.fmod``), a store to ``sp`` (no
+#: kernel keeps the stack pointer), and a comparison cast to float64
+#: (it stays a bool value).
 SLOW_SPELLINGS = re.compile(
-    r"np\.flatnonzero\(|np\.any\(|np\.errstate|\b(stack|poly)\[\d+, ")
+    r"np\.flatnonzero\(|np\.any\(|np\.errstate|\b(stack|poly)\[\d+, "
+    r"|np\.abs\(|\bsp\[|\s(?:[<>]=?|[!=]=)\s.*\)\.astype\(np\.float64\)")
+
+
+def slow_spelling(source: str) -> str | None:
+    """The first :data:`SLOW_SPELLINGS` match in a kernel ``source``, or
+    a bool value converted to float64 and then tested ``!= 0``."""
+    hit = SLOW_SPELLINGS.search(source)
+    if hit is not None:
+        return hit.group()
+    for node in source.split("\ndef "):
+        casts = set(re.findall(
+            r"^\s*(t\d+) = t\d+\.astype\(np\.float64\)$", node, re.M))
+        tested = casts & set(re.findall(r"\b(t\d+) != 0\b", node))
+        if tested:
+            return f"{min(tested)} != 0"
+    return None
+
+
+class TestStackSizing:
+    """Return-selector rows are allocated only for a program that pushes
+    a selector (``Cfg.verify()`` records it); a recursive program
+    overflows them exactly as before."""
+
+    def test_rows_follow_the_program(self):
+        for name, make in sorted(STANDARD.items()):
+            prog = convert_source(make(), ConversionOptions(
+                lazy=False)).simd_program()
+            rpush = prog.entry_depths.rpush
+            assert rpush == (name == "collatz_depth"), name
+            st, _ = SimdMachine(npes=4)._initial_state(prog, 4)
+            assert st.stack.shape == (64, 4), name
+            assert st.rstack.shape == (256 if rpush else 0, 4), name
+
+    @pytest.mark.parametrize("backend", HOST_BACKENDS)
+    def test_return_selector_overflow_unchanged(self, backend):
+        from tests.helpers import RECURSIVE
+
+        result = convert_source(RECURSIVE, ConversionOptions(lazy=False))
+        assert result.simd_program().entry_depths.rpush
+        with pytest.raises(MachineError,
+                           match="return-selector stack overflow"):
+            SimdMachine(npes=8, costs=result.options.costs,
+                        backend=backend, rstack_depth=1).run(
+                            result.simd_program())
 
 
 class TestHotPathSpellings:
@@ -303,8 +351,24 @@ class TestHotPathSpellings:
             source = convert_source(make(), ConversionOptions(
                 opt_level=opt_level)).simd_program().kernels().source
             assert "def node_0(" in source, name
-            hit = SLOW_SPELLINGS.search(source)
-            assert hit is None, (name, opt_level, hit and hit.group())
+            assert slow_spelling(source) is None, (name, opt_level)
+
+    @pytest.mark.parametrize("opt_level", (1, 2))
+    def test_library_c_keeps_no_sp(self, opt_level):
+        for name, make in sorted(STANDARD.items()):
+            c = convert_source(make(), ConversionOptions(
+                opt_level=opt_level)).simd_program().native().c_source
+            assert "static i64 node_0(" in c, name
+            assert re.search(r"\bsp\b", c) is None, (name, opt_level)
+
+    def test_spellings_are_caught(self):
+        for old in ("q = np.abs(ia) // 3",
+                    "sp[m0_0] = 2",
+                    "t3 = (t1 < t2).astype(np.float64)",
+                    "t3 = t2.astype(np.float64)\n    tk = t3 != 0"):
+            assert slow_spelling(old) is not None, old
+        assert slow_spelling("t3 = t2.astype(np.float64)\n"
+                             "    rsp[m0_0] = 0\n    tk = t2") is None
 
     def test_lazy_jit(self, monkeypatch):
         from repro.codegen import kernels
@@ -322,8 +386,7 @@ class TestHotPathSpellings:
         assert res.backend_used == "kernels"
         assert len(sources) >= 8
         for source in sources:
-            hit = SLOW_SPELLINGS.search(source)
-            assert hit is None, hit.group()
+            assert slow_spelling(source) is None
 
 
 #: Every PE writes ``procnum + 1`` to PE 0 through the router.

@@ -42,9 +42,24 @@ LOOP_VARS = ["i0", "i1"]
 
 
 @st.composite
+def divisors(draw, depth: int) -> str:
+    """A denominator that is nonzero by construction: a constant in
+    2..7 or -7..-1, or a per-lane ``(expr % k + k)`` in 1..2k-1,
+    possibly negated."""
+    kind = draw(st.sampled_from(["const", "negative", "lane"]))
+    if kind == "const":
+        return str(draw(st.integers(min_value=2, max_value=7)))
+    if kind == "negative":
+        return f"-{draw(st.integers(min_value=1, max_value=7))}"
+    k = draw(st.integers(min_value=2, max_value=5))
+    lane = f"({draw(expressions(depth=depth + 1))} % {k} + {k})"
+    return f"-{lane}" if draw(st.booleans()) else lane
+
+
+@st.composite
 def expressions(draw, depth: int = 0) -> str:
     """An int-valued expression over the poly variables. Division is
-    kept safe by construction (denominator = |expr| % k + 1)."""
+    kept safe by construction (see :func:`divisors`)."""
     if depth >= 2:
         leaf = draw(st.sampled_from(["const", "var", "procnum"]))
         if leaf == "const":
@@ -65,12 +80,9 @@ def expressions(draw, depth: int = 0) -> str:
     if kind == "cmp":
         op = draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
         return f"({a} {op} {b})"
-    if kind == "mod":
-        k = draw(st.integers(min_value=2, max_value=7))
-        return f"({a} % {k})"
-    if kind == "div":
-        k = draw(st.integers(min_value=2, max_value=7))
-        return f"({a} / {k})"
+    if kind in ("mod", "div"):
+        op = "%" if kind == "mod" else "/"
+        return f"({a} {op} {draw(divisors(depth))})"
     if kind == "unary":
         op = draw(st.sampled_from(["-", "!", "~"]))
         return f"({op}{a})"
