@@ -66,6 +66,22 @@ constant-divisor folding. In the generated code
   conditional splits, spawn children) instead of re-scanning ``pc``;
   only barrier-wait members re-scan, because previously parked PEs may
   rejoin there;
+- **full-width lane sets** — a node whose first segment has one
+  member gets a second body, inline after that member's scan: when
+  the member holds every PE (``m0_0.size == pc.shape[0]``) the whole
+  node runs on whole rows and returns. Loads copy a row
+  (``poly[r].copy()``; the executor keeps a loaded value across a later
+  store to its row), stores assign one (``poly[r] = v``), terminators
+  fill ``pc`` (``pc.fill(t)``, ``pc[:] = np.where(c, t, f)``), and only
+  the ops that need lane indices (``LdI``/``StI``, ``RPush``/``RPop``,
+  a mixed-depth ``dv``, spawn fills) take ``np.arange(pc.shape[0])``.
+  A later member that all of a full member reaches stays full: a
+  fall-through, a union holding a full set, and a barrier-wait member
+  fed by a full set (nobody was parked there). Split, child and
+  re-scanned sets take the indexed spelling. Every check is the
+  indexed body's, and at 32,768 lanes a whole-row copy, assignment or
+  ``pc.fill`` costs a sixth to a quarter of the fancy index it
+  replaces;
 - **accounting is closed-form** — control-unit cycles are a constant
   per segment and enabled-PE cycles a precomputed integer coefficient
   per member times its lane count.
@@ -99,9 +115,11 @@ PE axis with absolute ids of its own making — lane sets come from
 ``pc.shape[0]``, and PE ids from ``st.pids``. A
 :class:`~repro.codegen.plan.NodePlan.shardable` node's kernel may
 therefore run on a :class:`~repro.simd.shards.ShardView` (a contiguous
-slice of the PE axis) exactly as on the full state; only cross-lane
-nodes (mono stores, router ops, spawn fills scanning the global free
-pool) are pinned to full-width execution.
+slice of the PE axis) exactly as on the full state; a shard whose
+slice lies wholly in the node's one entry block takes the full-width
+body, whatever its neighbours take. Only cross-lane nodes (mono
+stores, router ops, spawn fills scanning the global free pool) are
+pinned to full-width execution.
 """
 
 from __future__ import annotations
@@ -125,7 +143,9 @@ __all__ = ["KERNEL_VERSION", "KernelProgram", "KernelUnsupported",
 #: and ``invalid``.
 #: v4: comparisons yield bool values, integer division goes through
 #: ``np.fmod``, and kernels neither read nor store ``st.sp``.
-KERNEL_VERSION = 4
+#: v5: a node whose first segment has one member runs on whole rows
+#: when that member holds every PE (full-width lane sets).
+KERNEL_VERSION = 5
 
 #: Result expressions over the operands ``{a}`` (next-to-top) and
 #: ``{b}`` (top), or ``{x}``. Div/IDiv/Mod need their zero checks and
@@ -309,23 +329,48 @@ class _Writer:
         return "\n".join(self.lines)
 
 
-def _stack_lanes(r, lv: str) -> str:
+#: The lane indices of a full lane set, for the ops that need them
+#: (2-D fancy indices and spawn fills).
+_ALL = "np.arange(pc.shape[0])"
+
+
+def _row(row: str, lv) -> str:
+    """Lanes ``lv`` of a row view: one 1-D fancy index, or the whole row
+    when ``lv`` is ``None`` (a full lane set)."""
+    return row if lv is None else f"{row}[{lv}]"
+
+
+def _stack_lanes(r, lv) -> str:
     """The stack cells of lanes ``lv`` at row ``r``: a literal row is
     indexed first and the lanes second (a 1-D fancy index into the row
-    view); a mixed-depth entry's rows are an offset from its per-lane
-    depth vector ``dv``, one 2-D fancy index."""
+    view, or the whole row for a full set); a mixed-depth entry's rows
+    are an offset from its per-lane depth vector ``dv``, one 2-D fancy
+    index."""
     if isinstance(r, int):
-        return f"stack[{r}][{lv}]"
-    return f"stack[dv - {-r.off}, {lv}]" if r.off else f"stack[dv, {lv}]"
+        return _row(f"stack[{r}]", lv)
+    lanes = lv or _ALL
+    return f"stack[dv - {-r.off}, {lanes}]" if r.off else \
+        f"stack[dv, {lanes}]"
+
+
+def _fill(array: str, lv, value) -> str:
+    """Set lanes ``lv`` of ``array`` to the scalar ``value``."""
+    return f"{array}.fill({value})" if lv is None else \
+        f"{array}[{lv}] = {value}"
 
 
 class _Printer:
     """Prints lowered nodes (:class:`repro.codegen.kir.Node`) as Python
-    functions over whole lane sets."""
+    functions over whole lane sets.
+
+    A node whose first segment has one member gets two bodies: one for
+    when that member holds every PE, which runs on whole rows, and the
+    indexed one. A lane set the printer knows to be full is ``None``
+    where a lane-set name would go."""
 
     def node(self, idx: int, name: str, node) -> str:
         self.idx = idx
-        self.consts: list[str] = []
+        self.consts: dict = {}
         w = _Writer()
         w.put(f"def {name}(pc, st):")
         w.indent += 1
@@ -334,14 +379,23 @@ class _Printer:
         w.put("rstack = st.rstack; rsp = st.rsp")
         w.put("poly = st.poly; mono = st.mono; npes = st.npes")
         w.put("body = 0; tcost = 0; enabled = 0")
-        for s, seg in enumerate(node.segments):
-            self._segment(w, s, seg)
-        w.put("return body, tcost, enabled, False")
-        return "\n".join(self.consts + [w.text(), ""])
+        segs = node.segments
+        self._lanes(w, 0, segs[0], ())
+        if len(segs[0].members) == 1:
+            w.put("if m0_0.size == pc.shape[0]:")
+            w.indent += 1
+            w.put(f"# every PE is in block {segs[0].members[0]}: "
+                  "whole rows, no lane index")
+            self._segments(w, segs, {0})
+            w.indent -= 1
+        self._segments(w, segs, set())
+        return "\n".join([*self.consts.values(), w.text(), ""])
 
     def _const(self, suffix: str, literal: str) -> str:
+        """The node constant ``suffix``, printed once however many
+        bodies read it."""
         name = f"_K{self.idx}_{suffix}"
-        self.consts.append(f"{name} = {literal}")
+        self.consts.setdefault(name, f"{name} = {literal}")
         return name
 
     def _lit(self, x: float) -> str:
@@ -351,7 +405,7 @@ class _Printer:
         if math.isfinite(x):
             return repr(x)
         bits = struct.unpack("<Q", struct.pack("<d", x))[0]
-        return self._const(f"F{len(self.consts)}", f"rt.f64({bits:#x})")
+        return self._const(f"F{bits:x}", f"rt.f64({bits:#x})")
 
     def _v(self, v: Val) -> str:
         if v.kind is CONST:
@@ -369,21 +423,45 @@ class _Printer:
         return self._v(v) if v.boolean else f"({self._f(v)} != 0)"
 
     # ------------------------------------------------------------------
-    def _segment(self, w, s: int, seg) -> None:
-        self.s = s
-        lanes = [f"m{s}_{j}" for j in range(len(seg.members))]
-        sizes = [f"n{s}_{j}" for j in range(len(seg.members))]
+    def _segments(self, w, segs, full: set) -> None:
+        """One body of a node, from just after its first segment's lane
+        scan to its return; ``full`` holds the first segment's members
+        known to hold every PE."""
+        for s, seg in enumerate(segs):
+            if s:
+                full = self._lanes(w, s, seg, full)
+            self._segment(w, s, seg, full)
+        w.put("return body, tcost, enabled, False")
+
+    def _lanes(self, w, s: int, seg, prev) -> set:
+        """Bind the lane sets of segment ``s``'s members, and return the
+        members known to hold every PE: those that all of a full member
+        of the previous segment (``prev``) reaches. Every PE came from
+        that member, so none was parked at a barrier-wait member fed
+        this way, and no set is bound for them."""
         w.put(f"# -- segment {s}: members {seg.members} --")
+        full = set()
         for j, src in enumerate(seg.sources):
-            if src is None:
-                w.put(f"{lanes[j]} = (pc == {seg.members[j]}).nonzero()[0]")
-                continue
-            refs = [f"m{s - 1}_{k}{sfx}" for k, sfx in src]
-            w.put(f"{lanes[j]} = " + (
-                "_E" if not refs else refs[0] if len(refs) == 1
-                else f"rt.union(pc.shape[0], {', '.join(refs)})"))
-        for j in range(len(seg.members)):
-            w.put(f"{sizes[j]} = {lanes[j]}.size")
+            lv = f"m{s}_{j}"
+            if src and any(not sfx and k in prev for k, sfx in src):
+                full.add(j)
+            elif src is None or seg.barrier[j]:
+                w.put(f"{lv} = (pc == {seg.members[j]}).nonzero()[0]")
+            else:
+                refs = [f"m{s - 1}_{k}{sfx}" for k, sfx in src]
+                w.put(f"{lv} = " + (
+                    "_E" if not refs else refs[0] if len(refs) == 1
+                    else f"rt.union(pc.shape[0], {', '.join(refs)})"))
+        return full
+
+    def _segment(self, w, s: int, seg, full: set) -> None:
+        self.s = s
+        lanes = [None if j in full else f"m{s}_{j}"
+                 for j in range(len(seg.members))]
+        sizes = [f"n{s}_{j}" for j in range(len(seg.members))]
+        for j, lv in enumerate(lanes):
+            w.put(f"{sizes[j]} = {lv}.size" if lv else
+                  f"{sizes[j]} = pc.shape[0]")
         if seg.body_cycles:
             w.put(f"body += {seg.body_cycles}")
         terms = [f"{c} * {sizes[j]}" for j, c in enumerate(seg.coeffs) if c]
@@ -399,47 +477,62 @@ class _Printer:
         unions: dict = {}
         for chain in seg.chains:
             gm = chain.members
-            w.put(f"if {' or '.join(sizes[j] for j in gm)}:")
-            w.indent += 1
-            if len(gm) == 1:
-                lv, size = lanes[gm[0]], sizes[gm[0]]
+            guarded = not full.intersection(gm)
+            if not guarded:
+                # A union that holds a full set is full.
+                lv, size = None, "pc.shape[0]"
             else:
-                # Lanes are stable for the whole body (pc moves in the
-                # terminators), so one union per guard set suffices.
-                lv = unions.get(gm)
-                if lv is None:
-                    lv = unions[gm] = f"u{s}_{len(unions)}"
-                    w.put(f"{lv} = rt.union(pc.shape[0], "
-                          f"{', '.join(lanes[j] for j in gm)})")
-                size = f"{lv}.size"
+                w.put(f"if {' or '.join(sizes[j] for j in gm)}:")
+                w.indent += 1
+                if len(gm) == 1:
+                    lv, size = lanes[gm[0]], sizes[gm[0]]
+                else:
+                    # Lanes are stable for the whole body (pc moves in
+                    # the terminators), so one union per guard set
+                    # suffices.
+                    lv = unions.get(gm)
+                    if lv is None:
+                        lv = unions[gm] = f"u{s}_{len(unions)}"
+                        w.put(f"{lv} = rt.union(pc.shape[0], "
+                              f"{', '.join(lanes[j] for j in gm)})")
+                    size = f"{lv}.size"
             for stmt in chain.code:
                 self._stmt(w, stmt, lv, size)
-            if all(stmt[0] == "#" for stmt in chain.code):
-                # The chain's only values are forwarded scalars.
-                w.put("pass")
-            w.indent -= 1
+            if guarded:
+                if all(stmt[0] == "#" for stmt in chain.code):
+                    # The chain's only values are forwarded scalars.
+                    w.put("pass")
+                w.indent -= 1
 
-        self._terms(w, seg, lanes, sizes)
+        self._terms(w, s, seg, lanes, sizes)
         if seg.exit_cost is not None:
             if seg.exit_cost:
                 w.put(f"tcost += {seg.exit_cost}")
             w.put("if not (pc >= 0).any():")
             w.put("    return body, tcost, enabled, True")
 
-    def _stmt(self, w, stmt, lv: str, size: str) -> None:
+    def _stmt(self, w, stmt, lv, size: str) -> None:
+        """One chain statement over lanes ``lv`` (``None``: every lane)
+        of ``size``. A whole-row load copies the row, because the
+        executor keeps a loaded value across a later store to its row
+        (in ``y = x; x = x + 1; z = y``, ``z`` reads the first load)."""
         tag, n, args, instr = stmt
         t = f"t{n}"
         v, f = self._v, self._f
         if tag == "#":
             w.put(f"# {args}")
         elif tag == "stack":
-            w.put(f"{t} = {_stack_lanes(args[0], lv)}")
+            r = args[0]
+            copy = ".copy()" if lv is None and isinstance(r, int) else ""
+            w.put(f"{t} = {_stack_lanes(r, lv)}{copy}")
         elif tag == "poly":
-            w.put(f"{t} = poly[{args[0]}][{lv}]")
+            w.put(f"{t} = poly[{args[0]}].copy()" if lv is None
+                  else f"{t} = poly[{args[0]}][{lv}]")
         elif tag == "mono":
             w.put(f"{t} = mono[{args[0]}]")
         elif tag == "pids":
-            w.put(f"{t} = st.pids[{lv}]")
+            # Never written, so a full set reads it as it is.
+            w.put(f"{t} = {_row('st.pids', lv)}")
         elif tag == "flush":
             w.put(f"{_stack_lanes(args[0], lv)} = {v(args[1])}")
         elif tag == "num":
@@ -448,7 +541,7 @@ class _Printer:
             e, table = args
             cname = self._const(f"D{self.s}_{e}", f"np.array("
                                 f"{list(map(int, table))!r}, dtype=np.int64)")
-            w.put(f"dv = {cname}[pc[{lv}]]")
+            w.put(f"dv = {cname}[{_row('pc', lv)}]")
         elif tag is Op.DIV:
             a, b = args
             if b.kind is not CONST or b.x == 0:
@@ -476,7 +569,7 @@ class _Printer:
             c, a, b = args
             w.put(f"{t} = np.where({self._test(c)}, {v(a)}, {v(b)})")
         elif tag is Op.ST:
-            w.put(f"poly[{int(instr.arg)}][{lv}] = {v(args[0])}")
+            w.put(f"{_row(f'poly[{int(instr.arg)}]', lv)} = {v(args[0])}")
         elif tag is Op.STM:
             # Broadcast: the highest-indexed enabled writer wins.
             x = args[0]
@@ -509,24 +602,25 @@ class _Printer:
             w.put(f"{t} = ((ia - np.fmod(ia, {ib})) // {ib})"
                   ".astype(np.float64)")
 
-    def _lane_op(self, w, op, t: str, args, instr, lv: str,
+    def _lane_op(self, w, op, t: str, args, instr, lv,
                  size: str) -> None:
         """Router, array and return-selector ops: an index or ``rsp``
         check, then the access."""
         v = self._v
+        lanes = lv or _ALL
         if op is Op.RPUSH:
-            w.put(f"r = rsp[{lv}]")
+            w.put(f"r = {_row('rsp', lv)}")
             w.put("if int(r.max()) >= rstack.shape[0]:")
             w.put('    raise MachineError("return-selector stack overflow")')
-            w.put(f"rstack[r, {lv}] = {self._lit(float(instr.arg))}")
-            w.put(f"rsp[{lv}] = r + 1")
+            w.put(f"rstack[r, {lanes}] = {self._lit(float(instr.arg))}")
+            w.put(f"rsp[{lv or ':'}] = r + 1")
             return
         if op is Op.RPOP:
-            w.put(f"r = rsp[{lv}] - 1")
+            w.put(f"r = {_row('rsp', lv)} - 1")
             w.put("if int(r.min()) < 0:")
             w.put('    raise MachineError("return-selector stack underflow")')
-            w.put(f"rsp[{lv}] = r")
-            w.put(f"{t} = rstack[r, {lv}]")
+            w.put(f"rsp[{lv or ':'}] = r")
+            w.put(f"{t} = rstack[r, {lanes}]")
             return
         x = args[-1]
         base = int(instr.arg)
@@ -549,51 +643,55 @@ class _Printer:
         elif op is Op.STR:
             w.put(f"poly[{base}][ei] = {v(args[0])}")
         elif op is Op.LDI:
-            w.put(f"{t} = poly[{base} + ei, {lv}]")
+            w.put(f"{t} = poly[{base} + ei, {lanes}]")
         elif op is Op.LDMI:
             w.put(f"{t} = mono[{base} + ei]")
         elif op is Op.STI:
-            w.put(f"poly[{base} + ei, {lv}] = {v(args[0])}")
+            w.put(f"poly[{base} + ei, {lanes}] = {v(args[0])}")
         else:
             # Broadcast store; colliding elements resolve to the
             # highest-indexed writer (fancy-assignment order).
             w.put(f"mono[{base} + ei] = {v(args[0])}")
 
     # ------------------------------------------------------------------
-    def _terms(self, w, seg, lanes, sizes) -> None:
+    def _terms(self, w, s: int, seg, lanes, sizes) -> None:
         """Per-member guarded terminators, spawn fills last (matching
-        the staged-update order of ``SimdMachine._exec_segment``)."""
+        the staged-update order of ``SimdMachine._exec_segment``); a
+        full member's need no guard."""
         for j, term in enumerate(seg.terms):
-            lv = lanes[j]
+            name, lv = f"m{s}_{j}", lanes[j]
             w.put(f"# terminator of block {seg.members[j]}")
-            if term.split:
-                w.put(f"{lv}t = {lv}f = _E")
-            w.put(f"if {sizes[j]}:")
-            w.indent += 1
+            if lv:
+                if term.split:
+                    w.put(f"{name}t = {name}f = _E")
+                w.put(f"if {sizes[j]}:")
+                w.indent += 1
             kind = term.kind
             if kind == planmod.K_FALL or kind == planmod.K_SPAWN:
                 target = (term.on_true if kind == planmod.K_FALL
                           else term.on_false)
-                w.put(f"pc[{lv}] = {target}")
+                w.put(_fill("pc", lv, target))
             elif kind == planmod.K_COND:
-                self._branch(w, term, lv, sizes[j])
+                self._branch(w, term, name, lv, sizes[j])
             elif kind == planmod.K_RET:
-                w.put(f"pc[{lv}] = -2")
+                w.put(_fill("pc", lv, -2))
             else:  # K_HALT
-                w.put(f"pc[{lv}] = -1")
-                w.put(f"rsp[{lv}] = 0")
-            w.indent -= 1
+                w.put(_fill("pc", lv, -1))
+                w.put(_fill("rsp", lv, 0))
+            if lv:
+                w.indent -= 1
 
         # Spawn fills: idle PEs are claimed only after every member's pc
         # update above, re-scanning the free pool per request.
         for j, term in enumerate(seg.terms):
             if term.kind != planmod.K_SPAWN:
                 continue
-            lv = lanes[j]
+            name, lv = f"m{s}_{j}", lanes[j]
             w.put(f"# spawn fill for block {seg.members[j]}")
-            w.put(f"{lv}c = _E")
-            w.put(f"if {sizes[j]}:")
-            w.indent += 1
+            if lv:
+                w.put(f"{name}c = _E")
+                w.put(f"if {sizes[j]}:")
+                w.indent += 1
             w.put("free = (pc == -1).nonzero()[0]")
             w.put(f"if free.size < {sizes[j]}:")
             w.put("    raise MachineError(")
@@ -601,27 +699,36 @@ class _Printer:
                   'requires "')
             w.put('        "spawns not to exceed the number of processors)"')
             w.put("    )")
-            w.put(f"{lv}c = free[:{sizes[j]}]")
-            w.put(f"poly[:, {lv}c] = poly[:, {lv}]")
-            w.put(f"rsp[{lv}c] = 0")
-            w.put(f"pc[{lv}c] = {term.on_true}")
-            w.indent -= 1
+            w.put(f"{name}c = free[:{sizes[j]}]")
+            w.put(f"poly[:, {name}c] = poly[:, {lv or _ALL}]")
+            w.put(f"rsp[{name}c] = 0")
+            w.put(f"pc[{name}c] = {term.on_true}")
+            if lv:
+                w.indent -= 1
 
-    def _branch(self, w, term, lv: str, size: str) -> None:
+    def _branch(self, w, term, name: str, lv, size: str) -> None:
+        """A conditional terminator over lanes ``lv`` of member
+        ``name``, and its split lane sets when the next segment reads
+        them."""
         c = term.cond
         if c is None:
-            cexpr = f"stack[{term.fin - 1}][{lv}] != 0"
+            cexpr = f"{_row(f'stack[{term.fin - 1}]', lv)} != 0"
         elif c.kind is ARRAY or not term.split:
             cexpr = self._test(c)
         else:
             # Scalar condition but the successors need the split lane
             # sets: widen it once.
             cexpr = f"np.full({size}, {self._test(c)})"
-        if term.split:
-            w.put(f"tk = {cexpr}")
-            w.put(f"pc[{lv}] = np.where(tk, {term.on_true}, {term.on_false})")
-            w.put(f"{lv}t = {lv}[tk]")
-            w.put(f"{lv}f = {lv}[~tk]")
-        else:
-            w.put(f"pc[{lv}] = np.where({cexpr}, "
+        target = f"pc[{lv or ':'}]"
+        if not term.split:
+            w.put(f"{target} = np.where({cexpr}, "
                   f"{term.on_true}, {term.on_false})")
+            return
+        w.put(f"tk = {cexpr}")
+        w.put(f"{target} = np.where(tk, {term.on_true}, {term.on_false})")
+        if lv is None:
+            w.put(f"{name}t = tk.nonzero()[0]")
+            w.put(f"{name}f = (~tk).nonzero()[0]")
+        else:
+            w.put(f"{name}t = {lv}[tk]")
+            w.put(f"{name}f = {lv}[~tk]")

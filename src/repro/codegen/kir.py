@@ -8,10 +8,14 @@ print it. A lowered segment (:class:`Seg`) holds
 
 - **member lane sources** — which terminator outputs of the previous
   segment (fall-through, taken / not-taken split, spawn children) feed
-  each member, or ``None`` where lanes are re-scanned from ``pc``: in
-  the first segment, and for barrier-wait members, where parked PEs
-  may rejoin. The NumPy printer forwards lane arrays along them; the C
-  printer scans a ``pc0`` snapshot instead, which yields the same sets;
+  each member, or ``None`` in the first segment, where lanes are
+  scanned from ``pc``. Barrier-wait members are re-scanned too, because
+  parked PEs may rejoin there, but their sources still name the sets
+  that feed them: a member fed by a set that holds every PE holds every
+  PE itself, since nobody was parked. Only non-barrier members make a
+  conditional member compute its split sets (``Term.split``). The NumPy
+  printer forwards lane arrays along the sources; the C printer scans a
+  ``pc0`` snapshot instead, which yields the same sets;
 - **closed-form accounting** — control-unit cycles are a constant per
   segment and enabled-PE cycles an integer coefficient per member
   times its lane count;
@@ -170,11 +174,15 @@ class Seg:
     """One lowered segment."""
 
     members: tuple
-    #: Per member: ``None`` (scan ``pc``) or the previous segment's
-    #: lane sets ``(member index, suffix)`` whose union it is; suffix
-    #: ``""`` is all of a member's lanes, ``"t"`` / ``"f"`` its taken /
-    #: not-taken split and ``"c"`` its spawned children.
+    #: Per member: ``None`` in the first segment (scan ``pc``), else the
+    #: previous segment's lane sets ``(member index, suffix)`` that feed
+    #: it; suffix ``""`` is all of a member's lanes, ``"t"`` / ``"f"``
+    #: its taken / not-taken split and ``"c"`` its spawned children. A
+    #: non-barrier member's lanes are their union.
     sources: tuple
+    #: Per member: a barrier wait, whose lanes are re-scanned from
+    #: ``pc`` because parked PEs may rejoin there.
+    barrier: tuple
     #: Control-unit cycles: every entry plus one terminator per member.
     body_cycles: int
     #: Per member: enabled-PE cycles per lane.
@@ -289,8 +297,8 @@ class _Lowering:
         n = len(members)
         costs = self.costs
         sources = tuple(
-            None if incoming is None or bid in self.barriers
-            else tuple(incoming.get(bid, ())) for bid in members)
+            None if incoming is None else tuple(incoming.get(bid, ()))
+            for bid in members)
         self.sp = sp
         self.info = info = [self._info(instr) for instr in sp.instrs]
         self.notes = [
@@ -328,9 +336,10 @@ class _Lowering:
             elif kind == planmod.K_SPAWN:
                 produced += [(t, (j, "c")), (f, (j, ""))]
         nxt_in = {bid: [ref for t, ref in produced if t == bid]
-                  for bid in nxt if bid not in self.barriers}
-        split = {j for refs in nxt_in.values() for j, sfx in refs
-                 if sfx in ("t", "f")}
+                  for bid in nxt}
+        split = {j for bid, refs in nxt_in.items()
+                 if bid not in self.barriers
+                 for j, sfx in refs if sfx in ("t", "f")}
 
         terms = []
         for j in range(n):
@@ -342,6 +351,7 @@ class _Lowering:
                 sp.entry_depths[j] + sp.total_delta[j],
                 fwd.get(j), j in split))
         seg = Seg(members, sources,
+                  tuple(bid in self.barriers for bid in members),
                   sum(i.cost for i in info) + costs.branch_cost * n,
                   tuple(coeffs), tuple(checklist),
                   max((r for _, reqs in checklist for _, r in reqs),

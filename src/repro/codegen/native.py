@@ -653,6 +653,12 @@ class _Printer:
             w.put(f"if ({_v(b)} == 0.0) {_fail(E_DIV_ZERO)}")
             w.put(f"double {t} = {_v(a)} / {_v(b)};")
         elif tag is Op.IDIV or tag is Op.MOD:
+            # When the quotient's magnitude is 2**63 (-2**63 / ±1 and
+            # -2**63 % ±1), ``-q`` and ``q * ib`` overflow int64. That
+            # is defined only because ``nativert.CFLAGS`` passes
+            # ``-fwrapv``: the wrap gives -2**63 and 0, as the other
+            # backends do (``-fsanitize=undefined`` reports the
+            # overflow without the flag and nothing with it).
             a, b = args
             ia, ib, q = f"ia{n}", f"ib{n}", f"q{n}"
             w.put(f"i64 {ib} = (i64)({_v(b)});")

@@ -68,7 +68,9 @@ from pathlib import Path
 #: ``NATIVE_VERSION`` 3), the entry-depth map says whether the program
 #: pushes a return selector, and lazy analyzed bundles carry their
 #: analysis.
-CACHE_VERSION = 13
+#: v14: a kernel node with a one-member first segment carries a
+#: full-width body (``KERNEL_VERSION`` 5).
+CACHE_VERSION = 14
 
 #: Top-level repro subpackages whose code determines compile output.
 #: ``simd``/``mimd`` (simulators) and ``analysis``/``viz`` are runtime

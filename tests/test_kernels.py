@@ -13,6 +13,7 @@ pickling and the compile cache.
 
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -300,13 +301,53 @@ SLOW_SPELLINGS = re.compile(
     r"np\.flatnonzero\(|np\.any\(|np\.errstate|\b(stack|poly)\[\d+, "
     r"|np\.abs\(|\bsp\[|\s(?:[<>]=?|[!=]=)\s.*\)\.astype\(np\.float64\)")
 
+#: The branch that opens a node's full-width body.
+FULL_BRANCH = "if m0_0.size == pc.shape[0]:"
+
+
+def full_body_lines(source: str) -> list[int]:
+    """The line numbers (from 1) of the full-width body in one node's
+    ``source``: the lines indented below :data:`FULL_BRANCH`."""
+    lines = source.splitlines()
+    for i, line in enumerate(lines):
+        if line.strip() == FULL_BRANCH:
+            indent = len(line) - len(line.lstrip())
+            body = []
+            for k in range(i + 1, len(lines)):
+                text = lines[k]
+                if text.strip() and len(text) - len(text.lstrip()) <= indent:
+                    break
+                body.append(k + 1)
+            return body
+    return []
+
+
+def full_bodies(source: str) -> list[str]:
+    """The text of every full-width body in a kernel ``source``."""
+    out = []
+    for node in source.split("\ndef "):
+        lines = node.splitlines()
+        body = full_body_lines(node)
+        if body:
+            out.append("\n".join(lines[n - 1] for n in body))
+    return out
+
 
 def slow_spelling(source: str) -> str | None:
-    """The first :data:`SLOW_SPELLINGS` match in a kernel ``source``, or
-    a bool value converted to float64 and then tested ``!= 0``."""
+    """The first :data:`SLOW_SPELLINGS` match in a kernel ``source``, a
+    full-width body that reads its entry member's lane set, or a bool
+    value converted to float64 and then tested ``!= 0``.
+
+    Inside a full-width body that set, ``m0_0``, holds every PE, and so
+    does every set forwarded from it: no row, no ``pc`` and no split
+    may be indexed by one, so the name must not appear at all."""
     hit = SLOW_SPELLINGS.search(source)
     if hit is not None:
         return hit.group()
+    for body in full_bodies(source):
+        for line in body.splitlines():
+            if re.search(r"\bm0_0\b", line):
+                return line.strip()
     for node in source.split("\ndef "):
         casts = set(re.findall(
             r"^\s*(t\d+) = t\d+\.astype\(np\.float64\)$", node, re.M))
@@ -369,6 +410,17 @@ class TestHotPathSpellings:
             assert slow_spelling(old) is not None, old
         assert slow_spelling("t3 = t2.astype(np.float64)\n"
                              "    rsp[m0_0] = 0\n    tk = t2") is None
+        full = ("def node_0(pc, st):\n"
+                "    m0_0 = (pc == 4).nonzero()[0]\n"
+                "    if m0_0.size == pc.shape[0]:\n"
+                "        {}\n"
+                "        return body, tcost, enabled, False\n"
+                "    pc[m0_0] = 5\n")
+        for old in ("pc[m0_0] = 5", "t0 = poly[1][m0_0]",
+                    "m1_0 = m0_0", "m0_0t = m0_0[tk]",
+                    "u1_0 = rt.union(pc.shape[0], m0_0, m1_1)"):
+            assert slow_spelling(full.format(old)) is not None, old
+        assert slow_spelling(full.format("pc.fill(5)")) is None
 
     def test_lazy_jit(self, monkeypatch):
         from repro.codegen import kernels
@@ -473,3 +525,165 @@ class TestCacheIntegration:
         assert rec.counters["kernel_nodes"] == \
             r.simd_program().node_count()
         assert rec.counters["kernel_bytes"] > 0
+
+
+#: The scaling loop of the ``wide_kernels`` benchmark workload (seed 0).
+SCALING_LOOP = """
+main() {
+    poly int x; poly int i;
+    x = (procnum + 0) % 7;
+    for (i = 0; i < 8; i += 1) {
+        if (x % 2) { x = x * 3 + 1; } else { x = x / 2 + i; }
+    }
+    return (x);
+}
+"""
+
+
+def kernel_lines(run) -> set:
+    """``(code file, line)`` of every line ``run()`` executes in a
+    generated kernel on this thread."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def calls(frame, event, arg):
+        return (local if frame.f_code.co_filename.startswith("<msc-kernel-")
+                else None)
+
+    old = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return seen
+
+
+class TestFullWidth:
+    """A node whose first segment has one member also runs on whole
+    rows, with no lane index, when that member holds every PE. Both
+    bodies must equal the interpretive executor, at a width where the
+    whole-row spellings differ from the indexed ones."""
+
+    @pytest.mark.parametrize("name", sorted(STANDARD) + ["scaling_loop"])
+    def test_both_bodies_bit_identical(self, name):
+        src = SCALING_LOOP if name == "scaling_loop" else STANDARD[name]()
+        # The interp run of odd_even_sort dominates at 1,024 PEs.
+        npes = 256 if name == "odd_even_sort" else 1024
+        result = convert_source(src)
+        prog = result.simd_program()
+        # Every PE active takes the full bodies (spawn_waves fills the
+        # machine from half of it); one PE fewer never does.
+        full = npes // 2 if "spawn" in src else npes
+        for active in (full, full - 1):
+            ref = SimdMachine(npes=npes, costs=result.options.costs,
+                              backend="interp").run(prog, active=active)
+            for shards in (1, 3):
+                res = SimdMachine(npes=npes, costs=result.options.costs,
+                                  backend="kernels", shards=shards).run(
+                    prog, active=active)
+                assert (res.backend_used, res.shards) == ("kernels", shards)
+                assert_identical(res, ref, (name, active, shards))
+
+    def test_full_body_runs_only_at_full_width(self):
+        result = convert_source(SCALING_LOOP, ConversionOptions(
+            opt_level=1, lazy=False))
+        prog = result.simd_program()
+        full = {(f"<msc-kernel-{fn}>", line)
+                for fn, text in prog.kernels().sources.values()
+                for line in full_body_lines(text)}
+        assert full
+
+        def full_lines_taken(active):
+            machine = SimdMachine(npes=64, costs=result.options.costs,
+                                  backend="kernels", shards=1)
+            runs = []
+            lines = kernel_lines(
+                lambda: runs.append(machine.run(prog, active=active)))
+            ref = SimdMachine(npes=64, costs=result.options.costs,
+                              backend="interp").run(prog, active=active)
+            assert_identical(runs[0], ref, active)
+            return lines & full
+
+        assert full_lines_taken(64)
+        # One idle PE: no one-member node ever holds every PE.
+        assert not full_lines_taken(63)
+
+    def test_loaded_slot_survives_a_store(self):
+        # The executor keeps x's first load for z after x is stored, so
+        # a whole-row load must copy the row, not view it.
+        src = """
+main() {
+    poly int x; poly int y; poly int z; poly int i;
+    x = procnum;
+    for (i = 0; i < 2; i += 1) {
+        y = x;
+        x = x + 1;
+        z = y;
+    }
+    return (z * 100 + x);
+}
+"""
+        result = convert_source(src)
+        prog = result.simd_program()
+        for active in (8, 7):
+            res = SimdMachine(npes=8, costs=result.options.costs,
+                              backend="kernels").run(prog, active=active)
+            ref = SimdMachine(npes=8, costs=result.options.costs,
+                              backend="interp").run(prog, active=active)
+            assert_identical(res, ref, active)
+        assert res.returns[:7].tolist() == [101 * p + 102 for p in range(7)]
+
+    def test_swapped_rows_flush_their_loads(self):
+        # A chain that swaps two stack rows and ends with both live
+        # flushes row 0 first: row 1 must get row 0's value from before
+        # that flush, on whole rows as on a lane set.
+        from repro.codegen import kir
+        from repro.codegen import plan as planmod
+        from repro.codegen.kernels import _load, _Printer
+        from repro.simd.vecops import PeState
+
+        t0, t1 = kir.Val(kir.ARRAY, 0), kir.Val(kir.ARRAY, 1)
+        chain = kir.Chain((0,), [("stack", 0, (0,), None),
+                                 ("stack", 1, (1,), None),
+                                 ("flush", None, (0, t1), None),
+                                 ("flush", None, (1, t0), None)])
+        seg = kir.Seg(members=(3,), sources=(None,), barrier=(False,),
+                      body_cycles=1, coeffs=(1,), checklist=(),
+                      max_rows=0, serial=True, chains=[chain],
+                      entry_chains=None,
+                      terms=(kir.Term(planmod.K_FALL, 4, 0, 2, None,
+                                      False),),
+                      exit_cost=None)
+        text = _Printer().node(0, "node_0", kir.Node("swap", [seg]))
+        assert full_body_lines(text)
+        fn = _load("node_0", text)
+        for active in (4, 3):
+            st = PeState(4, 0, 0, stack_depth=2, rstack_depth=0)
+            st.stack[0], st.stack[1] = 1.0, 2.0
+            pc = np.full(4, -1)
+            pc[:active] = 3
+            assert fn(pc, st) == (1, 0, active, False)
+            assert st.stack[:, :active].tolist() == [[2.0] * active,
+                                                     [1.0] * active]
+            assert pc[:active].tolist() == [4] * active
+
+    def test_barrier_fed_by_a_full_set_stays_full(self):
+        # tree_reduction's wait node runs every segment on whole rows:
+        # the barrier-wait member of its third segment is fed by the
+        # fall-through of a full member, so nothing was parked there
+        # and nothing is re-scanned.
+        prog = convert_source(STANDARD["tree_reduction"](),
+                              ConversionOptions(opt_level=1, lazy=False,
+                                                compress=False)
+                              ).simd_program()
+        (text,) = [text for _, text in prog.kernels().sources.values()
+                   if '"""ms_4+ms_5+ms_6+ms_7"""' in text]
+        (body,) = full_bodies(text)
+        assert "-- segment 3:" in body
+        # No lane set is bound or read: every segment is full.
+        assert re.search(r"\b[mu]\d+_\d+", body) is None

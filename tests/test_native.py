@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from repro.simd import nativert
 from repro.simd.machine import SimdMachine
 from repro.workloads import STANDARD
 
+from tests.helpers import INT64_DIVISION
 from tests.test_kernels import assert_identical, run_backends
 
 requires_toolchain = pytest.mark.skipif(
@@ -752,6 +754,15 @@ class TestNativeProgram:
         b = compile_native(convert_source(src).simd_program())
         assert a.digest() == b.digest()
         assert a.c_source == b.c_source
+
+    def test_signed_wrap_is_defined(self):
+        # The printed integer division negates and multiplies an int64
+        # quotient of magnitude 2**63 for -2**63 / ±1 and -2**63 % ±1;
+        # only -fwrapv makes that overflow defined (it wraps to the
+        # values the other backends give).
+        assert "-fwrapv" in nativert.CFLAGS
+        c = convert_source(INT64_DIVISION).simd_program().native().c_source
+        assert re.search(r"\bq\d+ = -q\d+;", c)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
     def test_ctx_structure_matches_the_c_layout(self, tmp_path):

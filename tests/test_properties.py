@@ -334,10 +334,12 @@ class TestRandomDeterminism:
 class TestRandomProgramsBothPrinters:
     """Generated programs through both kernel printers: NumPy at one and
     three shards, and C where a toolchain exists, each bit-identical to
-    the interpretive executor. Only SIMD backends are compared: a racy
-    mono store or router write may legitimately resolve differently on
-    the MIMD oracle. ``cc -O2`` needs seconds per few dozen nodes, so
-    programs above :attr:`NATIVE_MAX_NODES` run on NumPy only."""
+    the interpretive executor, with every PE active and with two idle,
+    so both bodies of a one-member NumPy node run. Only SIMD backends
+    are compared: a racy mono store or router write may legitimately
+    resolve differently on the MIMD oracle. ``cc -O2`` needs seconds
+    per few dozen nodes, so programs above :attr:`NATIVE_MAX_NODES` run
+    on NumPy only."""
 
     NATIVE_MAX_NODES = 24
 
@@ -356,13 +358,17 @@ class TestRandomProgramsBothPrinters:
         if nativert.unavailable_reason() is None \
                 and prog.node_count() <= self.NATIVE_MAX_NODES:
             runs += [("native", 1), ("native", 3)]
-        ref = SimdMachine(npes=5, costs=result.options.costs,
-                          backend="interp").run(prog)
-        for backend, shards in runs:
-            res = SimdMachine(npes=5, costs=result.options.costs,
-                              backend=backend, shards=shards).run(prog)
-            assert res.backend_used == backend
-            assert_identical(res, ref, (backend, shards))
+        # Five active PEs take the full-width bodies of one-member
+        # nodes; three leave idle PEs, so those nodes run indexed.
+        for active in (5, 3):
+            ref = SimdMachine(npes=5, costs=result.options.costs,
+                              backend="interp").run(prog, active=active)
+            for backend, shards in runs:
+                res = SimdMachine(npes=5, costs=result.options.costs,
+                                  backend=backend, shards=shards).run(
+                    prog, active=active)
+                assert res.backend_used == backend
+                assert_identical(res, ref, (backend, shards, active))
 
     @given(src=programs())
     @settings(max_examples=8, **COMMON_SETTINGS)
